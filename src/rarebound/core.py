@@ -123,16 +123,15 @@ class BlackBoxFunction:
 def eval_batch(predictor: Callable, X: np.ndarray) -> np.ndarray:
     """Evaluate an arbitrary callable on an (n, d) batch.
 
-    Tries a single vectorized call first and falls back to a row loop if
-    the callable only supports single points.
+    Tries a single vectorized call first and falls back to a row loop when
+    that call returns anything but one value per row (a callable written
+    for single points, such as ``lambda x: x.sum()``).  An exception raised
+    by the batch call reaches the caller.
     """
     X = np.asarray(X, dtype=float)
-    try:
-        out = np.asarray(predictor(X), dtype=float)
-        if out.shape == (X.shape[0],):
-            return out
-    except Exception:
-        pass
+    out = np.asarray(predictor(X), dtype=float)
+    if out.shape == (X.shape[0],):
+        return out
     return np.array([float(predictor(row)) for row in X])
 
 

@@ -16,7 +16,6 @@ first) order.
 
 from __future__ import annotations
 
-import csv
 import heapq
 import math
 from dataclasses import dataclass, field
@@ -33,7 +32,6 @@ __all__ = [
     "DyadicRun",
     "refine",
     "default_max_depth",
-    "save_trace",
 ]
 
 LABEL_INSIDE = "inside"     # certainly in the failure set
@@ -190,11 +188,3 @@ def refine(f: BlackBoxFunction, lipschitz: float, budget: int,
     return DyadicRun(bounds=bounds, inside=inside, outside=outside,
                      unknown=pending, trace=trace, queries_used=queries,
                      max_depth_hit=bool(resolved_unknown))
-
-
-def save_trace(run: DyadicRun, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["step", "queries", "p_lower", "p_upper", "unknown_mass"])
-        for step, q, lo, hi, um in run.trace:
-            w.writerow([step, q, repr(lo), repr(hi), repr(um)])

@@ -9,22 +9,23 @@ The transform preserves the componentwise partial order, so region
 membership can be checked on either side of the map.
 
 Because adaptation is frozen within each window, every window is a plain
-Metropolis chain and the usual ergodic guarantees apply.  A
-:class:`VolumeLedger` turns survivor fractions of a decorrelated batch into
-telescoping estimates of the region volume, which gives high-probability
-probability bounds without any exact volume computation.
+Metropolis chain and the usual ergodic guarantees apply.  The walk only
+proposes candidate points: :func:`rarebound.monotone.sequential_bounder`
+draws its query pools from :class:`RegionWalkSampler` and computes the
+bounds from the labelled design, so they do not depend on how well the
+chains mix.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BlackBoxFunction, ProbabilityBounds, RandomStream
-from .monotone import SamplerStalled, StaircaseRegion
+from .core import RandomStream
+from .monotone import SamplerStalled
 from .special import normal_cdf, normal_quantile
 
 _BOUNDARY_EPS = 1e-15
@@ -34,10 +35,6 @@ _DEFAULT_SCALE = 2.38 ** 2
 
 class BoundaryInput(UserWarning):
     """A coordinate sat on the cube boundary and was clamped inward."""
-
-
-class InsufficientChain(ValueError):
-    """The chain is too short for the requested burn-in and thinning."""
 
 
 def psi(x):
@@ -130,107 +127,14 @@ def decorrelation_gap(chain, ceiling=64):
     return int(min(ceiling, max(1, math.ceil(3.0 / (1.0 - rho)))))
 
 
-def batch_decorrelate(chain, gap, burn_in_fraction=0.2):
-    """Discard burn-in and keep every ``gap``-th state of a chain.
-
-    Parameters
-    ----------
-    chain : array_like, shape (n, d)
-        Raw chain states in time order.
-    gap : int
-        Thinning stride, at least 1.
-    burn_in_fraction : float, optional
-        Leading fraction of the chain to drop.
-
-    Returns
-    -------
-    numpy.ndarray
-        The thinned post-burn-in states.
-
-    Raises
-    ------
-    InsufficientChain
-        If fewer than ``burn_in + gap`` states are available.
-    """
-    C = np.asarray(chain, dtype=float)
-    if gap < 1:
-        raise ValueError(f"gap must be >= 1, got {gap}")
-    burn = int(burn_in_fraction * C.shape[0])
-    if C.shape[0] < burn + gap:
-        raise InsufficientChain(
-            f"chain of length {C.shape[0]} cannot supply burn-in {burn} plus gap {gap}")
-    return C[burn::gap]
-
-
-@dataclass(frozen=True)
-class TransformedWalkState:
-    """One chain state together with its frozen proposal law.
-
-    Attributes
-    ----------
-    x : numpy.ndarray
-        Current point in cube coordinates; always inside the active region.
-    z : numpy.ndarray
-        ``psi(x)``, kept alongside to avoid re-transforming.
-    covariance : numpy.ndarray
-        Proposal covariance, frozen for the duration of a window.
-    scale : float
-        Multiplier on ``covariance / d`` in the proposal.
-    window : int
-        Number of steps between covariance re-estimations.
-    """
-
-    x: np.ndarray
-    z: np.ndarray
-    covariance: np.ndarray
-    scale: float = _DEFAULT_SCALE
-    window: int = 200
-
-    @classmethod
-    def from_point(cls, x, covariance=None, scale=_DEFAULT_SCALE, window=200):
-        x = np.asarray(x, dtype=float)
-        if covariance is None:
-            covariance = np.eye(x.size)
-        return cls(x=x, z=psi(x), covariance=np.asarray(covariance, dtype=float),
-                   scale=scale, window=window)
-
-
-def mh_step(state, region, rng):
-    """One Metropolis step targeting the uniform law on ``region``.
-
-    Proposes ``z_new = z + eps`` with ``eps ~ N(0, scale * cov / d)`` and
-    maps back through :func:`psi_inv`.  The acceptance ratio carries the
-    Jacobian of the transform, ``prod phi(z_new) / phi(z)``; without it the
-    stationary law in cube coordinates would not be uniform.
-
-    Parameters
-    ----------
-    state : TransformedWalkState
-    region : StaircaseRegion
-    rng : numpy.random.Generator or RandomStream
-
-    Returns
-    -------
-    TransformedWalkState
-        The new state; identical ``x`` if the proposal was rejected.
-    """
-    gen = rng.generator() if isinstance(rng, RandomStream) else rng
-    d = state.x.size
-    chol = np.linalg.cholesky(state.scale * state.covariance / d)
-    z_new = state.z + chol @ gen.standard_normal(d)
-    x_new = psi_inv(z_new)
-    if not region.contains(x_new):
-        return state
-    log_ratio = 0.5 * (state.z @ state.z - z_new @ z_new)
-    if log_ratio >= 0.0 or gen.random() < math.exp(log_ratio):
-        return TransformedWalkState(x=x_new, z=z_new, covariance=state.covariance,
-                                    scale=state.scale, window=state.window)
-    return state
-
-
 @dataclass
 class WalkConfig:
     """Tuning knobs for :class:`RegionWalkSampler`.
+
+    :func:`rarebound.monotone.sequential_bounder` passes its
+    ``walk_config`` here when it starts the walk (``sampler="mcmc"``, or
+    ``"auto"`` after the hand-over); the CLI fills it from the ``[mcmc]``
+    config section.
 
     Attributes
     ----------
@@ -243,7 +147,7 @@ class WalkConfig:
         Steps between covariance adaptations; the covariance is frozen
         in between.
     burn_in_fraction : float
-        Leading fraction of each freshly (re)started chain to discard.
+        Steps run before the first draw, as a fraction of ``window``.
     thin : int or None
         Stride between harvested states; measured from the lag-1
         autocorrelation when None.
@@ -251,8 +155,6 @@ class WalkConfig:
         Cube draws per rejection attempt when seeding chains.
     max_init_draws : int
         Total cube draws before initialization gives up.
-    acceptance_floor : float
-        Batch survivor fraction below which a window is abandoned.
     """
 
     n_chains: int = 32
@@ -262,7 +164,6 @@ class WalkConfig:
     thin: int | None = None
     init_chunk: int = 8192
     max_init_draws: int = 20_000_000
-    acceptance_floor: float = 1e-3
 
 
 class RegionWalkSampler:
@@ -343,7 +244,13 @@ class RegionWalkSampler:
         self._steps_since_adapt = 0
 
     def step(self, n_steps=1):
-        """Advance every chain ``n_steps`` Metropolis steps."""
+        """Advance every chain ``n_steps`` Metropolis steps.
+
+        Proposals are Gaussian in transformed space.  The acceptance ratio
+        carries the Jacobian of the transform, ``prod phi(z_new) / phi(z)``;
+        without it the stationary law in cube coordinates would not be
+        uniform.
+        """
         cfg = self.config
         X = self._states
         Z = psi(np.clip(X, _BOUNDARY_EPS, 1.0 - _BOUNDARY_EPS))
@@ -392,193 +299,3 @@ class RegionWalkSampler:
         pool = np.vstack(out)[:n]
         self._gen.shuffle(pool, axis=0)
         return pool
-
-    def sample_batch(self, chain_length):
-        """Run ``chain_length`` steps and return the decorrelated batch."""
-        history = []
-        cfg = self.config
-        for _ in range(chain_length):
-            self.step(1)
-            history.append(self._states.copy())
-        H = np.stack(history)
-        gap = cfg.thin or decorrelation_gap(H[:, 0, :])
-        burn = int(cfg.burn_in_fraction * chain_length)
-        if chain_length < burn + gap:
-            raise InsufficientChain(
-                f"chain length {chain_length} cannot supply burn-in {burn} plus gap {gap}")
-        kept = H[burn::gap]
-        return kept.reshape(-1, self._dim)
-
-
-@dataclass
-class VolumeLedger:
-    """Telescoping volume estimates for a shrinking staircase region.
-
-    Each region update multiplies the current volume estimate by the
-    conditional survivor proportion measured on a uniform batch, so the
-    estimate is non-increasing by construction.  Mass leaving the region is
-    credited to the fail or safe side, which yields probability bounds.
-
-    Attributes
-    ----------
-    base_volume : float
-        Volume of the region when tracking started (1.0 for the full cube).
-    base_fail : float
-        Fail-side mass already accounted for at the start.
-    proportions : list of float
-        Conditional survivor proportion of each recorded step.
-    fail_mass, safe_mass : float
-        Accumulated estimated mass retired to each side.
-    margin : float
-        Accumulated high-probability error allowance.
-    """
-
-    base_volume: float = 1.0
-    base_fail: float = 0.0
-    proportions: list = field(default_factory=list)
-    fail_mass: float = 0.0
-    safe_mass: float = 0.0
-    margin: float = 0.0
-
-    def __post_init__(self):
-        if not 0.0 < self.base_volume <= 1.0:
-            raise ValueError(f"base volume must be in (0, 1], got {self.base_volume}")
-
-    @property
-    def unknown_volume(self):
-        """Current telescoped estimate of the region volume."""
-        v = self.base_volume
-        for c in self.proportions:
-            v *= c
-        return v
-
-    def record(self, proportion, failed):
-        """Record one region update with survivor fraction ``proportion``."""
-        if not 0.0 <= proportion <= 1.0:
-            raise ValueError(f"proportion must be in [0, 1], got {proportion}")
-        before = self.unknown_volume
-        self.proportions.append(proportion)
-        removed = before - self.unknown_volume
-        if failed:
-            self.fail_mass += removed
-        else:
-            self.safe_mass += removed
-
-    def add_margin(self, amount):
-        """Widen the reported bounds by an absolute volume allowance."""
-        if amount < 0.0:
-            raise ValueError("margin must be nonnegative")
-        self.margin += amount
-
-    def bounds(self, alpha, queries_used):
-        """Probability bounds implied by the ledger, widened by the margin."""
-        lo = max(0.0, self.base_fail + self.fail_mass - self.margin)
-        hi = min(1.0, self.base_fail + self.fail_mass + self.unknown_volume + self.margin)
-        return ProbabilityBounds(lower=lo, upper=max(lo, hi), kind="high-probability",
-                                 alpha=alpha, queries_used=queries_used)
-
-
-def run_semi_adaptive(f, chain_length, window, budget, rng, config=None,
-                      alpha=1e-3, initial_region=None):
-    """Sequential bounding with windowed chains and ledger-based volumes.
-
-    Alternates two phases until the query budget is spent.  A frozen-
-    covariance chain is run for ``chain_length`` steps on the current region
-    and decorrelated into a batch.  Then up to ``window`` design points are
-    taken from the batch by accept-reject: a surviving batch member is
-    queried, the region shrinks, and the batch survivor fraction updates the
-    telescoping volume ledger.  When survivors fall below the configured
-    floor the window ends early and a fresh chain starts on the shrunk
-    region.
-
-    Parameters
-    ----------
-    f : BlackBoxFunction
-        Componentwise nondecreasing in the orientation already applied.
-    chain_length : int
-        Metropolis steps per window.
-    window : int
-        Maximum design points drawn from one batch.
-    budget : int
-        Total number of oracle queries.
-    rng : RandomStream
-    config : WalkConfig, optional
-    alpha : float
-        Total failure probability budget for the reported bounds.
-    initial_region : StaircaseRegion, optional
-        Defaults to the full cube.
-
-    Returns
-    -------
-    (list of ProbabilityBounds, VolumeLedger)
-        One bound per query, nested up to the stated margin, and the ledger.
-
-    Raises
-    ------
-    SamplerStalled
-        When a fresh window cannot produce any usable batch.
-    """
-    if not isinstance(f, BlackBoxFunction):
-        raise TypeError("f must be a BlackBoxFunction")
-    cfg = config or WalkConfig()
-    region = initial_region or StaircaseRegion.empty(f.dimension)
-    gen = rng.generator() if isinstance(rng, RandomStream) else rng
-    sampler = RegionWalkSampler(region, gen, cfg)
-    ledger = VolumeLedger()
-    trace = []
-    queries = 0
-    window_index = 0
-    while queries < budget:
-        batch = sampler.sample_batch(chain_length)
-        M = batch.shape[0]
-        if M == 0:
-            raise SamplerStalled("decorrelated batch is empty")
-        # Per-window error allowance: Hoeffding bound on each survivor
-        # fraction, union over at most `window` steps, windows weighted
-        # by a halving series so the total failure probability stays <= alpha.
-        alpha_w = alpha / (2.0 ** (window_index + 1))
-        eps_w = math.sqrt(math.log(2.0 * max(1, window) / alpha_w) / (2.0 * M))
-        ledger.add_margin(ledger.unknown_volume * eps_w)
-        alive = np.ones(M, dtype=bool)
-        floor = max(1.0, cfg.acceptance_floor * M)
-        took_any = False
-        for _ in range(window):
-            if queries >= budget:
-                break
-            idx = np.flatnonzero(alive)
-            if idx.size < floor:
-                break
-            x = batch[idx[gen.integers(0, idx.size)]]
-            failed = bool(f(x) < f.threshold)
-            if failed:
-                dead = np.all(batch[alive] <= x, axis=1)
-                region = region.with_fail(x)
-            else:
-                dead = np.all(batch[alive] >= x, axis=1)
-                region = region.with_safe(x)
-            survivors = int(alive.sum()) - int(dead.sum())
-            ledger.record(survivors / int(alive.sum()), failed)
-            alive[np.flatnonzero(alive)[dead]] = False
-            queries += 1
-            took_any = True
-            trace.append(ledger.bounds(alpha, queries))
-        if not took_any and queries < budget:
-            raise SamplerStalled(
-                f"batch acceptance below floor {cfg.acceptance_floor} with no progress")
-        sampler.update_region(region)
-        window_index += 1
-    return trace, ledger
-
-
-def save_diagnostics(path, rows):
-    """Write chain diagnostics rows to a comma-separated file.
-
-    Parameters
-    ----------
-    path : str or pathlib.Path
-    rows : iterable of (step, acceptance_rate, est_volume, p_lower, p_upper)
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step,acceptance_rate,est_volume,p_lower,p_upper\n")
-        for step, acc, vol, lo, hi in rows:
-            fh.write(f"{step},{acc!r},{vol!r},{lo!r},{hi!r}\n")

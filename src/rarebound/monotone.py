@@ -17,9 +17,8 @@ the fail/safe boundary.
 
 from __future__ import annotations
 
-import csv
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
@@ -43,12 +42,6 @@ __all__ = [
     "RejectionSampler",
     "SequentialRun",
     "sequential_bounder",
-    "CPWLFunction",
-    "MonotonicityReport",
-    "monotonicity_directions",
-    "save_design",
-    "load_design",
-    "save_trace",
 ]
 
 MC_VOLUME_DIM = 6          # exact volumes up to here, Monte Carlo beyond
@@ -337,6 +330,9 @@ class StaircaseRegion:
     ``fail_generators`` and ``safe_generators`` are antichains; their
     lower and upper orthant unions must be disjoint, which for antichains
     reduces to no safe generator being dominated by a fail generator.
+    The constructor checks both conditions.  :meth:`with_fail` and
+    :meth:`with_safe` keep them by construction: the insert keeps an
+    antichain, and each refuses a point that contradicts the other side.
     """
 
     fail_generators: np.ndarray   # (m1, d) maximal antichain
@@ -408,8 +404,8 @@ class StaircaseRegion:
                 np.any(np.all(x >= self.safe_generators, axis=1)):
             raise MonotonicityViolation(
                 "fail point dominates a safe generator")
-        return StaircaseRegion(_insert_maximal(self.fail_generators, x),
-                               self.safe_generators, self.dimension)
+        return self._updated(_insert_maximal(self.fail_generators, x),
+                             self.safe_generators)
 
     def with_safe(self, x) -> "StaircaseRegion":
         x = np.asarray(x, dtype=float)
@@ -418,8 +414,15 @@ class StaircaseRegion:
             raise MonotonicityViolation(
                 "safe point is dominated by a fail generator")
         flipped = _insert_maximal(1.0 - self.safe_generators, 1.0 - x)
-        return StaircaseRegion(self.fail_generators, 1.0 - flipped,
-                               self.dimension)
+        return self._updated(self.fail_generators, 1.0 - flipped)
+
+    def _updated(self, fail_generators, safe_generators) -> "StaircaseRegion":
+        # skips __post_init__: its O(m^2) checks hold by construction here
+        region = object.__new__(StaircaseRegion)
+        object.__setattr__(region, "fail_generators", fail_generators)
+        object.__setattr__(region, "safe_generators", safe_generators)
+        object.__setattr__(region, "dimension", self.dimension)
+        return region
 
     def volume_bounds(self) -> Tuple[float, float]:
         """(vol of certified fail set, 1 - vol of certified safe set)."""
@@ -474,34 +477,6 @@ class RejectionSampler:
         self.attempts = 0
         self.draws = 0
         self._buffer: List[np.ndarray] = []
-
-    def reset(self) -> None:
-        self.attempts = 0
-        self.draws = 0
-        self._buffer = []
-
-    def draw(self, region: StaircaseRegion, gen: np.random.Generator) -> np.ndarray:
-        # leftover candidates are re-checked against the current region;
-        # the unused tail of an iid uniform stream stays uniform
-        while self._buffer:
-            x = self._buffer.pop()
-            if region.contains(x):
-                self.draws += 1
-                return x
-        spent = 0
-        while spent < self.max_attempts:
-            X = gen.random((self.chunk, region.dimension))
-            spent += self.chunk
-            self.attempts += self.chunk
-            ok = region.contains_batch(X)
-            idx = np.flatnonzero(ok)
-            if idx.size:
-                keep = X[idx]
-                self._buffer = [row for row in keep[:0:-1]]
-                self.draws += 1
-                return keep[0]
-        raise SamplerStalled(
-            f"no region point found in {self.max_attempts} uniform draws")
 
     def draw_batch(self, region: StaircaseRegion, gen: np.random.Generator,
                    n: int) -> np.ndarray:
@@ -659,7 +634,7 @@ class SequentialRun:
 
 
 def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
-                       sampler: Union[str, object] = "auto",
+                       sampler: str = "auto",
                        selection: Optional[SelectionConfig] = None,
                        walk_config=None,
                        switch_acceptance: float = 5e-3) -> SequentialRun:
@@ -693,11 +668,12 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
     budget : int
         Total oracle queries.
     rng : RandomStream
-    sampler : str or object
-        "rejection", "mcmc" (transformed-walk chains), "auto" (rejection
+    sampler : str
+        Where candidate points come from: "rejection"
+        (:class:`RejectionSampler`), "mcmc"
+        (:class:`rarebound.mcmc.RegionWalkSampler`), or "auto" (rejection
         that hands over to the walk sampler once its acceptance rate drops
-        below ``switch_acceptance``), or any object with a
-        ``draw(region, gen) -> point`` method (implies uniform selection).
+        below ``switch_acceptance``).
     selection : SelectionConfig, optional
         Candidate scoring configuration; defaults to dimension-adaptive
         scoring (see :class:`SelectionConfig`).
@@ -712,33 +688,25 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
+    if sampler not in ("auto", "rejection", "mcmc"):
+        raise ValueError(f"unknown sampler {sampler!r}")
     d = f.dimension
     gen = rng.generator()
     rejection = RejectionSampler()
     walker = None
-    if isinstance(sampler, str):
-        if sampler not in ("auto", "rejection", "mcmc"):
-            raise ValueError(f"unknown sampler {sampler!r}")
-        mode = sampler
-    else:
-        mode = "custom"
     selection = selection or SelectionConfig()
     rule, exact_scores = selection.resolve(d)
-    if mode == "custom":
-        rule = "uniform"
     # 2-D exact balance takes its candidates from the estimated boundary
     boundary = d == 2 and rule == "balance" and exact_scores
 
     exact = d <= MC_VOLUME_DIM
-    F = np.empty((0, d))
-    Fc = np.empty((0, d))   # flipped safe generators 1 - S (maximal antichain)
     vol_lo = 0.0
     vol_safe = 0.0
     pts: List[np.ndarray] = []
     labels: List[bool] = []
     vals: List[float] = []
     trace: List[Tuple[int, float, float]] = []
-    name = mode
+    name = sampler
     region = StaircaseRegion.empty(d)
     pool = np.empty((0, d))
 
@@ -751,7 +719,7 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         grid = 10.0 ** ((np.arange(_GRID_DECADES * _GRID_PER_DECADE)
                          + gen.random()) / _GRID_PER_DECADE - _GRID_DECADES)
         name = "boundary"
-    elif mode == "mcmc":
+    elif sampler == "mcmc":
         walker = make_walker()
 
     def refill(pool: np.ndarray, n: int) -> np.ndarray:
@@ -759,7 +727,7 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         if pool.shape[0] >= n:
             return pool
         need = n - pool.shape[0]
-        if mode == "auto" and walker is None \
+        if sampler == "auto" and walker is None \
                 and rejection.attempts >= 8 * rejection.chunk \
                 and rejection.acceptance_rate() < switch_acceptance:
             walker = make_walker()
@@ -772,10 +740,7 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         return np.vstack([pool, fresh]) if pool.shape[0] else fresh
 
     def pool_query() -> np.ndarray:
-        nonlocal pool, name
-        if mode == "custom":
-            name = getattr(sampler, "name", "custom")
-            return sampler.draw(region, gen)
+        nonlocal pool
         if rule == "uniform":
             return refill(np.empty((0, d)), 1)[0]
         if pool.shape[0]:
@@ -796,6 +761,8 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
                 score = np.ones(P.shape[0])
         else:
             if exact_scores:
+                F = region.fail_generators
+                Fc = 1.0 - region.safe_generators
                 gain_fail = np.array([_delta_lower_volume(F, c) for c in P])
                 gain_safe = np.array(
                     [_delta_lower_volume(Fc, 1.0 - c) for c in P])
@@ -812,8 +779,9 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         return P[pick]
 
     for step in range(budget):
-        x = _boundary_query(_Staircase2(F), _Staircase2(Fc), grid) \
-            if boundary else None
+        x = _boundary_query(_Staircase2(region.fail_generators),
+                            _Staircase2(1.0 - region.safe_generators),
+                            grid) if boundary else None
         if x is None:
             x = pool_query()
 
@@ -824,14 +792,13 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         vals.append(value)
         if failed:
             if exact:
-                vol_lo += _delta_lower_volume(F, x)
+                vol_lo += _delta_lower_volume(region.fail_generators, x)
             region = region.with_fail(x)
-            F = region.fail_generators
         else:
             if exact:
-                vol_safe += _delta_lower_volume(Fc, 1.0 - x)
+                vol_safe += _delta_lower_volume(1.0 - region.safe_generators,
+                                                1.0 - x)
             region = region.with_safe(x)
-            Fc = 1.0 - region.safe_generators
         if exact:
             trace.append((step + 1, vol_lo, 1.0 - vol_safe))
 
@@ -845,157 +812,3 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
     return SequentialRun(design=design, region=region, bounds=bounds,
                          trace=trace, sampler_name=name, queries_used=budget,
                          selection_rule=rule)
-
-
-# ---------------------------------------------------------------------------
-# continuous piecewise-linear functions and their monotonicity report
-
-@dataclass(frozen=True)
-class CPWLFunction:
-    """Piecewise-affine function given by axis-aligned boxes.
-
-    Piece k is the box [lows[k], highs[k]] with value
-    coefficients[k] . x + intercepts[k].  Pieces may share boundary faces;
-    interior overlaps are only legal when both pieces carry the identical
-    affine map, otherwise the definition is ambiguous.
-    """
-
-    lows: np.ndarray           # (K, d)
-    highs: np.ndarray          # (K, d)
-    coefficients: np.ndarray   # (K, d)
-    intercepts: np.ndarray     # (K,)
-
-    def __post_init__(self):
-        lows = np.atleast_2d(np.asarray(self.lows, dtype=float))
-        highs = np.atleast_2d(np.asarray(self.highs, dtype=float))
-        coef = np.atleast_2d(np.asarray(self.coefficients, dtype=float))
-        icpt = np.atleast_1d(np.asarray(self.intercepts, dtype=float))
-        for nm, arr in (("lows", lows), ("highs", highs), ("coefficients", coef)):
-            object.__setattr__(self, nm, arr)
-        object.__setattr__(self, "intercepts", icpt)
-        K, d = lows.shape
-        if highs.shape != (K, d) or coef.shape != (K, d) or icpt.shape != (K,):
-            raise ValueError("piece arrays have inconsistent shapes")
-        if np.any(highs < lows):
-            raise ValueError("piece boxes must satisfy lows <= highs")
-        self._check_overlaps()
-
-    @property
-    def dimension(self) -> int:
-        return self.lows.shape[1]
-
-    @property
-    def n_pieces(self) -> int:
-        return self.lows.shape[0]
-
-    def _check_overlaps(self) -> None:
-        K = self.n_pieces
-        for i in range(K):
-            for j in range(i + 1, K):
-                lo = np.maximum(self.lows[i], self.lows[j])
-                hi = np.minimum(self.highs[i], self.highs[j])
-                if np.all(lo < hi):   # interior overlap
-                    same = (np.allclose(self.coefficients[i], self.coefficients[j],
-                                        atol=1e-12) and
-                            abs(self.intercepts[i] - self.intercepts[j]) <= 1e-12)
-                    if not same:
-                        raise OverlappingRegions(
-                            f"pieces {i} and {j} overlap with different maps")
-
-    def piece_index(self, x) -> int:
-        x = np.asarray(x, dtype=float)
-        inside = np.all((self.lows <= x) & (x <= self.highs), axis=1)
-        idx = np.flatnonzero(inside)
-        if idx.size == 0:
-            raise ValueError(f"point {x} lies in no piece")
-        return int(idx[0])
-
-    def __call__(self, x):
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            k = self.piece_index(x)
-            return float(self.coefficients[k] @ x + self.intercepts[k])
-        return np.array([self(row) for row in x])
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    """Per-coordinate slope signs of a piecewise-affine function.
-
-    ``directions[j]`` is +1 / -1 when every piece is nondecreasing /
-    nonincreasing in coordinate j (0 when the coordinate never appears),
-    and ``mixed[j]`` flags coordinates with sign conflicts across pieces.
-    """
-
-    directions: np.ndarray   # (d,) int
-    mixed: np.ndarray        # (d,) bool
-
-    @property
-    def is_monotone(self) -> bool:
-        return not bool(self.mixed.any())
-
-    @property
-    def orientation(self) -> Optional[np.ndarray]:
-        """Sign flips mapping the function to a nondecreasing one, when
-        monotone: coordinates with direction -1 get flipped."""
-        if not self.is_monotone:
-            return None
-        return np.where(self.directions < 0, -1, 1)
-
-
-def monotonicity_directions(f: CPWLFunction, tol: float = 0.0) -> MonotonicityReport:
-    """Exact per-coordinate monotonicity from the piece coefficients."""
-    coef = f.coefficients
-    pos = coef > tol
-    neg = coef < -tol
-    any_pos = pos.any(axis=0)
-    any_neg = neg.any(axis=0)
-    mixed = any_pos & any_neg
-    directions = np.where(any_pos & ~mixed, 1, np.where(any_neg & ~mixed, -1, 0))
-    return MonotonicityReport(directions=directions.astype(int), mixed=mixed)
-
-
-# ---------------------------------------------------------------------------
-# CSV round trips
-
-def save_design(design: LabeledDesign, path) -> None:
-    d = design.dimension
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow([f"x{j+1}" for j in range(d)] + ["value", "fail"])
-        for i in range(design.points.shape[0]):
-            val = "" if design.values is None else repr(float(design.values[i]))
-            w.writerow([repr(float(v)) for v in design.points[i]]
-                       + [val, int(design.fail[i])])
-
-
-def load_design(path) -> LabeledDesign:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        raise ValueError("empty design file")
-    header = rows[0]
-    if header[-1] != "fail" or header[-2] != "value":
-        raise ValueError("design file must end with value,fail columns")
-    d = len(header) - 2
-    pts, vals, labs = [], [], []
-    has_values = True
-    for row in rows[1:]:
-        if not row:
-            continue
-        pts.append([float(v) for v in row[:d]])
-        if row[d] == "":
-            has_values = False
-        else:
-            vals.append(float(row[d]))
-        labs.append(bool(int(row[d + 1])))
-    values = np.array(vals) if has_values and vals else None
-    return LabeledDesign(np.array(pts), np.array(labs), values)
-
-
-def save_trace(run: SequentialRun, path) -> None:
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["queries", "p_lower", "p_upper"])
-        for q, lo, hi in run.trace:
-            w.writerow([q, repr(lo), repr(hi)])

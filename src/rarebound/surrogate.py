@@ -694,60 +694,3 @@ def fsd_fit(family: Family, X, y, weights=None,
     return FSDFitResult(surrogate=surrogate, eta_star=eta, theta_star=float(theta),
                         violations=viol, relaxation_trace=trace,
                         converged=converged, direction=direction)
-
-
-# ---------------------------------------------------------------------------
-# plain-text persistence
-
-def save_model(path, model) -> None:
-    """Write a surrogate (plain or shifted) to a line-oriented text file."""
-    if isinstance(model, ShiftedSurrogate):
-        base, theta, cert = model.base, model.theta, model.certificate
-    else:
-        base, theta, cert = model, None, None
-    fam = base.family
-    with open(path, "w", encoding="utf-8") as fh:
-        if isinstance(fam, PolynomialFamily):
-            fh.write(f"family polynomial {fam.dimension} {fam.degree}\n")
-        else:
-            widths = " ".join(str(h) for h in fam.hidden)
-            fh.write(f"family feedforward {fam.dimension} {widths}\n")
-        fh.write("eta " + " ".join(repr(float(v)) for v in base.eta) + "\n")
-        if theta is not None:
-            fh.write(f"theta {theta!r}\n")
-            fh.write(f"certificate {cert.n_test} {cert.alpha!r} "
-                     f"{cert.bernstein_bound!r} {cert.c_constant!r}\n")
-
-
-def load_model(path):
-    """Read a surrogate written by :func:`save_model`."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    head = lines[0].split()
-    if head[0] != "family":
-        raise ValueError(f"not a surrogate file: first line {lines[0]!r}")
-    if head[1] == "polynomial":
-        family: Family = PolynomialFamily(int(head[2]), int(head[3]))
-    elif head[1] == "feedforward":
-        family = FeedforwardFamily(int(head[2]), tuple(int(h) for h in head[3:]))
-    else:
-        raise ValueError(f"unknown family {head[1]!r}")
-    eta = None
-    theta = None
-    cert = None
-    for ln in lines[1:]:
-        parts = ln.split()
-        if parts[0] == "eta":
-            eta = np.array([float(v) for v in parts[1:]])
-        elif parts[0] == "theta":
-            theta = float(parts[1])
-        elif parts[0] == "certificate":
-            cert = ShiftCertificate(n_test=int(parts[1]), alpha=float(parts[2]),
-                                    bernstein_bound=float(parts[3]),
-                                    c_constant=float(parts[4]))
-    if eta is None:
-        raise ValueError("surrogate file has no parameter line")
-    base = RegressionSurrogate(family=family, eta=eta)
-    if theta is None:
-        return base
-    return ShiftedSurrogate(base=base, theta=theta, certificate=cert)

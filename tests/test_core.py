@@ -74,6 +74,16 @@ class TestEvalBatch:
         X = np.random.default_rng(0).random((7, 3))
         assert np.allclose(eval_batch(lambda row: row.sum(), X), X.sum(axis=1))
 
+    def test_batch_error_reaches_the_caller(self):
+        # a row loop would succeed here, so it must not hide the batch error
+        def batch_fails(Z):
+            if Z.ndim == 2:
+                raise ZeroDivisionError("batch call failed")
+            return Z.sum()
+
+        with pytest.raises(ZeroDivisionError):
+            eval_batch(batch_fails, np.zeros((3, 2)))
+
 
 class TestProbabilityBounds:
     def test_basic(self):

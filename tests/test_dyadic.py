@@ -13,7 +13,6 @@ from rarebound.dyadic import (
     default_max_depth,
     label_cube,
     refine,
-    save_trace,
 )
 
 
@@ -159,12 +158,3 @@ class TestHelpers:
         assert default_max_depth(1.0, 0.5) == 1
         with pytest.raises(ValueError):
             default_max_depth(0.0)
-
-    def test_save_trace_schema(self, tmp_path):
-        f, L = slab(1, 0.3)
-        run = refine(f, L, budget=16)
-        path = tmp_path / "trace.csv"
-        save_trace(run, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,queries,p_lower,p_upper,unknown_mass"
-        assert len(lines) == 1 + len(run.trace)

@@ -1,28 +1,20 @@
-"""Transformed-walk sampler: transform, adaptation, ledger arithmetic."""
+"""Transformed-walk sampler: transform, adaptation, region walks."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rarebound.bench import make_linear_toy
 from rarebound.core import RandomStream
 from rarebound.mcmc import (
     BoundaryInput,
-    InsufficientChain,
     RegionWalkSampler,
-    TransformedWalkState,
-    VolumeLedger,
     WalkConfig,
     adapt_covariance,
-    batch_decorrelate,
     decorrelation_gap,
     lag_one_autocorrelation,
-    mh_step,
     psi,
     psi_inv,
-    run_semi_adaptive,
-    save_diagnostics,
 )
 from rarebound.monotone import LabeledDesign, StaircaseRegion
 
@@ -94,40 +86,30 @@ class TestDecorrelation:
         assert decorrelation_gap(np.full((100, 2), 0.5)) == 1
         assert decorrelation_gap(self.ar1(0.999), ceiling=64) == 64
 
-    def test_batch_decorrelate_stride(self):
-        C = np.arange(100, dtype=float)[:, None]
-        out = batch_decorrelate(C, gap=5, burn_in_fraction=0.2)
-        assert out[0, 0] == 20.0
-        assert np.all(np.diff(out[:, 0]) == 5.0)
-
-    def test_batch_decorrelate_errors(self):
-        with pytest.raises(ValueError):
-            batch_decorrelate(np.zeros((50, 1)), gap=0)
-        with pytest.raises(InsufficientChain):
-            batch_decorrelate(np.zeros((10, 1)), gap=20)
-
 
 class TestMHStep:
     def test_stays_in_region(self):
         region = box_region()
-        gen = RandomStream(3, 0).generator()
-        state = TransformedWalkState.from_point(np.array([0.5, 0.2]))
+        s = RegionWalkSampler(region, RandomStream(3, 0),
+                              WalkConfig(n_chains=8, window=50))
+        X = s._states.copy()
         moved = 0
         for _ in range(200):
-            new = mh_step(state, region, gen)
-            assert region.contains(new.x)
-            moved += int(not np.array_equal(new.x, state.x))
-            state = new
-        assert moved > 20     # chain actually mixes
+            new = s.step().copy()
+            assert region.contains_batch(new).all()
+            moved += int((new != X).any(axis=1).sum())
+            X = new
+        assert moved > 20     # chains actually mix
 
     def test_rejection_keeps_state(self):
-        # zero-measure region around the start: every proposal is rejected
+        # a huge proposal scale makes the Jacobian ratio reject every move
         region = box_region()
-        state = TransformedWalkState.from_point(
-            np.array([0.5, 0.2]), covariance=1e-20 * np.eye(2))
-        gen = RandomStream(4, 0).generator()
-        new = mh_step(state, region, gen)
-        assert np.allclose(new.x, state.x, atol=1e-8)
+        s = RegionWalkSampler(region, RandomStream(4, 0),
+                              WalkConfig(n_chains=8, scale=1e12, window=1000))
+        X = s._states.copy()
+        new = s.step(20)
+        assert np.array_equal(new, X)
+        assert s.acceptance_rate == 0.0
 
 
 class TestRegionWalkSampler:
@@ -150,78 +132,3 @@ class TestRegionWalkSampler:
         assert shrunk.contains_batch(s._states).all()
         X = s.draw(30)
         assert shrunk.contains_batch(X).all()
-
-    def test_sample_batch_and_insufficient(self):
-        region = box_region()
-        s = RegionWalkSampler(region, RandomStream(8, 0),
-                              WalkConfig(n_chains=4, window=30, thin=2))
-        batch = s.sample_batch(50)
-        assert batch.shape[1] == 2
-        assert region.contains_batch(batch).all()
-        wide = RegionWalkSampler(region, RandomStream(8, 1),
-                                 WalkConfig(n_chains=4, window=30, thin=16))
-        with pytest.raises(InsufficientChain):
-            wide.sample_batch(10)
-
-
-class TestVolumeLedger:
-    def test_telescoping(self):
-        led = VolumeLedger()
-        assert led.unknown_volume == 1.0
-        led.record(0.5, failed=True)
-        led.record(0.5, failed=False)
-        assert led.unknown_volume == 0.25
-        assert led.fail_mass == pytest.approx(0.5)
-        assert led.safe_mass == pytest.approx(0.25)
-
-    def test_bounds_formula(self):
-        led = VolumeLedger(base_volume=0.8, base_fail=0.1)
-        led.record(0.75, failed=True)      # removes 0.2 to the fail side
-        led.add_margin(0.01)
-        b = led.bounds(alpha=1e-3, queries_used=5)
-        assert b.lower == pytest.approx(0.1 + 0.2 - 0.01)
-        assert b.upper == pytest.approx(0.1 + 0.2 + 0.6 + 0.01)
-        assert b.kind == "high-probability"
-        assert b.alpha == 1e-3
-        assert b.queries_used == 5
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            VolumeLedger(base_volume=0.0)
-        led = VolumeLedger()
-        with pytest.raises(ValueError):
-            led.record(1.5, failed=True)
-        with pytest.raises(ValueError):
-            led.add_margin(-0.1)
-
-
-class TestRunSemiAdaptive:
-    def test_smoke_containment(self):
-        prob = make_linear_toy(2, 0.8)
-        trace, ledger = run_semi_adaptive(
-            prob.function, chain_length=150, window=12, budget=30,
-            rng=RandomStream(9, 0), config=WalkConfig(n_chains=16, window=60),
-            alpha=1e-3)
-        assert len(trace) == 30
-        final = trace[-1]
-        assert final.kind == "high-probability"
-        assert final.alpha == 1e-3
-        assert final.lower <= prob.p_exact <= final.upper
-        assert final.queries_used == 30
-        assert prob.function.query_count == 30
-        assert 0.0 < ledger.unknown_volume < 1.0
-
-    def test_rejects_plain_callable(self):
-        with pytest.raises(TypeError):
-            run_semi_adaptive(lambda x: 0.0, 100, 10, 20, RandomStream(1, 0))
-
-
-class TestDiagnostics:
-    def test_save_schema(self, tmp_path):
-        path = tmp_path / "diag.csv"
-        save_diagnostics(path, [(1, 0.4, 0.9, 0.0, 1.0),
-                                (2, 0.35, 0.8, 0.01, 0.9)])
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "step,acceptance_rate,est_volume,p_lower,p_upper"
-        assert len(lines) == 3
-        assert lines[1].startswith("1,0.4,0.9,")

@@ -10,7 +10,6 @@ from rarebound.surrogate import (
     FeedforwardFamily,
     FSDFitResult,
     PolynomialFamily,
-    RegressionSurrogate,
     RelaxationConfig,
     ShiftCertificate,
     ShiftedSurrogate,
@@ -23,9 +22,7 @@ from rarebound.surrogate import (
     fsd_fit,
     lambda_crossing,
     lambda_risk,
-    load_model,
     q2,
-    save_model,
 )
 
 
@@ -315,34 +312,3 @@ class TestFSDFit:
         X, y = quad_data(10)
         with pytest.raises(ValueError):
             fsd_fit(PolynomialFamily(2, 1), X, y, direction="down")
-
-
-class TestPersistence:
-    def test_polynomial_roundtrip(self, tmp_path):
-        X, y = quad_data()
-        model = fit(PolynomialFamily(2, 2), X, y)
-        path = tmp_path / "model.txt"
-        save_model(path, model)
-        back = load_model(path)
-        assert isinstance(back, RegressionSurrogate)
-        assert np.array_equal(back.eta, model.eta)
-        assert np.array_equal(back.predict(X), model.predict(X))
-
-    def test_shifted_network_roundtrip(self, tmp_path):
-        X, y = quad_data()
-        model = fit(FeedforwardFamily(2, (3,)), X, y,
-                    rng=RandomStream(20, 0), epochs=200)
-        shifted = conservative_shift(model, X, y, alpha=0.07)
-        path = tmp_path / "shifted.txt"
-        save_model(path, shifted)
-        back = load_model(path)
-        assert isinstance(back, ShiftedSurrogate)
-        assert back.theta == shifted.theta
-        assert back.certificate == shifted.certificate
-        assert np.array_equal(back.predict(X), shifted.predict(X))
-
-    def test_load_rejects_garbage(self, tmp_path):
-        path = tmp_path / "junk.txt"
-        path.write_text("not a model\n")
-        with pytest.raises(ValueError):
-            load_model(path)
