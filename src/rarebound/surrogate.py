@@ -8,8 +8,9 @@ test set; a Bernstein-type certificate bounds the probability that a fresh
 point is still overpredicted.  The constrained route builds the safety bias
 into the fit itself: a weighted least-squares objective minimized subject to
 first-order stochastic dominance between the surrogate's values and the
-data, enforced through a smoothed-indicator penalty with continuation and
-re-checked with exact indicators afterwards.
+data, enforced through a smoothed-indicator penalty with continuation; the
+feasible shift is solved in closed form from sorted weighted quantiles and
+confirmed with exact indicators.
 
 Both routes yield estimates that err on the pessimistic side for failure
 events of the form g < y.
@@ -20,6 +21,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
@@ -55,7 +57,7 @@ class PolynomialFamily:
         if self.dimension < 1 or self.degree < 0:
             raise ValueError("dimension must be >= 1 and degree >= 0")
 
-    @property
+    @cached_property
     def exponents(self) -> np.ndarray:
         combos = []
         for k in range(self.degree + 1):
@@ -64,7 +66,9 @@ class PolynomialFamily:
                 for j in c:
                     e[j] += 1
                 combos.append(e)
-        return np.array(combos, dtype=int)
+        E = np.array(combos, dtype=int)
+        E.setflags(write=False)         # one cached table serves every caller
+        return E
 
     @property
     def n_parameters(self) -> int:
@@ -397,7 +401,7 @@ def _weighted_cdf(values: np.ndarray, weights: np.ndarray,
     v = values[order]
     cw = np.cumsum(weights[order])
     idx = np.searchsorted(v, anchors, side="right")
-    return np.where(idx > 0, cw[np.minimum(idx, v.size) - 1], 0.0) * (idx > 0)
+    return np.where(idx > 0, cw[idx - 1], 0.0)
 
 
 def check_fsd(sample_a, sample_b, weights=None,
@@ -417,13 +421,9 @@ def check_fsd(sample_a, sample_b, weights=None,
         else np.asarray(weights, dtype=float).ravel()
     if w.size != a.size:
         raise ValueError("weights length must match the samples")
-    anchors = np.concatenate([a, b])
-    Fa = _weighted_cdf(a, w, anchors)
-    Fb = _weighted_cdf(b, w, anchors)
-    gap = Fb - Fa if direction == CONSERVATIVE_LOW else Fa - Fb
     if direction not in (CONSERVATIVE_LOW, CONSERVATIVE_HIGH):
         raise ValueError(f"unknown direction {direction!r}")
-    return float(gap.max())
+    return float(_exact_violations(a, b, w, direction).max())
 
 
 @dataclass
@@ -446,7 +446,7 @@ class FSDFitResult:
     """Outcome of a dominance-constrained fit.
 
     ``violations`` holds the exact-indicator signed slack at every anchor
-    after the repair step; the relaxation is never used for the report.
+    for the returned shift; the relaxation is never used for the report.
     """
 
     surrogate: RegressionSurrogate
@@ -468,83 +468,86 @@ def _exact_violations(pred_shifted: np.ndarray, y: np.ndarray, w: np.ndarray,
     anchors = np.concatenate([pred_shifted, y])
     Fs = _weighted_cdf(pred_shifted, w, anchors)
     Fy = _weighted_cdf(y, w, anchors)
-    return (Fy - Fs) if direction == CONSERVATIVE_LOW else (Fs - Fy)
+    gap = (Fy - Fs) if direction == CONSERVATIVE_LOW else (Fs - Fy)
+    # equal weights give both CDFs the same partial sums and an exact sign;
+    # unequal ones are summed in two orders, so gaps within rounding are redone
+    if (w != w[0]).any():
+        tol = 2.0 * w.size * np.finfo(float).eps * float(np.sum(w))
+        for i in np.flatnonzero(np.abs(gap) <= tol):
+            t = anchors[i]
+            exact = math.fsum(np.concatenate([w[y <= t], -w[pred_shifted <= t]]))
+            gap[i] = exact if direction == CONSERVATIVE_LOW else -exact
+    return gap
 
 
-def _repair_theta(pred: np.ndarray, y: np.ndarray, w: np.ndarray,
-                  theta: float, direction: str) -> float:
-    # shifting all predictions below min(y) (or above max(y)) always
-    # restores dominance, so a feasible shift exists
-    sign = -1.0 if direction == CONSERVATIVE_LOW else 1.0
-    span = max(1.0, float(np.max(y) - np.min(y)), float(np.max(pred) - np.min(pred)))
-    if sign < 0:
-        hi = float(np.min(y) - np.max(pred)) - 1e-9 * span
-    else:
-        hi = float(np.max(y) - np.min(pred)) + 1e-9 * span
-
-    def feasible(t):
-        return _exact_violations(pred + t, y, w, direction).max() <= 0.0
-
-    if feasible(theta):
-        return theta
-    while not feasible(hi):
-        hi += sign * span
-    lo = theta
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            hi = mid
-        else:
-            lo = mid
-        if abs(hi - lo) < 1e-12 * max(1.0, abs(hi)):
-            break
-    return hi
+def _first_reaching(cw: np.ndarray, w: np.ndarray,
+                    targets: np.ndarray, wt: np.ndarray) -> np.ndarray:
+    """For each ``targets[j] = cumsum(wt)[j]``, the first index at which
+    ``cw = cumsum(w)`` reaches it, decided in exact arithmetic."""
+    k = np.searchsorted(cw, targets, "left")
+    if (w != w[0]).any():
+        # unequal weights: a float comparison within rounding of a tie is
+        # decided by fsum (equal weights give identical partial sums)
+        tol = 2.0 * w.size * np.finfo(float).eps * float(cw[-1])
+        lo = np.searchsorted(cw, targets - tol, "left")
+        hi = np.searchsorted(cw, targets + tol, "right")
+        for j in np.flatnonzero(lo < hi):
+            k[j] = next((i for i in range(lo[j], hi[j]) if math.fsum(
+                np.concatenate([w[:i + 1], -wt[:j + 1]])) >= 0.0), hi[j])
+    return k
 
 
-def _optimal_theta(pred: np.ndarray, y: np.ndarray, w: np.ndarray,
-                   theta_feasible: float, direction: str) -> float:
-    """Best shift for fixed surrogate values: the unconstrained optimum if
-    feasible, else the feasibility boundary found by bisection."""
-    theta_ls = float(np.sum(w * (y - pred)))
+def _shift_limit(pred: np.ndarray, y: np.ndarray, w: np.ndarray,
+                 direction: str) -> float:
+    """Extreme feasible shift for fixed surrogate values, in closed form.
 
-    def feasible(t):
-        return _exact_violations(pred + t, y, w, direction).max() <= 0.0
-
-    if feasible(theta_ls):
-        return theta_ls
-    lo, hi = theta_feasible, theta_ls     # feasible end, infeasible end
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-        if abs(hi - lo) < 1e-14 * max(1.0, abs(hi)):
-            break
-    return lo
+    Dominance compares sorted weighted quantiles (Dentcheva & Ruszczynski
+    2003): under ``conservative-low`` every theta up to
+    ``min_j ys[j] - ps[k_j]`` is feasible, where ys and ps are the sorted
+    data and predictions and k_j is the first prediction whose cumulative
+    weight reaches that of ys[j].  ``conservative-high`` is the same
+    problem for the negated values, whose bound is the smallest feasible
+    theta.  The result passes the exact check.
+    """
+    low = direction == CONSERVATIVE_LOW
+    p, v = (pred, y) if low else (-pred, -y)
+    po, vo = np.argsort(p, kind="stable"), np.argsort(v, kind="stable")
+    ps, wp, vs, wv = p[po], w[po], v[vo], w[vo]
+    cwp, cwv = np.cumsum(wp), np.cumsum(wv)
+    # points of zero cumulative weight constrain nothing
+    theta = np.min((vs - ps[_first_reaching(cwp, wp, cwv, wv)])[cwv > 0.0])
+    theta = theta if low else -theta
+    # theta carries the rounding of vs - ps, and pred + theta rounds again;
+    # one ulp toward the feasible side absorbs both
+    for _ in range(2):
+        if _exact_violations(pred + theta, y, w, direction).max() <= 0.0:
+            return float(theta)
+        theta = np.nextafter(theta, -np.inf if low else np.inf)
+    raise NonConvergence(f"shift {theta!r} fails the exact dominance check")
 
 
 def _pattern_polish(family: Family, X: np.ndarray, y: np.ndarray, w: np.ndarray,
-                    eta: np.ndarray, theta: float, direction: str,
+                    eta: np.ndarray, direction: str,
                     rounds: int = 80) -> Tuple[np.ndarray, float, float]:
     """Coordinate pattern search on the exact constrained objective.
 
-    Moves one parameter at a time, rejects infeasible trials outright, and
-    re-solves the shift exactly after each sweep; steps halve when a sweep
-    makes no progress.  Cheap because each trial is one prediction pass plus
-    one dominance check.
+    Moves one parameter at a time and solves the shift of each trial
+    exactly, so every trial is feasible; steps halve when a sweep makes no
+    progress.  Cheap because each trial is one prediction pass plus one
+    closed-form shift.
     """
 
-    def solved(e, theta_hint):
-        # profile the shift out: evaluate e at its own optimal feasible theta
+    def solved(e):
+        # profile the shift out: evaluate e at its own optimal feasible
+        # theta, the least-squares shift clipped to the feasible side
         pred, _ = family.value_and_grad(e, X)
-        if _exact_violations(pred + theta_hint, y, w, direction).max() > 0.0:
-            theta_hint = _repair_theta(pred, y, w, theta_hint, direction)
-        t = _optimal_theta(pred, y, w, theta_hint, direction)
+        t_ls = float(np.sum(w * (y - pred)))
+        limit = _shift_limit(pred, y, w, direction)
+        t = min(t_ls, limit) if direction == CONSERVATIVE_LOW else max(t_ls, limit)
         r = y - pred - t
         return float(np.sum(w * r * r)), t
 
-    best, theta = solved(eta, theta)
+    best, theta = solved(eta)
     steps = 0.1 * np.maximum(np.abs(eta), 1.0)
     for _ in range(rounds):
         improved = False
@@ -552,7 +555,7 @@ def _pattern_polish(family: Family, X: np.ndarray, y: np.ndarray, w: np.ndarray,
             for s in (steps[j], -steps[j]):
                 trial = eta.copy()
                 trial[j] += s
-                val, t = solved(trial, theta)
+                val, t = solved(trial)
                 if val < best:
                     eta, best, theta = trial, val, t
                     improved = True
@@ -575,9 +578,10 @@ def fsd_fit(family: Family, X, y, weights=None,
     the first-order sense at every anchor.  The hard indicator in the
     empirical CDFs is relaxed to a logistic ramp of width tau; tau follows
     the continuation schedule while the penalty weight doubles whenever the
-    exact constraints are still violated.  Feasibility of the returned
-    solution is verified with exact indicators and, if needed, restored by
-    an extra shift on theta alone.
+    exact constraints are still violated.  A pattern search on the exact
+    problem then polishes the relaxed solution; for each trial it solves
+    the optimal feasible shift in closed form from the sorted weighted
+    quantiles and confirms it with exact indicators.
 
     Parameters
     ----------
@@ -597,7 +601,7 @@ def fsd_fit(family: Family, X, y, weights=None,
     FSDFitResult
         ``converged`` is False when the continuation schedule ran out while
         the relaxed optimizer still sat on a violated point; the result is
-        then feasible only through the repair shift.
+        feasible either way, because its shift is solved exactly.
     """
     if direction not in (CONSERVATIVE_LOW, CONSERVATIVE_HIGH):
         raise ValueError(f"unknown direction {direction!r}")
@@ -666,15 +670,10 @@ def fsd_fit(family: Family, X, y, weights=None,
                 if viol.max() <= cfg.violation_tol:
                     break
                 penalty *= cfg.penalty_growth
-        eta, theta = params[:-1], float(params[-1])
-        pred, _ = family.value_and_grad(eta, X)
-        viol = _exact_violations(pred + theta, y, w, direction)
-        converged = bool(viol.max() <= cfg.violation_tol)
-        if viol.max() > 0.0:
-            theta = _repair_theta(pred, y, w, theta, direction)
-            converged = False
-        theta = _optimal_theta(pred, y, w, theta, direction)
-        eta, theta, obj = _pattern_polish(family, X, y, w, eta, theta, direction)
+        pred, _ = family.value_and_grad(params[:-1], X)
+        worst = _exact_violations(pred + params[-1], y, w, direction).max()
+        converged = bool(worst <= min(cfg.violation_tol, 0.0))
+        eta, theta, obj = _pattern_polish(family, X, y, w, params[:-1], direction)
         return obj, eta, theta, converged
 
     scale = float(np.std(start.eta)) or 1.0

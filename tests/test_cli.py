@@ -10,7 +10,6 @@ from rarebound.cli import (
     ROW_FIELDS,
     SUMMARY_FIELDS,
     ConfigError,
-    ExperimentConfig,
     load_config,
     main,
     parse_config_text,

@@ -1,5 +1,7 @@
 """Surrogate families, conservative shifts, and dominance-constrained fits."""
 
+import signal
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,6 @@ from rarebound.surrogate import (
     CONSERVATIVE_HIGH,
     CONSERVATIVE_LOW,
     FeedforwardFamily,
-    FSDFitResult,
     PolynomialFamily,
     RelaxationConfig,
     ShiftCertificate,
@@ -24,6 +25,7 @@ from rarebound.surrogate import (
     lambda_risk,
     q2,
 )
+from rarebound.surrogate import _exact_violations, _shift_limit
 
 
 def quad_data(n=40, seed=0):
@@ -250,6 +252,17 @@ class TestCheckFSD:
         b = np.array([1.0, 1.0, 1.0, 1.0])
         assert check_fsd(a, b) == pytest.approx(0.5)
 
+    def test_all_below_holds_for_any_weights(self):
+        # the two weighted CDFs are summed in different orders, so their
+        # totals can differ in the last bit; that must not read as a violation
+        gen = np.random.default_rng(17)
+        for _ in range(50):
+            b = gen.random(30)
+            w = gen.random(30)
+            assert check_fsd(-1.0 - b, b, weights=w) <= 0.0
+            assert check_fsd(b, -1.0 - b, weights=w,
+                             direction=CONSERVATIVE_HIGH) <= 0.0
+
     def test_errors(self):
         with pytest.raises(ValueError):
             check_fsd([0.1], [0.1, 0.2])
@@ -312,3 +325,89 @@ class TestFSDFit:
         X, y = quad_data(10)
         with pytest.raises(ValueError):
             fsd_fit(PolynomialFamily(2, 1), X, y, direction="down")
+
+
+def _feasible(pred, y, w, theta, direction):
+    return _exact_violations(pred + theta, y, w, direction).max() <= 0.0
+
+
+def _bisected_shift(pred, y, w, direction):
+    """Reference for the closed form: bisection on the exact check."""
+    span = 1.0 + np.ptp(np.concatenate([pred, y]))
+    if direction == CONSERVATIVE_LOW:
+        ok, bad = y.min() - pred.max() - span, y.max() - pred.min() + span
+    else:
+        ok, bad = y.max() - pred.min() + span, y.min() - pred.max() - span
+    assert _feasible(pred, y, w, ok, direction)
+    assert not _feasible(pred, y, w, bad, direction)
+    for _ in range(200):
+        mid = 0.5 * (ok + bad)
+        if mid in (ok, bad):
+            break
+        if _feasible(pred, y, w, mid, direction):
+            ok = mid
+        else:
+            bad = mid
+    return ok
+
+
+class TestShiftLimit:
+    @pytest.mark.parametrize("direction", [CONSERVATIVE_LOW, CONSERVATIVE_HIGH])
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("weighting", ["uniform", "random", "decimal"])
+    def test_extreme_feasible_shift(self, weighting, ties, direction):
+        gen = np.random.default_rng(18)
+        for _ in range(25):
+            m = int(gen.integers(2, 81))
+            y = gen.normal(size=m) * gen.choice([1e-3, 1.0, 10.0])
+            pred = y + gen.normal(size=m) * gen.choice([0.01, 0.3, 3.0])
+            if ties:
+                y, pred = np.round(y, 1), np.round(pred, 1)
+            if weighting == "uniform":
+                w = np.full(m, 1.0 / m)
+            elif weighting == "random":
+                w = gen.random(m)
+                w /= w.sum()
+            else:
+                # tenths, zeros included: subsets with equal decimal sums,
+                # such as 0.1 + 0.2 and 0.3, differ by less than rounding
+                w = gen.integers(0, 4, m) / 10.0
+                w[0] = 0.1
+            theta = _shift_limit(pred, y, w, direction)
+            assert _feasible(pred, y, w, theta, direction)
+            step = 1e-12 * max(1.0, abs(theta))
+            beyond = theta + step if direction == CONSERVATIVE_LOW else theta - step
+            assert not _feasible(pred, y, w, beyond, direction)
+            ref = _bisected_shift(pred, y, w, direction)
+            assert abs(theta - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    def test_zero_weight_points_constrain_nothing(self):
+        pred = np.array([0.0, 10.0])
+        w = np.array([0.0, 1.0])
+        # the zero-weight point is the lowest datum, then the highest
+        assert _shift_limit(pred, np.array([-5.0, 10.0]), w, CONSERVATIVE_LOW) == 0.0
+        assert _shift_limit(pred, np.array([15.0, 10.0]), w, CONSERVATIVE_HIGH) == 0.0
+
+    def test_weighted_fit_returns_feasible(self):
+        # every shift looked infeasible when the two weighted CDF totals
+        # differed in the last bit, and the fit never returned
+        gen = np.random.default_rng(2)
+        X = gen.random((30, 1))
+        y = X[:, 0] ** 2 + 0.3 * gen.standard_normal(30)
+        w = gen.random(30)
+        relax = RelaxationConfig(taus=(0.1,), epochs=100, restarts=0,
+                                 max_penalty_rounds=1)
+
+        def hang(signum, frame):
+            raise TimeoutError("weighted fsd_fit did not return")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(60)
+        try:
+            res = fsd_fit(PolynomialFamily(1, 1), X, y, weights=w,
+                          relaxation=relax)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        assert res.violations.max() <= 0.0
+        assert check_fsd(res.predict(X), y, weights=w) <= 0.0
