@@ -83,9 +83,13 @@ class PolynomialFamily:
         return np.zeros(self.n_parameters)
 
     def value_and_grad(self, eta: np.ndarray, X: np.ndarray):
-        """Predictions and their Jacobian with respect to eta."""
+        """Predictions and their pullback ``v -> v @ J``.
+
+        J is the n x P Jacobian of the predictions with respect to eta,
+        here the feature matrix itself.
+        """
         Phi = self.features(X)
-        return Phi @ eta, Phi
+        return Phi @ eta, lambda v: v @ Phi
 
 
 @dataclass(frozen=True)
@@ -104,12 +108,12 @@ class FeedforwardFamily:
         if self.dimension < 1 or not self.hidden or any(h < 1 for h in self.hidden):
             raise ValueError("need dimension >= 1 and positive hidden widths")
 
-    @property
-    def layer_shapes(self) -> List[Tuple[int, int]]:
+    @cached_property
+    def layer_shapes(self) -> Tuple[Tuple[int, int], ...]:
         sizes = [self.dimension, *self.hidden, 1]
-        return [(sizes[i], sizes[i + 1]) for i in range(len(sizes) - 1)]
+        return tuple((sizes[i], sizes[i + 1]) for i in range(len(sizes) - 1))
 
-    @property
+    @cached_property
     def n_parameters(self) -> int:
         return sum(m * n + n for m, n in self.layer_shapes)
 
@@ -133,7 +137,12 @@ class FeedforwardFamily:
         return np.concatenate(parts)
 
     def value_and_grad(self, eta: np.ndarray, X: np.ndarray):
-        """Predictions and their Jacobian with respect to eta (backprop)."""
+        """Predictions and their pullback ``v -> v @ J`` (reverse mode).
+
+        J is the n x P Jacobian of the predictions with respect to eta.
+        The forward pass runs here; ``pullback(v)`` runs one reverse pass
+        with cotangent ``v[i]`` on sample i and never forms J.
+        """
         X = np.atleast_2d(np.asarray(X, dtype=float))
         layers = self._unpack(eta)
         acts = [X]
@@ -142,24 +151,25 @@ class FeedforwardFamily:
             z = h @ W + b
             h = z if idx == len(layers) - 1 else 1.0 / (1.0 + np.exp(-z))
             acts.append(h)
-        y = h[:, 0]
-        n = X.shape[0]
-        J = np.empty((n, self.n_parameters))
-        # reverse pass with upstream sensitivity per sample
-        delta = np.ones((n, 1))
-        k = self.n_parameters
-        for idx in range(len(layers) - 1, -1, -1):
-            W, b = layers[idx]
-            a_in, a_out = acts[idx], acts[idx + 1]
-            if idx != len(layers) - 1:
-                delta = delta * a_out * (1.0 - a_out)
-            m, width = W.shape
-            k -= width
-            J[:, k:k + width] = delta
-            k -= m * width
-            J[:, k:k + m * width] = (a_in[:, :, None] * delta[:, None, :]).reshape(n, -1)
-            delta = delta @ W.T
-        return y, J
+
+        def pullback(v):
+            grad = np.empty(self.n_parameters)
+            delta = np.asarray(v, dtype=float).reshape(-1, 1)
+            k = self.n_parameters
+            for idx in range(len(layers) - 1, -1, -1):
+                W, _ = layers[idx]
+                a_in, a_out = acts[idx], acts[idx + 1]
+                if idx != len(layers) - 1:
+                    delta = delta * a_out * (1.0 - a_out)
+                m, width = W.shape
+                k -= width
+                grad[k:k + width] = delta.sum(axis=0)
+                k -= m * width
+                grad[k:k + m * width] = (a_in.T @ delta).ravel()
+                delta = delta @ W.T
+            return grad
+
+        return h[:, 0], pullback
 
 
 Family = Union[PolynomialFamily, FeedforwardFamily]
@@ -171,7 +181,6 @@ class RegressionSurrogate:
 
     family: Family
     eta: np.ndarray
-    fitted: bool = True
 
     def predict(self, X) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
@@ -268,11 +277,11 @@ def fit(family: Family, X, y, rng: Optional[RandomStream] = None,
     wn = w / w.sum()
 
     def loss_grad(eta):
-        pred, J = family.value_and_grad(eta, X)
+        pred, pullback = family.value_and_grad(eta, X)
         r = pred - y
         scale = wn if overpredict_weight == 0.0 \
             else wn * (1.0 + overpredict_weight * (r > 0))
-        return float(np.sum(scale * r * r)), 2.0 * (scale * r) @ J
+        return float(np.sum(scale * r * r)), pullback(2.0 * scale * r)
 
     eta, _ = _adam(loss_grad, eta0, lr=lr, epochs=epochs, tol=tol)
     return RegressionSurrogate(family=family, eta=eta)
@@ -534,7 +543,9 @@ def _pattern_polish(family: Family, X: np.ndarray, y: np.ndarray, w: np.ndarray,
     Moves one parameter at a time and solves the shift of each trial
     exactly, so every trial is feasible; steps halve when a sweep makes no
     progress.  Cheap because each trial is one prediction pass plus one
-    closed-form shift.
+    closed-form shift.  The offset parameter (the constant monomial, or
+    the network's readout bias) adds a constant to every prediction, which
+    the profiled shift cancels exactly, so it is never moved.
     """
 
     def solved(e):
@@ -548,10 +559,12 @@ def _pattern_polish(family: Family, X: np.ndarray, y: np.ndarray, w: np.ndarray,
         return float(np.sum(w * r * r)), t
 
     best, theta = solved(eta)
+    offset = 0 if isinstance(family, PolynomialFamily) else eta.size - 1
     steps = 0.1 * np.maximum(np.abs(eta), 1.0)
+    steps[offset] = 0.0
     for _ in range(rounds):
         improved = False
-        for j in range(eta.size):
+        for j in np.flatnonzero(steps):
             for s in (steps[j], -steps[j]):
                 trial = eta.copy()
                 trial[j] += s
@@ -626,16 +639,15 @@ def fsd_fit(family: Family, X, y, weights=None,
 
     def relaxed_loss_grad(pv, tau, penalty):
         eta, theta = pv[:-1], pv[-1]
-        pred, J = family.value_and_grad(eta, X)
+        pred, pullback = family.value_and_grad(eta, X)
         shifted = pred + theta
         r = y - shifted
         loss = float(np.sum(w * r * r))
-        g_eta = -2.0 * (w * r) @ J
+        v = -2.0 * w * r            # cotangent of pred; J is pulled back once
         g_theta = -2.0 * float(np.sum(w * r))
         # anchors: the surrogate's own (unshifted) values, which move with
         # eta and keep the theta gradient alive, plus the fixed data values
         anchors = np.concatenate([pred, y])
-        JA = np.vstack([J, np.zeros((m, J.shape[1]))])
         # both empirical CDFs are smoothed with the same logistic kernel,
         # sigma((t - v)/tau); the smoothing bias then cancels between them
         # and an exact fit carries no penalty
@@ -653,8 +665,9 @@ def fsd_fit(family: Family, X, y, weights=None,
             rows_s = Sw_s.sum(axis=1)
             rows_y = Sw_y.sum(axis=1)
             g_theta += float(c @ rows_s)
-            g_eta += c @ (Sw_s @ J) + (c * (rows_y - rows_s)) @ JA
-        return loss, np.concatenate([g_eta, [g_theta]])
+            # the first m anchors are the predictions themselves
+            v = v + c @ Sw_s + (c * (rows_y - rows_s))[:m]
+        return loss, np.concatenate([pullback(v), [g_theta]])
 
     def one_start(params0):
         params = params0

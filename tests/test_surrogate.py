@@ -1,6 +1,7 @@
 """Surrogate families, conservative shifts, and dominance-constrained fits."""
 
 import signal
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from rarebound.surrogate import (
     CONSERVATIVE_LOW,
     FeedforwardFamily,
     PolynomialFamily,
+    RegressionSurrogate,
     RelaxationConfig,
     ShiftCertificate,
     ShiftedSurrogate,
@@ -25,7 +27,7 @@ from rarebound.surrogate import (
     lambda_risk,
     q2,
 )
-from rarebound.surrogate import _exact_violations, _shift_limit
+from rarebound.surrogate import _exact_violations, _pattern_polish, _shift_limit
 
 
 def quad_data(n=40, seed=0):
@@ -48,11 +50,14 @@ class TestPolynomialFamily:
 
     def test_jacobian_is_feature_matrix(self):
         fam = PolynomialFamily(2, 2)
-        X = np.random.default_rng(1).random((5, 2))
+        gen = np.random.default_rng(1)
+        X = gen.random((5, 2))
         eta = np.arange(6, dtype=float)
-        pred, J = fam.value_and_grad(eta, X)
-        assert np.array_equal(J, fam.features(X))
-        assert np.allclose(pred, J @ eta)
+        pred, pullback = fam.value_and_grad(eta, X)
+        Phi = fam.features(X)
+        for v in [*np.eye(5), gen.normal(size=5)]:
+            assert np.array_equal(pullback(v), v @ Phi)
+        assert np.allclose(pred, Phi @ eta)
 
     def test_singular_design(self):
         # ten copies of two distinct points: rank 2 < 6 parameters
@@ -80,19 +85,39 @@ class TestFeedforwardFamily:
             (1 * 4 + 4) + (4 * 4 + 4) + (4 * 1 + 1)
 
     def test_jacobian_matches_finite_differences(self):
-        fam = FeedforwardFamily(2, (3,))
+        # one hidden layer, and two, so the chain through two sigmoids is
+        # covered; pulling back unit vector i rebuilds row i of J
         gen = np.random.default_rng(3)
-        eta = gen.normal(0.0, 0.5, fam.n_parameters)
-        X = gen.random((5, 2))
-        _, J = fam.value_and_grad(eta, X)
-        eps = 1e-6
-        for k in range(fam.n_parameters):
-            e = np.zeros_like(eta)
-            e[k] = eps
-            hi, _ = fam.value_and_grad(eta + e, X)
-            lo, _ = fam.value_and_grad(eta - e, X)
-            fd = (hi - lo) / (2 * eps)
-            assert np.allclose(J[:, k], fd, rtol=1e-5, atol=1e-7)
+        for hidden in [(3,), (8, 8)]:
+            fam = FeedforwardFamily(2, hidden)
+            eta = gen.normal(0.0, 0.5, fam.n_parameters)
+            X = gen.random((5, 2))
+            _, pullback = fam.value_and_grad(eta, X)
+            J = np.array([pullback(e) for e in np.eye(5)])
+            assert J.shape == (5, fam.n_parameters)
+            eps = 1e-6
+            for k in range(fam.n_parameters):
+                e = np.zeros_like(eta)
+                e[k] = eps
+                hi, _ = fam.value_and_grad(eta + e, X)
+                lo, _ = fam.value_and_grad(eta - e, X)
+                fd = (hi - lo) / (2 * eps)
+                assert np.allclose(J[:, k], fd, rtol=1e-5, atol=1e-7)
+
+    def test_prediction_builds_no_jacobian(self):
+        # the shift route predicts on 20,000 Monte Carlo points; an n x P
+        # Jacobian there would take 17 MB of the peak
+        fam = FeedforwardFamily(2, (8, 8))
+        gen = np.random.default_rng(8)
+        model = RegressionSurrogate(fam, fam.init_parameters(gen))
+        X = gen.random((20_000, 2))
+        tracemalloc.start()
+        try:
+            model.predict(X)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20, f"predict peaked at {peak / 2 ** 20:.1f} MB"
 
     def test_fit_is_bitwise_deterministic(self):
         X, y = quad_data()
@@ -411,3 +436,25 @@ class TestShiftLimit:
             signal.signal(signal.SIGALRM, previous)
         assert res.violations.max() <= 0.0
         assert check_fsd(res.predict(X), y, weights=w) <= 0.0
+
+
+class TestPatternPolish:
+    @pytest.mark.parametrize("family, offset", [
+        (PolynomialFamily(2, 2), 0),
+        (FeedforwardFamily(2, (3,)), -1),
+    ], ids=["constant-monomial", "readout-bias"])
+    def test_offset_parameter_is_not_moved(self, family, offset):
+        # a move of the offset adds a constant to every prediction, which
+        # the profiled shift cancels exactly; such a trial could only win
+        # by rounding
+        X, y = quad_data()
+        y = y + 0.2 * np.sin(6.0 * X[:, 0])
+        w = np.full(y.size, 1.0 / y.size)
+        eta0 = np.random.default_rng(19).normal(0.0, 0.5, family.n_parameters)
+        eta, theta, best = _pattern_polish(family, X, y, w, eta0,
+                                           CONSERVATIVE_LOW)
+        assert eta[offset] == eta0[offset]
+        assert not np.array_equal(eta, eta0)
+        pred, _ = family.value_and_grad(eta, X)
+        assert _exact_violations(pred + theta, y, w, CONSERVATIVE_LOW).max() <= 0.0
+        assert best == pytest.approx(np.sum(w * (y - pred - theta) ** 2))
