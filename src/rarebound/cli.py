@@ -43,7 +43,6 @@ from .surrogate import (
     DEFAULT_BERNSTEIN_C,
     FeedforwardFamily,
     PolynomialFamily,
-    RelaxationConfig,
     conservative_shift,
     fit,
     fsd_fit,
@@ -149,8 +148,6 @@ class FsdOptions:
     degree: int = 2
     hidden: Tuple[int, ...] = (4, 4)
     direction: str = CONSERVATIVE_LOW
-    taus: Tuple[float, ...] = (0.1, 0.03, 0.01)
-    penalty: float = 10.0
     restarts: int = 2
     epochs: int = 600
     lr: float = 0.02
@@ -180,21 +177,8 @@ class ExperimentConfig:
     fsd: FsdOptions = field(default_factory=FsdOptions)
 
 
-def _parse_bool(text: str) -> bool:
-    low = text.strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"expected a boolean, got {text!r}")
-
-
 def _parse_int_tuple(text: str) -> Tuple[int, ...]:
     return tuple(int(tok) for tok in text.replace(",", " ").split())
-
-
-def _parse_float_tuple(text: str) -> Tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
 def _choice(*allowed: str):
@@ -257,8 +241,6 @@ _SCHEMA: Dict[str, Dict[str, object]] = {
         "degree": int,
         "hidden": _parse_int_tuple,
         "direction": _choice(CONSERVATIVE_LOW, CONSERVATIVE_HIGH),
-        "taus": _parse_float_tuple,
-        "penalty": float,
         "restarts": int,
         "epochs": int,
         "lr": float,
@@ -425,11 +407,9 @@ def _run_fsd(cfg: ExperimentConfig, problem, rng: RandomStream) -> dict:
         family = PolynomialFamily(dimension=d, degree=opts.degree)
     else:
         family = FeedforwardFamily(dimension=d, hidden=opts.hidden)
-    relaxation = RelaxationConfig(taus=opts.taus, penalty=opts.penalty,
-                                  restarts=opts.restarts,
-                                  epochs=opts.epochs, lr=opts.lr)
     result = fsd_fit(family, X, y, direction=opts.direction,
-                     relaxation=relaxation, rng=rng.derive(1))
+                     restarts=opts.restarts, epochs=opts.epochs, lr=opts.lr,
+                     rng=rng.derive(1))
     est = surrogate_mc_estimate(result.predict, d, f.threshold,
                                 opts.mc_samples, rng.derive(2))
     return {"queries": m, "p_hat": est.p_hat}

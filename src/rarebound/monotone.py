@@ -413,8 +413,9 @@ class StaircaseRegion:
                 np.any(np.all(x <= self.fail_generators, axis=1)):
             raise MonotonicityViolation(
                 "safe point is dominated by a fail generator")
-        flipped = _insert_maximal(1.0 - self.safe_generators, 1.0 - x)
-        return self._updated(self.fail_generators, 1.0 - flipped)
+        # negation is exact, so the stored generator is the observed point
+        return self._updated(self.fail_generators,
+                             -_insert_maximal(-self.safe_generators, -x))
 
     def _updated(self, fail_generators, safe_generators) -> "StaircaseRegion":
         # skips __post_init__: its O(m^2) checks hold by construction here

@@ -8,8 +8,10 @@ test set; a Bernstein-type certificate bounds the probability that a fresh
 point is still overpredicted.  The constrained route builds the safety bias
 into the fit itself: a weighted least-squares objective minimized subject to
 first-order stochastic dominance between the surrogate's values and the
-data, enforced through a smoothed-indicator penalty with continuation; the
-feasible shift is solved in closed form from sorted weighted quantiles and
+data.  With the prediction ranks fixed, dominance is a set of linear
+inequalities on the model's linear head, so each step is least squares
+under inequalities (Lawson & Hanson's LDP/NNLS reduction); the feasible
+shift is solved in closed form from sorted weighted quantiles and
 confirmed with exact indicators.
 
 Both routes yield estimates that err on the pessimistic side for failure
@@ -22,7 +24,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -216,6 +218,20 @@ def _adam(loss_grad, x0, lr=0.02, epochs=2000, tol=1e-12):
     return best_x, best_loss
 
 
+def _fit_weights(weights, n: int) -> np.ndarray:
+    """Per-point weights, checked: n finite values >= 0 with a positive sum."""
+    if weights is None:
+        return np.ones(n)
+    w = np.asarray(weights, dtype=float).ravel()
+    if w.size != n:
+        raise ValueError(f"expected {n} weights, got {w.size}")
+    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        raise ValueError("weights must be finite and nonnegative")
+    if not w.sum() > 0:
+        raise ValueError("weights must not all vanish")
+    return w
+
+
 def fit(family: Family, X, y, rng: Optional[RandomStream] = None,
         weights=None, epochs: int = 3000, lr: float = 0.02,
         tol: float = 1e-10,
@@ -234,7 +250,8 @@ def fit(family: Family, X, y, rng: Optional[RandomStream] = None,
     rng : RandomStream, optional
         Required for network initialization; ignored for polynomials.
     weights : array_like, optional
-        Nonnegative per-point loss weights.
+        Per-point loss weights: one per point, finite and nonnegative,
+        with a positive sum.
     overpredict_weight : float
         Extra multiplier on the squared loss of positive residuals
         (prediction above truth), making the fit hug the data from below;
@@ -245,16 +262,15 @@ def fit(family: Family, X, y, rng: Optional[RandomStream] = None,
     SingularDesign
         If the polynomial feature matrix has deficient rank.
     ValueError
-        If there are fewer points than polynomial parameters, or an
-        asymmetric loss is requested for a polynomial family.
+        If there are fewer points than polynomial parameters, the weights
+        are malformed, or an asymmetric loss is requested for a
+        polynomial family.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] != y.size:
         raise ValueError("X and y lengths differ")
-    w = np.ones(y.size) if weights is None else np.asarray(weights, dtype=float).ravel()
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
+    w = _fit_weights(weights, y.size)
     if overpredict_weight < 0.0:
         raise ValueError("overpredict_weight must be >= 0")
     if isinstance(family, PolynomialFamily):
@@ -436,34 +452,16 @@ def check_fsd(sample_a, sample_b, weights=None,
 
 
 @dataclass
-class RelaxationConfig:
-    """Continuation schedule for the smoothed dominance penalty."""
-
-    taus: Tuple[float, ...] = (0.1, 0.03, 0.01)
-    penalty: float = 10.0
-    penalty_growth: float = 2.0
-    max_penalty_rounds: int = 6
-    epochs: int = 600
-    lr: float = 0.02
-    violation_tol: float = 1e-9
-    restarts: int = 2
-    jitter: float = 0.2
-
-
-@dataclass
 class FSDFitResult:
     """Outcome of a dominance-constrained fit.
 
     ``violations`` holds the exact-indicator signed slack at every anchor
-    for the returned shift; the relaxation is never used for the report.
+    for the returned shift.
     """
 
     surrogate: RegressionSurrogate
-    eta_star: np.ndarray
     theta_star: float
     violations: np.ndarray
-    relaxation_trace: List[Tuple[float, float, float, float]]
-    converged: bool
     direction: str = CONSERVATIVE_LOW
 
     def predict(self, X) -> np.ndarray:
@@ -489,50 +487,70 @@ def _exact_violations(pred_shifted: np.ndarray, y: np.ndarray, w: np.ndarray,
     return gap
 
 
-def _first_reaching(cw: np.ndarray, w: np.ndarray,
-                    targets: np.ndarray, wt: np.ndarray) -> np.ndarray:
-    """For each ``targets[j] = cumsum(wt)[j]``, the first index at which
-    ``cw = cumsum(w)`` reaches it, decided in exact arithmetic."""
-    k = np.searchsorted(cw, targets, "left")
+def _quantile_match(p: np.ndarray, v: np.ndarray,
+                    w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Rank matching of first-order dominance, ``p`` below ``v``.
+
+    Dominance compares sorted weighted quantiles (Dentcheva & Ruszczynski
+    2003).  Returns the order that sorts p and, for each sorted position k,
+    the bound vs[j] of the first datum whose cumulative weight exceeds that
+    of the predictions before k (inf where none does), so that ``p + theta``
+    is dominated by v iff ``p[order] + theta <= bounds``.  For any fixed
+    order the inequalities still imply dominance.
+    """
+    po, vo = np.argsort(p, kind="stable"), np.argsort(v, kind="stable")
+    wp, vs, wv = w[po], v[vo], w[vo]
+    cwp, cwv = np.cumsum(wp), np.cumsum(wv)
+    # k[j] is the first prediction whose cumulative weight reaches that of
+    # vs[j], decided in exact arithmetic
+    k = np.searchsorted(cwp, cwv, "left")
     if (w != w[0]).any():
         # unequal weights: a float comparison within rounding of a tie is
         # decided by fsum (equal weights give identical partial sums)
-        tol = 2.0 * w.size * np.finfo(float).eps * float(cw[-1])
-        lo = np.searchsorted(cw, targets - tol, "left")
-        hi = np.searchsorted(cw, targets + tol, "right")
+        tol = 2.0 * w.size * np.finfo(float).eps * float(cwp[-1])
+        lo = np.searchsorted(cwp, cwv - tol, "left")
+        hi = np.searchsorted(cwp, cwv + tol, "right")
         for j in np.flatnonzero(lo < hi):
             k[j] = next((i for i in range(lo[j], hi[j]) if math.fsum(
-                np.concatenate([w[:i + 1], -wt[:j + 1]])) >= 0.0), hi[j])
-    return k
+                np.concatenate([wp[:i + 1], -wv[:j + 1]])) >= 0.0), hi[j])
+    # points of zero cumulative weight constrain nothing
+    pos = cwv > 0.0
+    j = np.searchsorted(k[pos], np.arange(p.size), "left")
+    return po, np.append(vs[pos], np.inf)[j]
 
 
 def _shift_limit(pred: np.ndarray, y: np.ndarray, w: np.ndarray,
                  direction: str) -> float:
     """Extreme feasible shift for fixed surrogate values, in closed form.
 
-    Dominance compares sorted weighted quantiles (Dentcheva & Ruszczynski
-    2003): under ``conservative-low`` every theta up to
-    ``min_j ys[j] - ps[k_j]`` is feasible, where ys and ps are the sorted
-    data and predictions and k_j is the first prediction whose cumulative
-    weight reaches that of ys[j].  ``conservative-high`` is the same
-    problem for the negated values, whose bound is the smallest feasible
-    theta.  The result passes the exact check.
+    Under ``conservative-low`` every theta up to the smallest gap between
+    the matched bounds and the sorted predictions is feasible;
+    ``conservative-high`` negates both.  The result passes the exact check.
     """
     low = direction == CONSERVATIVE_LOW
     p, v = (pred, y) if low else (-pred, -y)
-    po, vo = np.argsort(p, kind="stable"), np.argsort(v, kind="stable")
-    ps, wp, vs, wv = p[po], w[po], v[vo], w[vo]
-    cwp, cwv = np.cumsum(wp), np.cumsum(wv)
-    # points of zero cumulative weight constrain nothing
-    theta = np.min((vs - ps[_first_reaching(cwp, wp, cwv, wv)])[cwv > 0.0])
+    po, bounds = _quantile_match(p, v, w)
+    theta = np.min(bounds - p[po])
     theta = theta if low else -theta
-    # theta carries the rounding of vs - ps, and pred + theta rounds again;
+    # theta carries the rounding of the gap, and pred + theta rounds again;
     # one ulp toward the feasible side absorbs both
     for _ in range(2):
         if _exact_violations(pred + theta, y, w, direction).max() <= 0.0:
             return float(theta)
         theta = np.nextafter(theta, -np.inf if low else np.inf)
     raise NonConvergence(f"shift {theta!r} fails the exact dominance check")
+
+
+def _profiled(family: Family, X: np.ndarray, y: np.ndarray, w: np.ndarray,
+              eta: np.ndarray, direction: str) -> Tuple[float, float]:
+    """(objective, theta) of eta at its optimal feasible shift: the
+    least-squares shift clipped to the feasible side."""
+    pred, _ = family.value_and_grad(eta, X)
+    t_ls = float(np.sum(w * (y - pred)))
+    limit = _shift_limit(pred, y, w, direction)
+    t = min(t_ls, limit) if direction == CONSERVATIVE_LOW else max(t_ls, limit)
+    r = y - pred - t
+    return float(np.sum(w * r * r)), t
 
 
 def _pattern_polish(family: Family, X: np.ndarray, y: np.ndarray, w: np.ndarray,
@@ -547,18 +565,7 @@ def _pattern_polish(family: Family, X: np.ndarray, y: np.ndarray, w: np.ndarray,
     the network's readout bias) adds a constant to every prediction, which
     the profiled shift cancels exactly, so it is never moved.
     """
-
-    def solved(e):
-        # profile the shift out: evaluate e at its own optimal feasible
-        # theta, the least-squares shift clipped to the feasible side
-        pred, _ = family.value_and_grad(e, X)
-        t_ls = float(np.sum(w * (y - pred)))
-        limit = _shift_limit(pred, y, w, direction)
-        t = min(t_ls, limit) if direction == CONSERVATIVE_LOW else max(t_ls, limit)
-        r = y - pred - t
-        return float(np.sum(w * r * r)), t
-
-    best, theta = solved(eta)
+    best, theta = _profiled(family, X, y, w, eta, direction)
     offset = 0 if isinstance(family, PolynomialFamily) else eta.size - 1
     steps = 0.1 * np.maximum(np.abs(eta), 1.0)
     steps[offset] = 0.0
@@ -568,7 +575,7 @@ def _pattern_polish(family: Family, X: np.ndarray, y: np.ndarray, w: np.ndarray,
             for s in (steps[j], -steps[j]):
                 trial = eta.copy()
                 trial[j] += s
-                val, t = solved(trial)
+                val, t = _profiled(family, X, y, w, trial, direction)
                 if val < best:
                     eta, best, theta = trial, val, t
                     improved = True
@@ -580,21 +587,86 @@ def _pattern_polish(family: Family, X: np.ndarray, y: np.ndarray, w: np.ndarray,
     return eta, theta, best
 
 
+def _nnls(M: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """min ||M x - d|| subject to x >= 0, by the Lawson-Hanson active set."""
+    n = M.shape[1]
+    x = np.zeros(n)
+    passive = np.zeros(n, dtype=bool)
+    tol = 10.0 * max(M.shape) * np.finfo(float).eps * np.abs(M).sum(axis=0).max()
+    for _ in range(3 * n):
+        grad = M.T @ (d - M @ x)
+        grad[passive] = -np.inf
+        j = int(np.argmax(grad))
+        if grad[j] <= tol:
+            break
+        passive[j] = True
+        while True:
+            s = np.zeros(n)
+            s[passive] = np.linalg.lstsq(M[:, passive], d, rcond=None)[0]
+            if s[passive].min(initial=np.inf) > 0.0:
+                break
+            # step back to the boundary and free the variables that hit it
+            neg = passive & (s <= 0.0)
+            x += np.min(x[neg] / (x[neg] - s[neg])) * (s - x)
+            passive &= x > tol
+            x[~passive] = 0.0
+        x = s
+    return x
+
+
+def _lsi(A: np.ndarray, b: np.ndarray, G: np.ndarray,
+         h: np.ndarray) -> Optional[np.ndarray]:
+    """min ||A z - b|| subject to G z <= h (Lawson & Hanson 1974, ch. 23).
+
+    A = QR turns it into least distance programming, min ||u|| subject to
+    E u <= c with z = R^-1 (u + Q^T b), which one NNLS solves.  None when
+    A is rank deficient or the constraints are infeasible.
+    """
+    Q, R = np.linalg.qr(A)
+    diag = np.abs(np.diag(R))
+    if diag.min() <= A.shape[1] * np.finfo(float).eps * diag.max():
+        return None
+    f = Q.T @ b
+    E = np.linalg.solve(R.T, G.T).T
+    c = h - E @ f
+    # the NNLS residual r = [E^T; c^T] x + e_last gives u = -r[:-1] / r[-1],
+    # and r = 0 certifies that no u is feasible
+    M = np.vstack([E.T, c])
+    d = np.zeros(M.shape[0])
+    d[-1] = -1.0
+    r = M @ _nnls(M, d) - d
+    if not r[-1] > 0.0:
+        return None
+    return np.linalg.solve(R, f - r[:-1] / r[-1])
+
+
+def _linear_head(family: Family, eta: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """Design H of the linear readout, predictions ``H @ eta[-H.shape[1]:]``:
+    the polynomial features, or a network's last hidden activations and a
+    ones column for the readout bias."""
+    if isinstance(family, PolynomialFamily):
+        return family.features(X)
+    h = X
+    for W, b in family._unpack(eta)[:-1]:
+        h = 1.0 / (1.0 + np.exp(-(h @ W + b)))
+    return np.column_stack([h, np.ones(h.shape[0])])
+
+
 def fsd_fit(family: Family, X, y, weights=None,
-            direction: str = CONSERVATIVE_LOW,
-            relaxation: Optional[RelaxationConfig] = None,
+            direction: str = CONSERVATIVE_LOW, restarts: int = 2,
+            epochs: int = 600, lr: float = 0.02,
             rng: Optional[RandomStream] = None) -> FSDFitResult:
     """Weighted least squares under stochastic dominance constraints.
 
     Minimizes ``sum_i w_i (y_i - g_eta(x_i) - theta)^2`` subject to the
     shifted surrogate values dominating (or being dominated by) the data in
-    the first-order sense at every anchor.  The hard indicator in the
-    empirical CDFs is relaxed to a logistic ramp of width tau; tau follows
-    the continuation schedule while the penalty weight doubles whenever the
-    exact constraints are still violated.  A pattern search on the exact
-    problem then polishes the relaxed solution; for each trial it solves
-    the optimal feasible shift in closed form from the sorted weighted
-    quantiles and confirms it with exact indicators.
+    the first-order sense at every anchor.  Each start alternates, while
+    the exact objective falls, between sorting the predictions and
+    refitting the linear head (all polynomial coefficients, or a network's
+    readout) by least squares under the rank-matched quantile inequalities.
+    A pattern search on the exact problem then polishes the result, with
+    every trial's shift solved in closed form and confirmed by exact
+    indicators, so feasibility never rests on the least-squares solves.
 
     Parameters
     ----------
@@ -602,107 +674,55 @@ def fsd_fit(family: Family, X, y, weights=None,
     X, y : array_like
         Training data.
     weights : array_like, optional
-        Nonnegative, normalized to sum to 1; uniform by default.
+        As for :func:`fit`, then normalized to sum to 1; uniform by default.
     direction : str
         "conservative-low" (surrogate stochastically below the data) or
         "conservative-high".
-    relaxation : RelaxationConfig, optional
+    restarts : int
+        Extra starts: the unconstrained fit plus Gaussian jitter.
+    epochs, lr : int, float
+        Training of the unconstrained network fit; unused for polynomials.
     rng : RandomStream, optional
-
-    Returns
-    -------
-    FSDFitResult
-        ``converged`` is False when the continuation schedule ran out while
-        the relaxed optimizer still sat on a violated point; the result is
-        feasible either way, because its shift is solved exactly.
     """
     if direction not in (CONSERVATIVE_LOW, CONSERVATIVE_HIGH):
         raise ValueError(f"unknown direction {direction!r}")
-    cfg = relaxation or RelaxationConfig()
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    w = np.full(y.size, 1.0 / y.size) if weights is None \
-        else np.asarray(weights, dtype=float).ravel()
-    if np.any(w < 0):
-        raise ValueError("weights must be nonnegative")
-    s = w.sum()
-    if s <= 0:
-        raise ValueError("weights must not all vanish")
-    w = w / s
+    w = _fit_weights(weights, y.size)
+    w = w / w.sum()
     gen = (rng or RandomStream(0, 0)).generator()
+    start = fit(family, X, y, rng=rng, epochs=epochs, lr=lr)
 
-    start = fit(family, X, y, rng=rng) if isinstance(family, PolynomialFamily) \
-        else fit(family, X, y, rng=rng, epochs=cfg.epochs, lr=cfg.lr)
     sign = 1.0 if direction == CONSERVATIVE_LOW else -1.0
-    trace: List[Tuple[float, float, float, float]] = []
-    m = y.size
+    sw = np.sqrt(w)
 
-    def relaxed_loss_grad(pv, tau, penalty):
-        eta, theta = pv[:-1], pv[-1]
-        pred, pullback = family.value_and_grad(eta, X)
-        shifted = pred + theta
-        r = y - shifted
-        loss = float(np.sum(w * r * r))
-        v = -2.0 * w * r            # cotangent of pred; J is pulled back once
-        g_theta = -2.0 * float(np.sum(w * r))
-        # anchors: the surrogate's own (unshifted) values, which move with
-        # eta and keep the theta gradient alive, plus the fixed data values
-        anchors = np.concatenate([pred, y])
-        # both empirical CDFs are smoothed with the same logistic kernel,
-        # sigma((t - v)/tau); the smoothing bias then cancels between them
-        # and an exact fit carries no penalty
-        def smooth_cdf(values):
-            D = (anchors[:, None] - values[None, :]) / tau
-            S = 1.0 / (1.0 + np.exp(np.clip(-D, -500.0, 500.0)))
-            return S @ w, S * (1.0 - S) * (w[None, :] / tau)
-        Fs, Sw_s = smooth_cdf(shifted)
-        Fy, Sw_y = smooth_cdf(y)
-        gap = sign * (Fy - Fs)
-        act = gap > 0.0
-        if act.any():
-            loss += penalty * float(np.sum(gap[act] ** 2))
-            c = 2.0 * penalty * sign * np.where(act, gap, 0.0)
-            rows_s = Sw_s.sum(axis=1)
-            rows_y = Sw_y.sum(axis=1)
-            g_theta += float(c @ rows_s)
-            # the first m anchors are the predictions themselves
-            v = v + c @ Sw_s + (c * (rows_y - rows_s))[:m]
-        return loss, np.concatenate([pullback(v), [g_theta]])
-
-    def one_start(params0):
-        params = params0
-        penalty = cfg.penalty
-        for tau in cfg.taus:
-            for _ in range(cfg.max_penalty_rounds):
-                params, loss = _adam(lambda pv: relaxed_loss_grad(pv, tau, penalty),
-                                     params, lr=cfg.lr, epochs=cfg.epochs)
-                eta, theta = params[:-1], params[-1]
-                pred, _ = family.value_and_grad(eta, X)
-                viol = _exact_violations(pred + theta, y, w, direction)
-                trace.append((tau, penalty, loss, float(viol.max())))
-                if viol.max() <= cfg.violation_tol:
-                    break
-                penalty *= cfg.penalty_growth
-        pred, _ = family.value_and_grad(params[:-1], X)
-        worst = _exact_violations(pred + params[-1], y, w, direction).max()
-        converged = bool(worst <= min(cfg.violation_tol, 0.0))
-        eta, theta, obj = _pattern_polish(family, X, y, w, params[:-1], direction)
-        return obj, eta, theta, converged
+    def one_start(eta):
+        best, _ = _profiled(family, X, y, w, eta, direction)
+        for _ in range(100):
+            # refit the linear head under the inequalities matched to the
+            # current ranks; the current point with its feasible shift
+            # satisfies them, and the head's ones column absorbs the shift
+            H = _linear_head(family, eta, X)
+            n = H.shape[1]
+            po, bounds = _quantile_match(sign * (H @ eta[-n:]), sign * y, w)
+            keep = np.isfinite(bounds)
+            z = _lsi(H * sw[:, None], y * sw, sign * H[po[keep]], bounds[keep])
+            if z is None:
+                break
+            trial = eta.copy()
+            trial[-n:] = z
+            val, _ = _profiled(family, X, y, w, trial, direction)
+            if not val < best:
+                break
+            eta, best = trial, val
+        return _pattern_polish(family, X, y, w, eta, direction)
 
     scale = float(np.std(start.eta)) or 1.0
-    starts = [np.concatenate([start.eta, [0.0]])]
-    for _ in range(cfg.restarts):
-        jit = gen.normal(0.0, cfg.jitter * scale, start.eta.size)
-        starts.append(np.concatenate([start.eta + jit, [0.0]]))
-    best = None
-    for s0 in starts:
-        cand = one_start(s0)
-        if best is None or cand[0] < best[0]:
-            best = cand
-    _, eta, theta, converged = best
+    starts = [start.eta] + [start.eta + gen.normal(0.0, 0.2 * scale, start.eta.size)
+                            for _ in range(restarts)]
+    eta, theta, _ = min((one_start(s0) for s0 in starts), key=lambda c: c[2])
     pred, _ = family.value_and_grad(eta, X)
     viol = _exact_violations(pred + theta, y, w, direction)
     surrogate = RegressionSurrogate(family=family, eta=eta)
-    return FSDFitResult(surrogate=surrogate, eta_star=eta, theta_star=float(theta),
-                        violations=viol, relaxation_trace=trace,
-                        converged=converged, direction=direction)
+    return FSDFitResult(surrogate=surrogate, theta_star=float(theta),
+                        violations=viol, direction=direction)

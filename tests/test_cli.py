@@ -64,13 +64,19 @@ class TestParseConfig:
         alpha = 0.05
 
         [fsd]
-        taus = 0.2, 0.05
+        hidden = 2, 3
         """
         cfg = parse_config_text(text)
         assert cfg.shift.hidden == (4, 4)
         assert cfg.shift.theta_source == "test"
         assert cfg.shift.alpha == 0.05
-        assert cfg.fsd.taus == (0.2, 0.05)
+        assert cfg.fsd.hidden == (2, 3)
+
+    @pytest.mark.parametrize("key", ["taus = 0.1 0.03", "penalty = 10"])
+    def test_unknown_fsd_keys_name_line(self, key):
+        text = MINIMAL + f"\n[fsd]\n{key}\n"
+        with pytest.raises(ConfigError, match=r":10: unknown key"):
+            parse_config_text(text)
 
     def test_unknown_section_names_line(self):
         text = "[experiment]\nmethod = dyadic\n[paranormal]\n"

@@ -1,10 +1,12 @@
-"""Every module-level import in the package is used.
+"""Every module-level import and definition in the package is used.
 
-The package has no linter in its build, so this scan is its lint gate.
-``__init__.py`` is skipped because its imports are re-exports.
+The package has no linter in its build, so these scans are its lint gate.
+``__init__.py`` is skipped by the import scan because its imports are
+re-exports.
 """
 
 import ast
+import collections
 import pathlib
 
 import pytest
@@ -35,6 +37,38 @@ def unused_imports(source):
                   if name not in used)
 
 
+def _references(node):
+    """How often each name is read, as a variable or an attribute."""
+    return collections.Counter(
+        n.id if isinstance(n, ast.Name) else n.attr for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute)))
+
+
+def unreferenced_definitions(sources):
+    """Module-level functions and classes that no other code reads.
+
+    ``sources`` maps a module name to its text.  A definition counts as
+    used when its name is read outside its own body anywhere in the
+    sources, or listed in an ``__all__``.
+    """
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    reads = sum((_references(t) for t in trees.values()), collections.Counter())
+    exported = set()
+    for tree in trees.values():
+        for node in tree.body:
+            if isinstance(node, ast.Assign) and any(
+                    isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets):
+                exported |= {c.value for c in ast.walk(node.value)
+                             if isinstance(c, ast.Constant)}
+    return sorted(
+        f"{module}: {node.name} (line {node.lineno})"
+        for module, tree in trees.items() for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name not in exported
+        and reads[node.name] <= _references(node)[node.name])
+
+
 def test_scan_finds_unused_names():
     source = ("from __future__ import annotations\n"
               "import os\nimport os.path\nimport sys as system\n"
@@ -47,3 +81,22 @@ def test_scan_finds_unused_names():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def test_scan_finds_unreferenced_definitions():
+    sources = {
+        "a.py": "__all__ = ['api']\n"
+                "def api():\n    return _helper()\n"
+                "def _helper():\n    return 1\n"
+                "def _recursive(n):\n    return _recursive(n - 1)\n",
+        "b.py": "class Used:\n    pass\n"
+                "class Unused:\n    pass\n"
+                "def caller(m):\n    return m.Used()\n",
+    }
+    assert unreferenced_definitions(sources) == [
+        "a.py: _recursive (line 6)", "b.py: Unused (line 3)", "b.py: caller (line 5)"]
+
+
+def test_every_definition_is_referenced():
+    sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    assert unreferenced_definitions(sources) == []

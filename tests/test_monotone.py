@@ -212,6 +212,15 @@ class TestStaircaseRegion:
         with pytest.raises(MonotonicityViolation):
             r.with_safe(np.array([0.1, 0.1]))
 
+    def test_safe_generator_is_stored_exactly(self):
+        # 1 - (1 - 1e-17) rounds to 0, which would certify [0, 0.5] safe
+        # although only [1e-17, 0.5] was observed; g = 1e20 x1 + x2 with
+        # threshold 0.7 labels that point safe and [0, 0.6] failed
+        r = StaircaseRegion.empty(2).with_safe([1e-17, 0.5])
+        assert r.safe_generators.tolist() == [[1e-17, 0.5]]
+        r = r.with_fail([0.0, 0.6])
+        assert r.fail_generators.tolist() == [[0.0, 0.6]]
+
     @given(st.integers(0, 10_000), st.integers(2, 4), st.integers(1, 9))
     @settings(max_examples=30, deadline=None)
     def test_updates_keep_the_region_valid(self, seed, d, tenths):

@@ -6,6 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from rarebound.bench import make_example1
 from rarebound.core import RandomStream
 from rarebound.surrogate import (
     CONSERVATIVE_HIGH,
@@ -13,7 +14,6 @@ from rarebound.surrogate import (
     FeedforwardFamily,
     PolynomialFamily,
     RegressionSurrogate,
-    RelaxationConfig,
     ShiftCertificate,
     ShiftedSurrogate,
     SingularDesign,
@@ -27,7 +27,12 @@ from rarebound.surrogate import (
     lambda_risk,
     q2,
 )
-from rarebound.surrogate import _exact_violations, _pattern_polish, _shift_limit
+from rarebound.surrogate import (
+    _exact_violations,
+    _lsi,
+    _pattern_polish,
+    _shift_limit,
+)
 
 
 def quad_data(n=40, seed=0):
@@ -150,6 +155,28 @@ class TestFit:
         X, y = quad_data(10)
         with pytest.raises(ValueError):
             fit(PolynomialFamily(2, 1), X, y, weights=-np.ones(10))
+
+    def test_weights_of_wrong_length(self):
+        # one weight would broadcast and give the unweighted fit
+        X, y = quad_data(10)
+        with pytest.raises(ValueError, match="weights"):
+            fit(PolynomialFamily(2, 1), X, y, weights=[3.0])
+
+    def test_weights_that_all_vanish(self):
+        # normalizing zero weights divides by zero, and training would
+        # return its initial parameters
+        X, y = quad_data(10)
+        with pytest.raises(ValueError, match="vanish"):
+            fit(FeedforwardFamily(2, (3,)), X, y, rng=RandomStream(1, 0),
+                weights=np.zeros(10), epochs=10)
+
+    @pytest.mark.parametrize("weights", [[1.0] * 9, [np.nan] + [1.0] * 9,
+                                         [np.inf] + [1.0] * 9, [0.0] * 10],
+                             ids=["short", "nan", "inf", "zero"])
+    def test_fsd_fit_checks_weights(self, weights):
+        X, y = quad_data(10)
+        with pytest.raises(ValueError):
+            fsd_fit(PolynomialFamily(2, 1), X, y, weights=weights)
 
     def test_overpredict_weight_validation(self):
         X, y = quad_data(10)
@@ -298,15 +325,12 @@ class TestCheckFSD:
 
 
 class TestFSDFit:
-    fast = RelaxationConfig(taus=(0.1, 0.03), epochs=200, restarts=1,
-                            max_penalty_rounds=2)
-
     def test_exact_fit_is_feasible_unshifted(self):
         # note the indicator CDFs count a full 1/m quantum for any
         # overprediction, even a 1e-15 one, so an exact fit still goes
         # through the repair shift; the shift itself must stay negligible
         X, y = quad_data()
-        res = fsd_fit(PolynomialFamily(2, 2), X, y, relaxation=self.fast,
+        res = fsd_fit(PolynomialFamily(2, 2), X, y, restarts=1,
                       rng=RandomStream(10, 0))
         assert res.violations.max() <= 1e-9
         # theta and the constant monomial are interchangeable, so only the
@@ -319,7 +343,7 @@ class TestFSDFit:
         gen = np.random.default_rng(11)
         X = gen.random((30, 1))
         y = X[:, 0] ** 2
-        res = fsd_fit(PolynomialFamily(1, 0), X, y, relaxation=self.fast,
+        res = fsd_fit(PolynomialFamily(1, 0), X, y, restarts=1,
                       rng=RandomStream(12, 0))
         assert res.violations.max() <= 1e-9
         pred = res.predict(X)
@@ -329,7 +353,7 @@ class TestFSDFit:
         gen = np.random.default_rng(13)
         X = gen.random((30, 1))
         y = X[:, 0] ** 2
-        res = fsd_fit(PolynomialFamily(1, 0), X, y, relaxation=self.fast,
+        res = fsd_fit(PolynomialFamily(1, 0), X, y, restarts=1,
                       direction=CONSERVATIVE_HIGH, rng=RandomStream(14, 0))
         assert res.violations.max() <= 1e-9
         assert check_fsd(res.predict(X), y,
@@ -340,7 +364,7 @@ class TestFSDFit:
         X = gen.random((40, 1))
         y = np.sin(4.0 * X[:, 0]) + 0.05 * gen.standard_normal(40)
         free = fit(PolynomialFamily(1, 2), X, y)
-        res = fsd_fit(PolynomialFamily(1, 2), X, y, relaxation=self.fast,
+        res = fsd_fit(PolynomialFamily(1, 2), X, y, restarts=1,
                       rng=RandomStream(16, 0))
         sse_free = float(np.sum((free.predict(X) - y) ** 2))
         sse_con = float(np.sum((res.predict(X) - y) ** 2))
@@ -350,6 +374,66 @@ class TestFSDFit:
         X, y = quad_data(10)
         with pytest.raises(ValueError):
             fsd_fit(PolynomialFamily(2, 1), X, y, direction="down")
+
+    @pytest.mark.parametrize("direction", [CONSERVATIVE_LOW, CONSERVATIVE_HIGH])
+    def test_network_fit_is_feasible(self, direction):
+        # the rank-matched solve refits the readout of a network on its
+        # last hidden activations
+        X, y = quad_data(30)
+        res = fsd_fit(FeedforwardFamily(2, (3,)), X, y, direction=direction,
+                      restarts=0, epochs=100, rng=RandomStream(17, 0))
+        assert res.violations.max() <= 0.0
+        assert check_fsd(res.predict(X), y, direction=direction) <= 0.0
+
+    @pytest.mark.parametrize("seed", range(900, 905))
+    def test_no_worse_than_polishing_the_start(self, seed):
+        # example1 d=3 at m=60 with one start: the rank-matched steps must
+        # not leave the fit above what the pattern search reaches from the
+        # least-squares start alone
+        prob = make_example1(3, 5e-2)
+        rng = RandomStream(seed, 0)
+        X = rng.generator().random((60, 3))
+        y = np.asarray(prob.function.evaluator(X), float)
+        fam = PolynomialFamily(3, 2)
+        res = fsd_fit(fam, X, y, restarts=0, rng=rng.derive(1))
+        w = np.full(y.size, 1.0 / y.size)
+        _, _, polished = _pattern_polish(fam, X, y, w, fit(fam, X, y).eta,
+                                         CONSERVATIVE_LOW)
+        assert res.violations.max() <= 0.0
+        assert np.sum(w * (y - res.predict(X)) ** 2) <= polished
+
+
+class TestLSI:
+    def test_matches_a_reference_qp_solver(self):
+        optimize = pytest.importorskip("scipy.optimize")
+        gen = np.random.default_rng(21)
+        for _ in range(20):
+            m, n, k = int(gen.integers(8, 30)), int(gen.integers(1, 6)), \
+                int(gen.integers(1, 25))
+            A, b = gen.normal(size=(m, n)), gen.normal(size=m)
+            G = gen.normal(size=(k, n))
+            # a known feasible point, with a third of the constraints
+            # tight there
+            h = G @ gen.normal(size=n) + gen.exponential(size=k) \
+                * (gen.random(k) > 1.0 / 3.0)
+            z = _lsi(A, b, G, h)
+            ref = optimize.minimize(
+                lambda v: np.sum((A @ v - b) ** 2), np.zeros(n),
+                jac=lambda v: 2.0 * A.T @ (A @ v - b), method="SLSQP",
+                constraints=[{"type": "ineq", "fun": lambda v: h - G @ v,
+                              "jac": lambda v: -G}],
+                options={"ftol": 1e-10, "maxiter": 500})
+            assert ref.success
+            assert np.max(G @ z - h) <= 1e-10 * (1.0 + np.abs(h).max())
+            assert np.sum((A @ z - b) ** 2) <= ref.fun * (1.0 + 1e-9) + 1e-12
+            assert np.allclose(z, ref.x, rtol=1e-6, atol=1e-6)
+
+    def test_infeasible_or_rank_deficient(self):
+        A, b = np.eye(2), np.zeros(2)
+        # z0 <= -1 and z0 >= 1
+        assert _lsi(A, b, np.array([[1.0, 0.0], [-1.0, 0.0]]),
+                    np.array([-1.0, -1.0])) is None
+        assert _lsi(np.ones((3, 2)), np.zeros(3), np.eye(2), np.ones(2)) is None
 
 
 def _feasible(pred, y, w, theta, direction):
@@ -420,17 +504,13 @@ class TestShiftLimit:
         X = gen.random((30, 1))
         y = X[:, 0] ** 2 + 0.3 * gen.standard_normal(30)
         w = gen.random(30)
-        relax = RelaxationConfig(taus=(0.1,), epochs=100, restarts=0,
-                                 max_penalty_rounds=1)
-
         def hang(signum, frame):
             raise TimeoutError("weighted fsd_fit did not return")
 
         previous = signal.signal(signal.SIGALRM, hang)
         signal.alarm(60)
         try:
-            res = fsd_fit(PolynomialFamily(1, 1), X, y, weights=w,
-                          relaxation=relax)
+            res = fsd_fit(PolynomialFamily(1, 1), X, y, weights=w, restarts=0)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
