@@ -9,9 +9,12 @@ timing          paired wall-clock comparison of the sequential bounder with
                 rejection versus walk-based sampling, per dimension
 list-benchmarks print the benchmark registry
 
-Config files are flat ``key = value`` text with ``[section]`` headers;
-see :data:`_SCHEMA` for every key and its default.  Unknown sections or
-keys are rejected with a line diagnostic.  Exit codes: 0 success, 2
+Config files are flat ``key = value`` text with ``[section]`` headers.
+The keys of ``[experiment]`` (the default section) are the fields of
+:class:`ExperimentConfig`; those of ``[monotone]``, ``[mcmc]``,
+``[dyadic]``, ``[shift]`` and ``[fsd]`` are the fields of the options
+class it holds under that name, with the same defaults.  Unknown sections
+or keys are rejected with a line diagnostic.  Exit codes: 0 success, 2
 configuration error, 3 method error.
 
 The output directory is taken from, in decreasing precedence, the
@@ -27,7 +30,7 @@ import csv
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -90,9 +93,8 @@ class MonotoneOptions:
 
     pool_size: int = 192
     score_subsample: int = 48
-    rule: str = "auto"              # balance | coverage | uniform | auto
+    rule: str = "auto"              # auto | balance | coverage | maximin | uniform
     exact_scores: str = "auto"      # true | false | auto
-    switch_acceptance: float = 5e-3
 
 
 @dataclass
@@ -177,76 +179,27 @@ class ExperimentConfig:
     fsd: FsdOptions = field(default_factory=FsdOptions)
 
 
-def _parse_int_tuple(text: str) -> Tuple[int, ...]:
-    return tuple(int(tok) for tok in text.replace(",", " ").split())
-
-
-def _choice(*allowed: str):
-    def parse(text: str) -> str:
-        if text not in allowed:
-            raise ValueError(f"expected one of {allowed}, got {text!r}")
-        return text
-    return parse
-
-
-# section -> key -> converter.  The attribute path mirrors the dataclasses:
-# [experiment] keys live on ExperimentConfig itself, other sections on the
-# same-named sub-config.
-_SCHEMA: Dict[str, Dict[str, object]] = {
-    "experiment": {
-        "method": _choice(*METHODS),
-        "benchmark": str.strip,
-        "budget": int,
-        "replications": int,
-        "seed": int,
-        "workers": int,
-        "output_dir": str.strip,
-    },
-    "monotone": {
-        "pool_size": int,
-        "score_subsample": int,
-        "rule": _choice("auto", "balance", "coverage", "maximin", "uniform"),
-        "exact_scores": _choice("auto", "true", "false"),
-        "switch_acceptance": float,
-    },
-    "mcmc": {
-        "chains": int,
-        "window": int,
-        "scale": float,
-        "burn_in": float,
-        "thin": int,
-    },
-    "dyadic": {
-        "lipschitz": float,
-        "max_depth": int,
-        "eps_target": float,
-    },
-    "shift": {
-        "train_size": int,
-        "test_size": int,
-        "alpha": float,
-        "c_constant": float,
-        "hidden": _parse_int_tuple,
-        "epochs": int,
-        "lr": float,
-        "overpredict_weight": float,
-        "theta_source": _choice("train", "test"),
-        "mc_samples": int,
-        "q2_gate": float,
-        "max_refits": int,
-    },
-    "fsd": {
-        "train_size": int,
-        "family": _choice("polynomial", "network"),
-        "degree": int,
-        "hidden": _parse_int_tuple,
-        "direction": _choice(CONSERVATIVE_LOW, CONSERVATIVE_HIGH),
-        "restarts": int,
-        "epochs": int,
-        "lr": float,
-        "mc_samples": int,
-    },
+# The keys whose value is one of a fixed set of words; every other key is
+# parsed as the type of its field's default (int, float, str, or an int
+# tuple split on commas or spaces).
+_CHOICES: Dict[str, Tuple[str, ...]] = {
+    "method": METHODS,
+    "rule": ("auto", "balance", "coverage", "maximin", "uniform"),
+    "exact_scores": ("auto", "true", "false"),
+    "theta_source": ("train", "test"),
+    "family": ("polynomial", "network"),
+    "direction": (CONSERVATIVE_LOW, CONSERVATIVE_HIGH),
 }
+
+
+def _parse_value(key: str, text: str, default: object) -> object:
+    if key in _CHOICES:
+        if text not in _CHOICES[key]:
+            raise ValueError(f"expected one of {_CHOICES[key]}, got {text!r}")
+        return text
+    if isinstance(default, tuple):
+        return tuple(int(tok) for tok in text.replace(",", " ").split())
+    return type(default)(text)
 
 
 def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
@@ -257,6 +210,11 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
     sections, unknown keys, malformed lines, and unconvertible values.
     """
     cfg = ExperimentConfig()
+    # [experiment] keys are fields of cfg itself; every other section is
+    # the options object that cfg holds under the section's name
+    sections = {"experiment": cfg, **{
+        f.name: getattr(cfg, f.name) for f in fields(cfg)
+        if is_dataclass(getattr(cfg, f.name))}}
     section = "experiment"
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -264,10 +222,10 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in _SCHEMA:
+            if section not in sections:
                 raise ConfigError(
                     f"{source}:{lineno}: unknown section [{section}]; "
-                    f"known sections: {sorted(_SCHEMA)}")
+                    f"known sections: {sorted(sections)}")
             continue
         if "=" not in line:
             raise ConfigError(
@@ -275,16 +233,17 @@ def parse_config_text(text: str, source: str = "<config>") -> ExperimentConfig:
         key, _, value = line.partition("=")
         key = key.strip().lower()
         value = value.strip()
-        keys = _SCHEMA[section]
+        target = sections[section]
+        keys = {f.name: f.default for f in fields(target)
+                if not is_dataclass(getattr(target, f.name))}
         if key not in keys:
             raise ConfigError(
                 f"{source}:{lineno}: unknown key {key!r} in section "
                 f"[{section}]; known keys: {sorted(keys)}")
         try:
-            parsed = keys[key](value)
+            parsed = _parse_value(key, value, keys[key])
         except ValueError as exc:
             raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {exc}")
-        target = cfg if section == "experiment" else getattr(cfg, section)
         setattr(target, key, parsed)
     _validate(cfg, source)
     return cfg
@@ -356,8 +315,7 @@ def _run_monotone(cfg: ExperimentConfig, problem, rng: RandomStream) -> dict:
     run = sequential_bounder(problem.function, cfg.budget, rng,
                              sampler=sampler,
                              selection=_selection_config(cfg.monotone),
-                             walk_config=_walk_config(cfg.mcmc),
-                             switch_acceptance=cfg.monotone.switch_acceptance)
+                             walk_config=_walk_config(cfg.mcmc))
     return {"queries": run.queries_used,
             "p_lower": run.bounds.lower, "p_upper": run.bounds.upper}
 
@@ -469,18 +427,10 @@ def _cell(value, fmt: Optional[str] = None) -> str:
     return str(value)
 
 
-def _write_rows(path: str, rows: Sequence[dict]) -> None:
+def _write_csv(path: str, header: Sequence[str],
+               rows: Sequence[Sequence[object]]) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(ROW_FIELDS)
-        for row in rows:
-            writer.writerow([
-                row["method"], row["benchmark"], row["d"],
-                _cell(row["p_exact"]), row["replication"], row["queries"],
-                _cell(row["p_lower"]), _cell(row["p_upper"]),
-                _cell(row["p_hat"]), _cell(row["rel_precision"]),
-                row["miss_flag"], _cell(row["wall_time_s"], ".4f"),
-            ])
+        csv.writer(fh).writerows([header, *rows])
 
 
 def _mean(values: List[float]) -> Optional[float]:
@@ -491,29 +441,29 @@ def _quantile(values: List[float], q: float) -> Optional[float]:
     return float(np.quantile(values, q)) if values else None
 
 
-def _write_summary(path: str, rows: Sequence[dict]) -> None:
+def _summary_rows(rows: Sequence[dict]) -> List[list]:
+    """One row per (method, benchmark): means and quantiles of its rows."""
     groups: Dict[Tuple[str, str], List[dict]] = {}
     for row in rows:
         groups.setdefault((row["method"], row["benchmark"]), []).append(row)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_FIELDS)
-        for (method, benchmark), members in sorted(groups.items()):
-            def column(name: str) -> List[float]:
-                return [r[name] for r in members if r[name] is not None]
-            rel = column("rel_precision")
-            writer.writerow([
-                method, benchmark, members[0]["d"],
-                _cell(members[0]["p_exact"]), len(members),
-                _cell(_mean(column("queries"))),
-                _cell(_mean(column("p_lower"))),
-                _cell(_mean(column("p_upper"))),
-                _cell(_mean(column("p_hat"))),
-                _cell(_mean(rel)), _cell(_quantile(rel, 0.1)),
-                _cell(_quantile(rel, 0.5)), _cell(_quantile(rel, 0.9)),
-                _cell(_mean(column("miss_flag"))),
-                _cell(_mean(column("wall_time_s")), ".4f"),
-            ])
+    out = []
+    for (method, benchmark), members in sorted(groups.items()):
+        def column(name: str) -> List[float]:
+            return [r[name] for r in members if r[name] is not None]
+        rel = column("rel_precision")
+        out.append([
+            method, benchmark, members[0]["d"],
+            _cell(members[0]["p_exact"]), len(members),
+            _cell(_mean(column("queries"))),
+            _cell(_mean(column("p_lower"))),
+            _cell(_mean(column("p_upper"))),
+            _cell(_mean(column("p_hat"))),
+            _cell(_mean(rel)), _cell(_quantile(rel, 0.1)),
+            _cell(_quantile(rel, 0.5)), _cell(_quantile(rel, 0.9)),
+            _cell(_mean(column("miss_flag"))),
+            _cell(_mean(column("wall_time_s")), ".4f"),
+        ])
+    return out
 
 
 def _resolve_output_dir(flag: Optional[str], config_value: str = "results") -> str:
@@ -599,8 +549,11 @@ def run_experiment(cfg: ExperimentConfig, output_dir: Optional[str] = None,
             rows = list(pool.map(_replication_row, [cfg] * cfg.replications,
                                  indices))
     rows.sort(key=lambda row: row["replication"])
-    _write_rows(os.path.join(outdir, "rows.csv"), rows)
-    _write_summary(os.path.join(outdir, "summary.csv"), rows)
+    _write_csv(os.path.join(outdir, "rows.csv"), ROW_FIELDS,
+               [[_cell(row[name], ".4f" if name == "wall_time_s" else None)
+                 for name in ROW_FIELDS] for row in rows])
+    _write_csv(os.path.join(outdir, "summary.csv"), SUMMARY_FIELDS,
+               _summary_rows(rows))
     if plots:
         _plot_run(outdir, rows)
     return outdir
@@ -626,19 +579,11 @@ def run_lambda_table(p_values: Sequence[float], n_min: int = 1,
     curves = {p: [(int(n), lambda_risk(int(n), p, C)) for n in grid]
               for p in p_values}
     crossings = {p: lambda_crossing(p, C) for p in p_values}
-    with open(os.path.join(outdir, "lambda_table.csv"), "w",
-              newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "n", "lambda"])
-        for p in p_values:
-            for n, value in curves[p]:
-                writer.writerow([repr(float(p)), n, repr(value)])
-    with open(os.path.join(outdir, "lambda_crossings.csv"), "w",
-              newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["p", "n_crossing"])
-        for p in p_values:
-            writer.writerow([repr(float(p)), repr(crossings[p])])
+    _write_csv(os.path.join(outdir, "lambda_table.csv"), ["p", "n", "lambda"],
+               [[repr(float(p)), n, repr(value)]
+                for p in p_values for n, value in curves[p]])
+    _write_csv(os.path.join(outdir, "lambda_crossings.csv"), ["p", "n_crossing"],
+               [[repr(float(p)), repr(crossings[p])] for p in p_values])
     if plots:
         _plot_lambda(outdir, curves, crossings)
     return outdir
@@ -667,16 +612,13 @@ def run_timing(dims: Sequence[int], budget: int = 200, p: float = 5e-4,
                                    budget=budget, seed=seed)
             row = _replication_row(cfg, 0)
             rows.append(row)
-    with open(os.path.join(outdir, "timing.csv"), "w",
-              newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["method", "d", "benchmark", "budget", "queries",
-                         "wall_time_s", "p_lower", "p_upper"])
-        for row in rows:
-            writer.writerow([row["method"], row["d"], row["benchmark"],
-                             budget, row["queries"],
-                             _cell(row["wall_time_s"], ".4f"),
-                             _cell(row["p_lower"]), _cell(row["p_upper"])])
+    _write_csv(os.path.join(outdir, "timing.csv"),
+               ["method", "d", "benchmark", "budget", "queries",
+                "wall_time_s", "p_lower", "p_upper"],
+               [[row["method"], row["d"], row["benchmark"], budget,
+                 row["queries"], _cell(row["wall_time_s"], ".4f"),
+                 _cell(row["p_lower"]), _cell(row["p_upper"])]
+                for row in rows])
     return outdir
 
 

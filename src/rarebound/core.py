@@ -179,7 +179,8 @@ def intersect_bounds(a: ProbabilityBounds, b: ProbabilityBounds) -> ProbabilityB
 
     The result is the interval intersection.  It is deterministic only if
     both inputs are; otherwise the failure probabilities add (union
-    bound), so ``alpha = alpha_a + alpha_b`` over the present alphas.
+    bound), so ``alpha = alpha_a + alpha_b`` over the present alphas; a
+    sum that reaches 1 leaves no coverage and raises ValueError.
     """
     lower = max(a.lower, b.lower)
     upper = min(a.upper, b.upper)
@@ -190,7 +191,7 @@ def intersect_bounds(a: ProbabilityBounds, b: ProbabilityBounds) -> ProbabilityB
         kind, alpha = DETERMINISTIC, None
     else:
         kind = HIGH_PROBABILITY
-        alpha = min(0.999999, (a.alpha or 0.0) + (b.alpha or 0.0))
+        alpha = (a.alpha or 0.0) + (b.alpha or 0.0)
         if alpha <= 0.0:
             raise ValueError("high-probability input with missing alpha")
     return ProbabilityBounds(lower, upper, kind=kind, alpha=alpha,

@@ -47,6 +47,7 @@ __all__ = [
 MC_VOLUME_DIM = 6          # exact volumes up to here, Monte Carlo beyond
 _MC_VOLUME_N = 200_000
 _MC_ALPHA = 1e-6           # per-volume failure mass of the MC fallback bounds
+SWITCH_ACCEPTANCE = 5e-3   # sampler "auto" hands over to the walk below this
 
 
 class MonotonicityViolation(RuntimeError):
@@ -477,19 +478,18 @@ class RejectionSampler:
         self.max_attempts = int(max_attempts)
         self.attempts = 0
         self.draws = 0
-        self._buffer: List[np.ndarray] = []
+        self._buffer = np.empty((0, 0))
 
     def draw_batch(self, region: StaircaseRegion, gen: np.random.Generator,
                    n: int) -> np.ndarray:
         """Return up to ``n`` uniform region points (fewer only on stall)."""
-        out: List[np.ndarray] = []
         # leftover candidates are re-checked against the current region;
         # the unused tail of an iid uniform stream stays uniform
-        while self._buffer and len(out) < n:
-            x = self._buffer.pop()
-            if region.contains(x):
-                self.draws += 1
-                out.append(x)
+        if self._buffer.shape[0]:
+            self._buffer = self._buffer[region.contains_batch(self._buffer)]
+        out: List[np.ndarray] = list(self._buffer[:n])
+        self._buffer = self._buffer[n:]
+        self.draws += len(out)
         spent = 0
         while len(out) < n and spent < self.max_attempts:
             X = gen.random((self.chunk, region.dimension))
@@ -499,8 +499,8 @@ class RejectionSampler:
             take = keep[:n - len(out)]
             out.extend(take)
             self.draws += take.shape[0]
-            if len(out) >= n and keep.shape[0] > take.shape[0]:
-                self._buffer = [row for row in keep[take.shape[0]:][::-1]]
+            if len(out) >= n:
+                self._buffer = keep[take.shape[0]:]
         if len(out) < n:
             raise SamplerStalled(
                 f"collected {len(out)}/{n} region points in {spent} uniform draws")
@@ -557,7 +557,10 @@ class SelectionConfig:
         exact = self.exact_scores
         if exact == "auto":
             exact = dimension <= 2
-        return rule, bool(exact)
+        elif not isinstance(exact, bool):
+            raise ValueError("exact_scores must be True, False or 'auto', "
+                             f"got {self.exact_scores!r}")
+        return rule, exact
 
 
 # 2-D boundary-following selection (see _boundary_query)
@@ -637,8 +640,7 @@ class SequentialRun:
 def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
                        sampler: str = "auto",
                        selection: Optional[SelectionConfig] = None,
-                       walk_config=None,
-                       switch_acceptance: float = 5e-3) -> SequentialRun:
+                       walk_config=None) -> SequentialRun:
     """Spend ``budget`` oracle queries bounding p = P(g(X) < y).
 
     Each step draws candidate points uniformly from the current undecided
@@ -659,8 +661,8 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
     midpoint of the polylines through the fail and through the safe
     generators, kept inside the middle of the bracket.  Gains and region
     membership come from the sorted staircases by binary search and
-    running sums.  ``sampler``, ``walk_config`` and ``switch_acceptance``
-    do not act on such runs, whose ``sampler_name`` is "boundary".
+    running sums.  ``sampler`` and ``walk_config`` do not act on such
+    runs, whose ``sampler_name`` is "boundary".
 
     Parameters
     ----------
@@ -674,14 +676,12 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         (:class:`RejectionSampler`), "mcmc"
         (:class:`rarebound.mcmc.RegionWalkSampler`), or "auto" (rejection
         that hands over to the walk sampler once its acceptance rate drops
-        below ``switch_acceptance``).
+        below ``SWITCH_ACCEPTANCE``).
     selection : SelectionConfig, optional
         Candidate scoring configuration; defaults to dimension-adaptive
         scoring (see :class:`SelectionConfig`).
     walk_config
         Passed to the walk sampler when it is instantiated.
-    switch_acceptance : float
-        Rejection acceptance rate below which "auto" hands over to the walk.
 
     Returns
     -------
@@ -730,7 +730,7 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         need = n - pool.shape[0]
         if sampler == "auto" and walker is None \
                 and rejection.attempts >= 8 * rejection.chunk \
-                and rejection.acceptance_rate() < switch_acceptance:
+                and rejection.acceptance_rate() < SWITCH_ACCEPTANCE:
             walker = make_walker()
             name = "auto(rejection->mcmc)"
         if walker is not None:

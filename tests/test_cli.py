@@ -1,15 +1,20 @@
 """Config parsing, experiment driver, and command-line entry points."""
 
 import csv
+import dataclasses
 import os
+import typing
 
 import numpy as np
 import pytest
 
 from rarebound.cli import (
+    _CHOICES,
+    METHODS,
     ROW_FIELDS,
     SUMMARY_FIELDS,
     ConfigError,
+    ExperimentConfig,
     load_config,
     main,
     parse_config_text,
@@ -26,6 +31,21 @@ budget = 15
 replications = 2
 workers = 1
 """
+
+
+CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def option_fields():
+    """(name, annotated type, default) of every config key, all sections."""
+    classes = [ExperimentConfig] + [
+        cls for cls in typing.get_type_hints(ExperimentConfig).values()
+        if dataclasses.is_dataclass(cls)]
+    for cls in classes:
+        hints = typing.get_type_hints(cls)
+        for f in dataclasses.fields(cls):
+            if not dataclasses.is_dataclass(hints[f.name]):
+                yield f.name, hints[f.name], f.default
 
 
 def read_csv(path):
@@ -126,6 +146,39 @@ class TestParseConfig:
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config(str(tmp_path / "absent.cfg"))
+
+
+class TestOptionFields:
+    """The option dataclasses are the only declaration of the config keys."""
+
+    @pytest.mark.parametrize("name", sorted(os.listdir(CONFIG_DIR)))
+    def test_shipped_configs_load(self, name):
+        assert load_config(os.path.join(CONFIG_DIR, name)).method in METHODS
+
+    def test_defaults_have_their_annotated_types(self):
+        # values parse as the type of the default, so a float key with an
+        # int default would reject "0.5"
+        for name, hint, default in option_fields():
+            if hint == typing.Tuple[int, ...]:
+                assert type(default) is tuple, name
+                assert all(type(v) is int for v in default), name
+            else:
+                assert hint in (int, float, str), name
+                assert type(default) is hint, name
+
+    def test_choice_keys_name_one_field_with_a_valid_default(self):
+        keys = list(option_fields())
+        for key, choices in _CHOICES.items():
+            matches = [default for name, _, default in keys if name == key]
+            assert len(matches) == 1, key
+            # method is required: its default "" means unset
+            assert matches[0] in choices or (key, matches[0]) == ("method", "")
+
+    def test_switch_acceptance_is_not_a_key(self):
+        text = MINIMAL + "\n[monotone]\nswitch_acceptance = 0.01\n"
+        with pytest.raises(ConfigError,
+                           match=r":10: unknown key 'switch_acceptance'"):
+            parse_config_text(text)
 
 
 class TestRunExperiment:

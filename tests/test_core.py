@@ -126,6 +126,13 @@ class TestProbabilityBounds:
         assert c.kind == HIGH_PROBABILITY
         assert c.alpha == pytest.approx(0.03)
 
+    @pytest.mark.parametrize("alphas", [(0.6, 0.6), (0.5, 0.5)])
+    def test_intersection_without_coverage_raises(self, alphas):
+        a = ProbabilityBounds(0.1, 0.5, kind=HIGH_PROBABILITY, alpha=alphas[0])
+        b = ProbabilityBounds(0.2, 0.6, kind=HIGH_PROBABILITY, alpha=alphas[1])
+        with pytest.raises(ValueError, match="alpha"):
+            intersect_bounds(a, b)
+
     def test_disjoint_raises(self):
         a = ProbabilityBounds(0.1, 0.2)
         b = ProbabilityBounds(0.3, 0.4)

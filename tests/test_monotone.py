@@ -317,6 +317,21 @@ class TestRejectionSampler:
             r = r.with_fail(x[0]) if x[0].sum() < 1.2 else r.with_safe(x[0])
         assert s.draws == 20 and s.attempts < 20 * 64   # the buffer served
 
+    def test_leftovers_come_out_in_stream_order(self):
+        # the buffered tail of a chunk, filtered by the shrunken region,
+        # is exactly what the next call returns, in the order drawn
+        r = StaircaseRegion.empty(2)
+        s = RejectionSampler(chunk=64)
+        first = s.draw_batch(r, RandomStream(5, 0).generator(), 3)
+        chunk = RandomStream(5, 0).generator().random((64, 2))
+        assert np.array_equal(first, chunk[:3])
+        r = r.with_fail(np.array([0.5, 0.5])).with_safe(np.array([0.8, 0.6]))
+        rest = chunk[3:][r.contains_batch(chunk[3:])]
+        gen = RandomStream(6, 0).generator()      # never reached
+        assert np.array_equal(s.draw_batch(r, gen, 4), rest[:4])
+        assert np.array_equal(s.draw_batch(r, gen, 2), rest[4:6])
+        assert s.attempts == 64 and s.draws == 9
+
     def test_stalls_on_tiny_region(self):
         # undecided sliver of volume ~1e-4; cap attempts below 1/volume
         r = StaircaseRegion(np.array([[0.9999, 0.9999]]),
@@ -410,3 +425,8 @@ class TestSelectionConfig:
     def test_explicit(self):
         cfg = SelectionConfig(rule="maximin", exact_scores=True)
         assert cfg.resolve(5) == ("maximin", True)
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_exact_scores_must_be_bool_or_auto(self, value):
+        with pytest.raises(ValueError, match="exact_scores"):
+            SelectionConfig(exact_scores=value).resolve(3)
