@@ -132,3 +132,53 @@ class TestErrors:
 
     def test_nonconvergence_is_runtime_error(self):
         assert issubclass(NonConvergence, RuntimeError)
+
+
+class TestGammaQuantileOnePoint:
+    """A single point takes a path on Python floats; it must track the
+    array path, which is compared on a two-element batch because the array
+    path's stopping rules act on the whole batch."""
+
+    SHAPES = (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 0.5, 2.5, 45.0)
+    U = np.concatenate([np.geomspace(1e-16, 0.5, 150),
+                        1.0 - np.geomspace(1e-6, 0.5, 150)])
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_agrees_with_array_path(self, shape):
+        one = np.array([gamma_quantile(float(u), shape) for u in self.U])
+        batch = np.array([gamma_quantile(np.array([u, u]), shape)[0]
+                          for u in self.U])
+        assert np.all(np.abs(one - batch) <= 1e-13 * batch)
+
+    def test_endpoints_and_domain(self):
+        for shape in self.SHAPES:
+            assert gamma_quantile(0.0, shape) == 0.0
+            assert gamma_quantile(1.0, shape) == np.inf
+            assert gamma_quantile(np.array([0.0]), shape)[0] == 0.0
+            assert gamma_quantile(np.array([1.0]), shape)[0] == np.inf
+        for u in (-1e-300, -0.5, 1.0 + 1e-15, 2.0):
+            with pytest.raises(ValueError):
+                gamma_quantile(u, 3.0)
+            with pytest.raises(ValueError):
+                gamma_quantile(np.array([u]), 3.0)
+        for shape in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                gamma_quantile(0.5, shape)
+            with pytest.raises(ValueError):
+                gamma_quantile(np.array([0.5]), shape)
+
+    def test_return_types(self):
+        assert type(gamma_quantile(0.3, 3.0)) is float
+        assert type(gamma_quantile(np.float64(0.3), 3.0)) is float
+        assert type(gamma_quantile(np.array(0.3), 3.0)) is float
+        out = gamma_quantile(np.array([0.3]), 3.0)
+        assert isinstance(out, np.ndarray) and out.shape == (1,)
+        assert out[0] == gamma_quantile(0.3, 3.0)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_nondecreasing_near_both_ends(self, shape):
+        # the monotone route's certificates assume g is monotone
+        for u in (np.geomspace(1e-16, 1e-12, 2000),
+                  1.0 - np.geomspace(1e-6, 1e-9, 2000)):
+            x = [gamma_quantile(float(v), shape) for v in u]
+            assert np.all(np.diff(x) >= 0.0)
