@@ -21,7 +21,6 @@ import numpy as np
 
 __all__ = [
     "DimensionMismatch",
-    "InconsistentBounds",
     "BlackBoxFunction",
     "ProbabilityBounds",
     "DETERMINISTIC",
@@ -30,7 +29,6 @@ __all__ = [
     "RandomStream",
     "mc_estimate",
     "surrogate_mc_estimate",
-    "intersect_bounds",
     "eval_batch",
 ]
 
@@ -40,10 +38,6 @@ HIGH_PROBABILITY = "high-probability"
 
 class DimensionMismatch(ValueError):
     """An input point does not match the function's dimension."""
-
-
-class InconsistentBounds(ValueError):
-    """Two bound intervals to be intersected have empty intersection."""
 
 
 class BlackBoxFunction:
@@ -172,30 +166,6 @@ class ProbabilityBounds:
 
     def contains(self, p: float) -> bool:
         return self.lower <= p <= self.upper
-
-
-def intersect_bounds(a: ProbabilityBounds, b: ProbabilityBounds) -> ProbabilityBounds:
-    """Combine two bound intervals for the same probability.
-
-    The result is the interval intersection.  It is deterministic only if
-    both inputs are; otherwise the failure probabilities add (union
-    bound), so ``alpha = alpha_a + alpha_b`` over the present alphas; a
-    sum that reaches 1 leaves no coverage and raises ValueError.
-    """
-    lower = max(a.lower, b.lower)
-    upper = min(a.upper, b.upper)
-    if lower > upper:
-        raise InconsistentBounds(
-            f"intervals [{a.lower}, {a.upper}] and [{b.lower}, {b.upper}] are disjoint")
-    if a.kind == DETERMINISTIC and b.kind == DETERMINISTIC:
-        kind, alpha = DETERMINISTIC, None
-    else:
-        kind = HIGH_PROBABILITY
-        alpha = (a.alpha or 0.0) + (b.alpha or 0.0)
-        if alpha <= 0.0:
-            raise ValueError("high-probability input with missing alpha")
-    return ProbabilityBounds(lower, upper, kind=kind, alpha=alpha,
-                             queries_used=a.queries_used + b.queries_used)
 
 
 @dataclass(frozen=True)

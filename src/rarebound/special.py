@@ -20,7 +20,6 @@ __all__ = [
     "beta_cdf",
     "beta_quantile",
     "normal_cdf",
-    "normal_pdf",
     "normal_quantile",
 ]
 
@@ -151,7 +150,7 @@ def gamma_quantile(u, shape: float):
         return x if scalar else np.full(arr.shape, x)
     if np.any((arr < 0.0) | (arr > 1.0)):
         raise ValueError("u must lie in [0, 1]")
-    out = np.empty_like(arr)
+    out = np.full_like(arr, np.nan)
     out[arr == 0.0] = 0.0
     out[arr == 1.0] = np.inf
     inner = (arr > 0.0) & (arr < 1.0)
@@ -334,7 +333,7 @@ def beta_quantile(u, a: float, b: float):
     arr, scalar = _as_array(u)
     if np.any((arr < 0.0) | (arr > 1.0)):
         raise ValueError("u must lie in [0, 1]")
-    out = np.empty_like(arr)
+    out = np.full_like(arr, np.nan)
     out[arr == 0.0] = 0.0
     out[arr == 1.0] = 1.0
     inner = (arr > 0.0) & (arr < 1.0)
@@ -380,12 +379,6 @@ def normal_cdf(x):
     return 0.5 * _erfc_u(-arr / _SQRT2).astype(float)
 
 
-def normal_pdf(x):
-    arr, scalar = _as_array(x)
-    out = np.exp(-0.5 * arr * arr) / _SQRT_2PI
-    return _ret(out, scalar)
-
-
 # rational approximation coefficients (Acklam), polished below to ~1e-15
 _A = (-3.969683028665376e+01, 2.209460984245205e+02, -2.759285104469687e+02,
       1.383577518672690e+02, -3.066479806614716e+01, 2.506628277459239e+00)
@@ -403,7 +396,7 @@ def normal_quantile(u):
     arr, scalar = _as_array(u)
     if np.any((arr < 0.0) | (arr > 1.0)):
         raise ValueError("u must lie in [0, 1]")
-    out = np.empty_like(arr)
+    out = np.full_like(arr, np.nan)
     out[arr == 0.0] = -np.inf
     out[arr == 1.0] = np.inf
     inner = (arr > 0.0) & (arr < 1.0)

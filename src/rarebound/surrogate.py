@@ -6,13 +6,15 @@ mechanisms are provided.  The additive route fits any regression family,
 then shifts predictions down by the worst overprediction seen on a held-out
 test set; a Bernstein-type certificate bounds the probability that a fresh
 point is still overpredicted.  The constrained route builds the safety bias
-into the fit itself: a weighted least-squares objective minimized subject to
+into the fit itself: a least-squares objective minimized subject to
 first-order stochastic dominance between the surrogate's values and the
-data.  With the prediction ranks fixed, dominance is a set of linear
-inequalities on the model's linear head, so each step is least squares
-under inequalities (Lawson & Hanson's LDP/NNLS reduction); the feasible
-shift is solved in closed form from sorted weighted quantiles and
-confirmed with exact indicators.
+data.  Every point weighs the same, so dominance means sorted predictions
+at or below sorted data, rank by rank (Dentcheva & Ruszczynski 2003).  With
+the prediction ranks fixed that is a set of linear inequalities on the
+model's linear head, so each step is least squares under inequalities
+(Lawson & Hanson's LDP/NNLS reduction); the feasible shift is the smallest
+gap between the order statistics, confirmed by counting each sample below
+every anchor.
 
 Both routes yield estimates that err on the pessimistic side for failure
 events of the form g < y.
@@ -218,27 +220,12 @@ def _adam(loss_grad, x0, lr=0.02, epochs=2000, tol=1e-12):
     return best_x, best_loss
 
 
-def _fit_weights(weights, n: int) -> np.ndarray:
-    """Per-point weights, checked: n finite values >= 0 with a positive sum."""
-    if weights is None:
-        return np.ones(n)
-    w = np.asarray(weights, dtype=float).ravel()
-    if w.size != n:
-        raise ValueError(f"expected {n} weights, got {w.size}")
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise ValueError("weights must be finite and nonnegative")
-    if not w.sum() > 0:
-        raise ValueError("weights must not all vanish")
-    return w
-
-
 def fit(family: Family, X, y, rng: Optional[RandomStream] = None,
-        weights=None, epochs: int = 3000, lr: float = 0.02,
-        tol: float = 1e-10,
+        epochs: int = 3000, lr: float = 0.02, tol: float = 1e-10,
         overpredict_weight: float = 0.0) -> RegressionSurrogate:
-    """Fit a surrogate family to data.
+    """Fit a surrogate family to data, every point weighing the same.
 
-    Polynomial families are solved by exact (weighted) least squares;
+    Polynomial families are solved by exact least squares;
     feedforward families by full-batch gradient training with a seeded
     deterministic initialization, stopping at ``tol`` or after ``epochs``.
 
@@ -249,9 +236,6 @@ def fit(family: Family, X, y, rng: Optional[RandomStream] = None,
     y : array_like, shape (m,)
     rng : RandomStream, optional
         Required for network initialization; ignored for polynomials.
-    weights : array_like, optional
-        Per-point loss weights: one per point, finite and nonnegative,
-        with a positive sum.
     overpredict_weight : float
         Extra multiplier on the squared loss of positive residuals
         (prediction above truth), making the fit hug the data from below;
@@ -262,15 +246,13 @@ def fit(family: Family, X, y, rng: Optional[RandomStream] = None,
     SingularDesign
         If the polynomial feature matrix has deficient rank.
     ValueError
-        If there are fewer points than polynomial parameters, the weights
-        are malformed, or an asymmetric loss is requested for a
-        polynomial family.
+        If there are fewer points than polynomial parameters, or an
+        asymmetric loss is requested for a polynomial family.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     if X.shape[0] != y.size:
         raise ValueError("X and y lengths differ")
-    w = _fit_weights(weights, y.size)
     if overpredict_weight < 0.0:
         raise ValueError("overpredict_weight must be >= 0")
     if isinstance(family, PolynomialFamily):
@@ -281,16 +263,14 @@ def fit(family: Family, X, y, rng: Optional[RandomStream] = None,
             raise ValueError(
                 f"need at least {family.n_parameters} points, got {y.size}")
         Phi = family.features(X)
-        sw = np.sqrt(w)
-        A = Phi * sw[:, None]
-        eta, _, rank, _ = np.linalg.lstsq(A, y * sw, rcond=None)
+        eta, _, rank, _ = np.linalg.lstsq(Phi, y, rcond=None)
         if rank < family.n_parameters:
             raise SingularDesign(
                 f"feature rank {rank} < {family.n_parameters} parameters")
         return RegressionSurrogate(family=family, eta=eta)
     gen = (rng or RandomStream(0, 0)).generator()
     eta0 = family.init_parameters(gen)
-    wn = w / w.sum()
+    wn = 1.0 / y.size
 
     def loss_grad(eta):
         pred, pullback = family.value_and_grad(eta, X)
@@ -420,43 +400,32 @@ def conservative_shift(model: RegressionSurrogate, X_test, y_test,
 # ---------------------------------------------------------------------------
 # first-order stochastic dominance machinery
 
-def _weighted_cdf(values: np.ndarray, weights: np.ndarray,
-                  anchors: np.ndarray) -> np.ndarray:
-    order = np.argsort(values, kind="stable")
-    v = values[order]
-    cw = np.cumsum(weights[order])
-    idx = np.searchsorted(v, anchors, side="right")
-    return np.where(idx > 0, cw[idx - 1], 0.0)
-
-
-def check_fsd(sample_a, sample_b, weights=None,
-              direction: str = CONSERVATIVE_LOW) -> float:
-    """Largest signed dominance violation between two weighted samples.
+def check_fsd(sample_a, sample_b, direction: str = CONSERVATIVE_LOW) -> float:
+    """Largest signed dominance violation between two equal-size samples.
 
     Under ``conservative-low`` the first sample must be stochastically
-    smaller: its weighted CDF must sit on or above the second's at every
-    anchor (the union of both samples' values).  The return value is the
-    worst signed gap; nonpositive means dominance holds.
+    smaller: its empirical CDF must sit on or above the second's at every
+    anchor (the union of both samples' values), which holds exactly when
+    its sorted values are at or below the second's, rank by rank.  The
+    return value is the worst CDF gap, counted exactly; nonpositive means
+    dominance holds.
     """
     a = np.asarray(sample_a, dtype=float).ravel()
     b = np.asarray(sample_b, dtype=float).ravel()
     if a.size != b.size:
         raise ValueError("samples must have equal length")
-    w = np.full(a.size, 1.0 / a.size) if weights is None \
-        else np.asarray(weights, dtype=float).ravel()
-    if w.size != a.size:
-        raise ValueError("weights length must match the samples")
     if direction not in (CONSERVATIVE_LOW, CONSERVATIVE_HIGH):
         raise ValueError(f"unknown direction {direction!r}")
-    return float(_exact_violations(a, b, w, direction).max())
+    return float(_exact_violations(a, b, direction).max())
 
 
 @dataclass
 class FSDFitResult:
     """Outcome of a dominance-constrained fit.
 
-    ``violations`` holds the exact-indicator signed slack at every anchor
-    for the returned shift.
+    ``violations`` holds, for the returned shift, the signed gap between
+    the empirical CDFs of the data and of the shifted predictions at every
+    anchor, from exact counts; all nonpositive means dominance holds.
     """
 
     surrogate: RegressionSurrogate
@@ -468,92 +437,51 @@ class FSDFitResult:
         return self.surrogate.predict(X) + self.theta_star
 
 
-def _exact_violations(pred_shifted: np.ndarray, y: np.ndarray, w: np.ndarray,
+def _exact_violations(pred_shifted: np.ndarray, y: np.ndarray,
                       direction: str) -> np.ndarray:
     # anchors: the union of both jump sets; dominance there implies
-    # dominance everywhere for step CDFs
+    # dominance everywhere for step CDFs.  Counts make the sign exact.
     anchors = np.concatenate([pred_shifted, y])
-    Fs = _weighted_cdf(pred_shifted, w, anchors)
-    Fy = _weighted_cdf(y, w, anchors)
+    Fs = np.searchsorted(np.sort(pred_shifted), anchors, "right")
+    Fy = np.searchsorted(np.sort(y), anchors, "right")
     gap = (Fy - Fs) if direction == CONSERVATIVE_LOW else (Fs - Fy)
-    # equal weights give both CDFs the same partial sums and an exact sign;
-    # unequal ones are summed in two orders, so gaps within rounding are redone
-    if (w != w[0]).any():
-        tol = 2.0 * w.size * np.finfo(float).eps * float(np.sum(w))
-        for i in np.flatnonzero(np.abs(gap) <= tol):
-            t = anchors[i]
-            exact = math.fsum(np.concatenate([w[y <= t], -w[pred_shifted <= t]]))
-            gap[i] = exact if direction == CONSERVATIVE_LOW else -exact
-    return gap
+    return gap / y.size
 
 
-def _quantile_match(p: np.ndarray, v: np.ndarray,
-                    w: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Rank matching of first-order dominance, ``p`` below ``v``.
-
-    Dominance compares sorted weighted quantiles (Dentcheva & Ruszczynski
-    2003).  Returns the order that sorts p and, for each sorted position k,
-    the bound vs[j] of the first datum whose cumulative weight exceeds that
-    of the predictions before k (inf where none does), so that ``p + theta``
-    is dominated by v iff ``p[order] + theta <= bounds``.  For any fixed
-    order the inequalities still imply dominance.
-    """
-    po, vo = np.argsort(p, kind="stable"), np.argsort(v, kind="stable")
-    wp, vs, wv = w[po], v[vo], w[vo]
-    cwp, cwv = np.cumsum(wp), np.cumsum(wv)
-    # k[j] is the first prediction whose cumulative weight reaches that of
-    # vs[j], decided in exact arithmetic
-    k = np.searchsorted(cwp, cwv, "left")
-    if (w != w[0]).any():
-        # unequal weights: a float comparison within rounding of a tie is
-        # decided by fsum (equal weights give identical partial sums)
-        tol = 2.0 * w.size * np.finfo(float).eps * float(cwp[-1])
-        lo = np.searchsorted(cwp, cwv - tol, "left")
-        hi = np.searchsorted(cwp, cwv + tol, "right")
-        for j in np.flatnonzero(lo < hi):
-            k[j] = next((i for i in range(lo[j], hi[j]) if math.fsum(
-                np.concatenate([wp[:i + 1], -wv[:j + 1]])) >= 0.0), hi[j])
-    # points of zero cumulative weight constrain nothing
-    pos = cwv > 0.0
-    j = np.searchsorted(k[pos], np.arange(p.size), "left")
-    return po, np.append(vs[pos], np.inf)[j]
-
-
-def _shift_limit(pred: np.ndarray, y: np.ndarray, w: np.ndarray,
-                 direction: str) -> float:
+def _shift_limit(pred: np.ndarray, y: np.ndarray, direction: str) -> float:
     """Extreme feasible shift for fixed surrogate values, in closed form.
 
     Under ``conservative-low`` every theta up to the smallest gap between
-    the matched bounds and the sorted predictions is feasible;
+    the sorted data and the sorted predictions is feasible;
     ``conservative-high`` negates both.  The result passes the exact check.
     """
     low = direction == CONSERVATIVE_LOW
     p, v = (pred, y) if low else (-pred, -y)
-    po, bounds = _quantile_match(p, v, w)
-    theta = np.min(bounds - p[po])
+    theta = np.min(np.sort(v, kind="stable") - np.sort(p, kind="stable"))
     theta = theta if low else -theta
     # theta carries the rounding of the gap, and pred + theta rounds again;
     # one ulp toward the feasible side absorbs both
     for _ in range(2):
-        if _exact_violations(pred + theta, y, w, direction).max() <= 0.0:
+        if _exact_violations(pred + theta, y, direction).max() <= 0.0:
             return float(theta)
         theta = np.nextafter(theta, -np.inf if low else np.inf)
     raise NonConvergence(f"shift {theta!r} fails the exact dominance check")
 
 
-def _profiled(family: Family, X: np.ndarray, y: np.ndarray, w: np.ndarray,
+def _profiled(family: Family, X: np.ndarray, y: np.ndarray,
               eta: np.ndarray, direction: str) -> Tuple[float, float]:
     """(objective, theta) of eta at its optimal feasible shift: the
     least-squares shift clipped to the feasible side."""
     pred, _ = family.value_and_grad(eta, X)
+    w = 1.0 / y.size
     t_ls = float(np.sum(w * (y - pred)))
-    limit = _shift_limit(pred, y, w, direction)
+    limit = _shift_limit(pred, y, direction)
     t = min(t_ls, limit) if direction == CONSERVATIVE_LOW else max(t_ls, limit)
     r = y - pred - t
     return float(np.sum(w * r * r)), t
 
 
-def _pattern_polish(family: Family, X: np.ndarray, y: np.ndarray, w: np.ndarray,
+def _pattern_polish(family: Family, X: np.ndarray, y: np.ndarray,
                     eta: np.ndarray, direction: str,
                     rounds: int = 80) -> Tuple[np.ndarray, float, float]:
     """Coordinate pattern search on the exact constrained objective.
@@ -565,7 +493,7 @@ def _pattern_polish(family: Family, X: np.ndarray, y: np.ndarray, w: np.ndarray,
     the network's readout bias) adds a constant to every prediction, which
     the profiled shift cancels exactly, so it is never moved.
     """
-    best, theta = _profiled(family, X, y, w, eta, direction)
+    best, theta = _profiled(family, X, y, eta, direction)
     offset = 0 if isinstance(family, PolynomialFamily) else eta.size - 1
     steps = 0.1 * np.maximum(np.abs(eta), 1.0)
     steps[offset] = 0.0
@@ -575,7 +503,7 @@ def _pattern_polish(family: Family, X: np.ndarray, y: np.ndarray, w: np.ndarray,
             for s in (steps[j], -steps[j]):
                 trial = eta.copy()
                 trial[j] += s
-                val, t = _profiled(family, X, y, w, trial, direction)
+                val, t = _profiled(family, X, y, trial, direction)
                 if val < best:
                     eta, best, theta = trial, val, t
                     improved = True
@@ -652,29 +580,28 @@ def _linear_head(family: Family, eta: np.ndarray, X: np.ndarray) -> np.ndarray:
     return np.column_stack([h, np.ones(h.shape[0])])
 
 
-def fsd_fit(family: Family, X, y, weights=None,
-            direction: str = CONSERVATIVE_LOW, restarts: int = 2,
-            epochs: int = 600, lr: float = 0.02,
+def fsd_fit(family: Family, X, y, direction: str = CONSERVATIVE_LOW,
+            restarts: int = 2, epochs: int = 600, lr: float = 0.02,
             rng: Optional[RandomStream] = None) -> FSDFitResult:
-    """Weighted least squares under stochastic dominance constraints.
+    """Least squares under first-order stochastic dominance constraints.
 
-    Minimizes ``sum_i w_i (y_i - g_eta(x_i) - theta)^2`` subject to the
-    shifted surrogate values dominating (or being dominated by) the data in
-    the first-order sense at every anchor.  Each start alternates, while
-    the exact objective falls, between sorting the predictions and
-    refitting the linear head (all polynomial coefficients, or a network's
-    readout) by least squares under the rank-matched quantile inequalities.
-    A pattern search on the exact problem then polishes the result, with
-    every trial's shift solved in closed form and confirmed by exact
-    indicators, so feasibility never rests on the least-squares solves.
+    Minimizes ``mean_i (y_i - g_eta(x_i) - theta)^2`` subject to the
+    shifted surrogate values being dominated by (or dominating) the data
+    in the first-order sense.  With equal weights that is: the k-th
+    smallest shifted prediction at most the k-th smallest datum, for every
+    rank k.  Each start alternates, while the exact objective falls,
+    between sorting the predictions and refitting the linear head (all
+    polynomial coefficients, or a network's readout) by least squares
+    under those order-statistic inequalities.  A pattern search on the
+    exact problem then polishes the result, with every trial's shift
+    solved in closed form and confirmed by exact counts, so feasibility
+    never rests on the least-squares solves.
 
     Parameters
     ----------
     family : PolynomialFamily or FeedforwardFamily
     X, y : array_like
         Training data.
-    weights : array_like, optional
-        As for :func:`fit`, then normalized to sum to 1; uniform by default.
     direction : str
         "conservative-low" (surrogate stochastically below the data) or
         "conservative-high".
@@ -688,41 +615,40 @@ def fsd_fit(family: Family, X, y, weights=None,
         raise ValueError(f"unknown direction {direction!r}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    w = _fit_weights(weights, y.size)
-    w = w / w.sum()
     gen = (rng or RandomStream(0, 0)).generator()
     start = fit(family, X, y, rng=rng, epochs=epochs, lr=lr)
 
     sign = 1.0 if direction == CONSERVATIVE_LOW else -1.0
-    sw = np.sqrt(w)
+    # rows scaled by sqrt(1/m): the least-squares objective is the mean
+    sw = math.sqrt(1.0 / y.size)
+    bounds = np.sort(sign * y, kind="stable")
 
     def one_start(eta):
-        best, _ = _profiled(family, X, y, w, eta, direction)
+        best, _ = _profiled(family, X, y, eta, direction)
         for _ in range(100):
             # refit the linear head under the inequalities matched to the
             # current ranks; the current point with its feasible shift
             # satisfies them, and the head's ones column absorbs the shift
             H = _linear_head(family, eta, X)
             n = H.shape[1]
-            po, bounds = _quantile_match(sign * (H @ eta[-n:]), sign * y, w)
-            keep = np.isfinite(bounds)
-            z = _lsi(H * sw[:, None], y * sw, sign * H[po[keep]], bounds[keep])
+            po = np.argsort(sign * (H @ eta[-n:]), kind="stable")
+            z = _lsi(H * sw, y * sw, sign * H[po], bounds)
             if z is None:
                 break
             trial = eta.copy()
             trial[-n:] = z
-            val, _ = _profiled(family, X, y, w, trial, direction)
+            val, _ = _profiled(family, X, y, trial, direction)
             if not val < best:
                 break
             eta, best = trial, val
-        return _pattern_polish(family, X, y, w, eta, direction)
+        return _pattern_polish(family, X, y, eta, direction)
 
     scale = float(np.std(start.eta)) or 1.0
     starts = [start.eta] + [start.eta + gen.normal(0.0, 0.2 * scale, start.eta.size)
                             for _ in range(restarts)]
     eta, theta, _ = min((one_start(s0) for s0 in starts), key=lambda c: c[2])
     pred, _ = family.value_and_grad(eta, X)
-    viol = _exact_violations(pred + theta, y, w, direction)
+    viol = _exact_violations(pred + theta, y, direction)
     surrogate = RegressionSurrogate(family=family, eta=eta)
     return FSDFitResult(surrogate=surrogate, theta_star=float(theta),
                         violations=viol, direction=direction)

@@ -1,0 +1,44 @@
+"""Code outside the package still finds every name it uses.
+
+The scripts and the benchmark's span recorder look rarebound names up by
+attribute, so a deleted or renamed name fails only when they run.  These
+tests load them the way they are used, without running them.
+"""
+
+import importlib.util
+import pathlib
+import sys
+
+import pytest
+
+import rarebound
+import rarebound.cli
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SCRIPTS = sorted((ROOT / "scripts").glob("*.py"))
+
+
+def load(path, monkeypatch):
+    # scripts put src/ on sys.path when imported; keep that local to the test
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location(f"_loaded_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("path", SCRIPTS, ids=[p.name for p in SCRIPTS])
+def test_script_imports(path, monkeypatch):
+    assert callable(load(path, monkeypatch).main)
+
+
+def test_benchmark_tracing_installs(monkeypatch):
+    tracing = load(ROOT / "perfbench" / "tracing.py", monkeypatch)
+    recorder = tracing.Recorder()
+    original = rarebound.cli.fsd_fit
+    try:
+        recorder.install(rarebound)
+        assert rarebound.cli.fsd_fit is not original
+    finally:
+        recorder.uninstall()
+    assert rarebound.cli.fsd_fit is original

@@ -10,12 +10,10 @@ from rarebound.core import (
     HIGH_PROBABILITY,
     BlackBoxFunction,
     DimensionMismatch,
-    InconsistentBounds,
     MCEstimate,
     ProbabilityBounds,
     RandomStream,
     eval_batch,
-    intersect_bounds,
     mc_estimate,
     surrogate_mc_estimate,
 )
@@ -110,34 +108,6 @@ class TestProbabilityBounds:
             ProbabilityBounds(0.1, 0.2, kind=HIGH_PROBABILITY)  # needs alpha
         with pytest.raises(ValueError):
             ProbabilityBounds(0.1, 0.2, alpha=0.05)  # deterministic + alpha
-
-    def test_intersection(self):
-        a = ProbabilityBounds(0.1, 0.5, queries_used=10)
-        b = ProbabilityBounds(0.3, 0.8, queries_used=5)
-        c = intersect_bounds(a, b)
-        assert (c.lower, c.upper) == (0.3, 0.5)
-        assert c.kind == DETERMINISTIC
-        assert c.queries_used == 15
-
-    def test_intersection_alpha_adds(self):
-        a = ProbabilityBounds(0.1, 0.5, kind=HIGH_PROBABILITY, alpha=0.01)
-        b = ProbabilityBounds(0.2, 0.6, kind=HIGH_PROBABILITY, alpha=0.02)
-        c = intersect_bounds(a, b)
-        assert c.kind == HIGH_PROBABILITY
-        assert c.alpha == pytest.approx(0.03)
-
-    @pytest.mark.parametrize("alphas", [(0.6, 0.6), (0.5, 0.5)])
-    def test_intersection_without_coverage_raises(self, alphas):
-        a = ProbabilityBounds(0.1, 0.5, kind=HIGH_PROBABILITY, alpha=alphas[0])
-        b = ProbabilityBounds(0.2, 0.6, kind=HIGH_PROBABILITY, alpha=alphas[1])
-        with pytest.raises(ValueError, match="alpha"):
-            intersect_bounds(a, b)
-
-    def test_disjoint_raises(self):
-        a = ProbabilityBounds(0.1, 0.2)
-        b = ProbabilityBounds(0.3, 0.4)
-        with pytest.raises(InconsistentBounds):
-            intersect_bounds(a, b)
 
 
 class TestMCEstimate:

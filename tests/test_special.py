@@ -133,6 +133,15 @@ class TestErrors:
     def test_nonconvergence_is_runtime_error(self):
         assert issubclass(NonConvergence, RuntimeError)
 
+    @pytest.mark.parametrize("quantile, args", [
+        (gamma_quantile, (2.0,)), (beta_quantile, (2.0, 3.0)),
+        (normal_quantile, ()),
+    ], ids=["gamma", "beta", "normal"])
+    def test_nan_gives_nan_in_a_batch(self, quantile, args):
+        out = quantile(np.array([np.nan, 0.5]), *args)
+        assert np.isnan(out[0])
+        assert out[1] == quantile(0.5, *args)
+
 
 class TestGammaQuantileOnePoint:
     """A single point takes a path on Python floats; it must track the

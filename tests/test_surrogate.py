@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rarebound.bench import make_example1
 from rarebound.core import RandomStream
@@ -151,33 +153,6 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(PolynomialFamily(2, 1), np.zeros((3, 2)), np.zeros(4))
 
-    def test_negative_weights(self):
-        X, y = quad_data(10)
-        with pytest.raises(ValueError):
-            fit(PolynomialFamily(2, 1), X, y, weights=-np.ones(10))
-
-    def test_weights_of_wrong_length(self):
-        # one weight would broadcast and give the unweighted fit
-        X, y = quad_data(10)
-        with pytest.raises(ValueError, match="weights"):
-            fit(PolynomialFamily(2, 1), X, y, weights=[3.0])
-
-    def test_weights_that_all_vanish(self):
-        # normalizing zero weights divides by zero, and training would
-        # return its initial parameters
-        X, y = quad_data(10)
-        with pytest.raises(ValueError, match="vanish"):
-            fit(FeedforwardFamily(2, (3,)), X, y, rng=RandomStream(1, 0),
-                weights=np.zeros(10), epochs=10)
-
-    @pytest.mark.parametrize("weights", [[1.0] * 9, [np.nan] + [1.0] * 9,
-                                         [np.inf] + [1.0] * 9, [0.0] * 10],
-                             ids=["short", "nan", "inf", "zero"])
-    def test_fsd_fit_checks_weights(self, weights):
-        X, y = quad_data(10)
-        with pytest.raises(ValueError):
-            fsd_fit(PolynomialFamily(2, 1), X, y, weights=weights)
-
     def test_overpredict_weight_validation(self):
         X, y = quad_data(10)
         with pytest.raises(ValueError):
@@ -305,21 +280,34 @@ class TestCheckFSD:
         assert check_fsd(a, b) == pytest.approx(0.5)
 
     def test_all_below_holds_for_any_weights(self):
-        # the two weighted CDFs are summed in different orders, so their
-        # totals can differ in the last bit; that must not read as a violation
+        # integer weights, as repeated points: every CDF is a count, so
+        # the two totals agree exactly and no gap reads as a violation
         gen = np.random.default_rng(17)
         for _ in range(50):
-            b = gen.random(30)
-            w = gen.random(30)
-            assert check_fsd(-1.0 - b, b, weights=w) <= 0.0
-            assert check_fsd(b, -1.0 - b, weights=w,
-                             direction=CONSERVATIVE_HIGH) <= 0.0
+            k = gen.integers(1, 6, 30)
+            b = np.repeat(gen.random(30), k)
+            assert check_fsd(-1.0 - b, b) <= 0.0
+            assert check_fsd(b, -1.0 - b, direction=CONSERVATIVE_HIGH) <= 0.0
+
+    @given(st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
+                    min_size=1, max_size=40),
+           st.sampled_from([None, 0, 1]))
+    @settings(max_examples=300, deadline=None)
+    def test_dominance_is_sorted_order(self, pairs, decimals):
+        # equal weights: a is below b in the first-order sense exactly when
+        # its order statistics are, rank by rank (ties made by rounding)
+        a, b = np.array(pairs).T
+        if decimals is not None:
+            a, b = np.round(a, decimals), np.round(b, decimals)
+        below = bool(np.all(np.sort(a) <= np.sort(b)))
+        assert (check_fsd(a, b) <= 0.0) == below
+        assert (check_fsd(b, a, direction=CONSERVATIVE_HIGH) <= 0.0) == below
+        above = bool(np.all(np.sort(a) >= np.sort(b)))
+        assert (check_fsd(a, b, direction=CONSERVATIVE_HIGH) <= 0.0) == above
 
     def test_errors(self):
         with pytest.raises(ValueError):
             check_fsd([0.1], [0.1, 0.2])
-        with pytest.raises(ValueError):
-            check_fsd([0.1, 0.2], [0.1, 0.2], weights=[1.0])
         with pytest.raises(ValueError):
             check_fsd([0.1], [0.2], direction="sideways")
 
@@ -397,7 +385,7 @@ class TestFSDFit:
         fam = PolynomialFamily(3, 2)
         res = fsd_fit(fam, X, y, restarts=0, rng=rng.derive(1))
         w = np.full(y.size, 1.0 / y.size)
-        _, _, polished = _pattern_polish(fam, X, y, w, fit(fam, X, y).eta,
+        _, _, polished = _pattern_polish(fam, X, y, fit(fam, X, y).eta,
                                          CONSERVATIVE_LOW)
         assert res.violations.max() <= 0.0
         assert np.sum(w * (y - res.predict(X)) ** 2) <= polished
@@ -436,24 +424,24 @@ class TestLSI:
         assert _lsi(np.ones((3, 2)), np.zeros(3), np.eye(2), np.ones(2)) is None
 
 
-def _feasible(pred, y, w, theta, direction):
-    return _exact_violations(pred + theta, y, w, direction).max() <= 0.0
+def _feasible(pred, y, theta, direction):
+    return _exact_violations(pred + theta, y, direction).max() <= 0.0
 
 
-def _bisected_shift(pred, y, w, direction):
+def _bisected_shift(pred, y, direction):
     """Reference for the closed form: bisection on the exact check."""
     span = 1.0 + np.ptp(np.concatenate([pred, y]))
     if direction == CONSERVATIVE_LOW:
         ok, bad = y.min() - pred.max() - span, y.max() - pred.min() + span
     else:
         ok, bad = y.max() - pred.min() + span, y.min() - pred.max() - span
-    assert _feasible(pred, y, w, ok, direction)
-    assert not _feasible(pred, y, w, bad, direction)
+    assert _feasible(pred, y, ok, direction)
+    assert not _feasible(pred, y, bad, direction)
     for _ in range(200):
         mid = 0.5 * (ok + bad)
         if mid in (ok, bad):
             break
-        if _feasible(pred, y, w, mid, direction):
+        if _feasible(pred, y, mid, direction):
             ok = mid
         else:
             bad = mid
@@ -472,50 +460,43 @@ class TestShiftLimit:
             pred = y + gen.normal(size=m) * gen.choice([0.01, 0.3, 3.0])
             if ties:
                 y, pred = np.round(y, 1), np.round(pred, 1)
-            if weighting == "uniform":
-                w = np.full(m, 1.0 / m)
-            elif weighting == "random":
-                w = gen.random(m)
-                w /= w.sum()
-            else:
-                # tenths, zeros included: subsets with equal decimal sums,
-                # such as 0.1 + 0.2 and 0.3, differ by less than rounding
-                w = gen.integers(0, 4, m) / 10.0
-                w[0] = 0.1
-            theta = _shift_limit(pred, y, w, direction)
-            assert _feasible(pred, y, w, theta, direction)
+            # integer weights act as repeated points: random ones from 1
+            # to 9, or decimal weights 0.0-0.3 as counts of tenths, where a
+            # zero drops its point
+            if weighting != "uniform":
+                k = gen.integers(1, 10, m) if weighting == "random" \
+                    else gen.integers(0, 4, m)
+                k[0] = max(k[0], 1)
+                y, pred = np.repeat(y, k), np.repeat(pred, k)
+            theta = _shift_limit(pred, y, direction)
+            assert _feasible(pred, y, theta, direction)
             step = 1e-12 * max(1.0, abs(theta))
             beyond = theta + step if direction == CONSERVATIVE_LOW else theta - step
-            assert not _feasible(pred, y, w, beyond, direction)
-            ref = _bisected_shift(pred, y, w, direction)
+            assert not _feasible(pred, y, beyond, direction)
+            ref = _bisected_shift(pred, y, direction)
             assert abs(theta - ref) <= 1e-12 * max(1.0, abs(ref))
 
-    def test_zero_weight_points_constrain_nothing(self):
-        pred = np.array([0.0, 10.0])
-        w = np.array([0.0, 1.0])
-        # the zero-weight point is the lowest datum, then the highest
-        assert _shift_limit(pred, np.array([-5.0, 10.0]), w, CONSERVATIVE_LOW) == 0.0
-        assert _shift_limit(pred, np.array([15.0, 10.0]), w, CONSERVATIVE_HIGH) == 0.0
-
     def test_weighted_fit_returns_feasible(self):
-        # every shift looked infeasible when the two weighted CDF totals
-        # differed in the last bit, and the fit never returned
+        # integer weights as repeated points: every rank-matched inequality
+        # then comes in identical copies, and the fit must still return
+        # a feasible result
         gen = np.random.default_rng(2)
         X = gen.random((30, 1))
         y = X[:, 0] ** 2 + 0.3 * gen.standard_normal(30)
-        w = gen.random(30)
+        k = gen.integers(1, 5, 30)
+        X, y = np.repeat(X, k, axis=0), np.repeat(y, k)
         def hang(signum, frame):
             raise TimeoutError("weighted fsd_fit did not return")
 
         previous = signal.signal(signal.SIGALRM, hang)
         signal.alarm(60)
         try:
-            res = fsd_fit(PolynomialFamily(1, 1), X, y, weights=w, restarts=0)
+            res = fsd_fit(PolynomialFamily(1, 1), X, y, restarts=0)
         finally:
             signal.alarm(0)
             signal.signal(signal.SIGALRM, previous)
         assert res.violations.max() <= 0.0
-        assert check_fsd(res.predict(X), y, weights=w) <= 0.0
+        assert check_fsd(res.predict(X), y) <= 0.0
 
 
 class TestPatternPolish:
@@ -531,10 +512,10 @@ class TestPatternPolish:
         y = y + 0.2 * np.sin(6.0 * X[:, 0])
         w = np.full(y.size, 1.0 / y.size)
         eta0 = np.random.default_rng(19).normal(0.0, 0.5, family.n_parameters)
-        eta, theta, best = _pattern_polish(family, X, y, w, eta0,
+        eta, theta, best = _pattern_polish(family, X, y, eta0,
                                            CONSERVATIVE_LOW)
         assert eta[offset] == eta0[offset]
         assert not np.array_equal(eta, eta0)
         pred, _ = family.value_and_grad(eta, X)
-        assert _exact_violations(pred + theta, y, w, CONSERVATIVE_LOW).max() <= 0.0
+        assert _exact_violations(pred + theta, y, CONSERVATIVE_LOW).max() <= 0.0
         assert best == pytest.approx(np.sum(w * (y - pred - theta) ** 2))
