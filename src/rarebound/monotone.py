@@ -27,9 +27,7 @@ from .core import (DETERMINISTIC, HIGH_PROBABILITY, BlackBoxFunction,
 
 __all__ = [
     "MonotonicityViolation",
-    "OverlappingRegions",
     "SamplerStalled",
-    "dominates",
     "is_antichain",
     "maximal_points",
     "minimal_points",
@@ -54,30 +52,12 @@ class MonotonicityViolation(RuntimeError):
     """Observed labels contradict coordinatewise monotonicity."""
 
 
-class OverlappingRegions(ValueError):
-    """Fail and safe certified regions intersect (or pieces conflict)."""
-
-
 class SamplerStalled(RuntimeError):
     """A region sampler could not produce a point within its attempt cap."""
 
 
 # ---------------------------------------------------------------------------
 # dominance primitives
-
-def dominates(u, v) -> bool:
-    """Componentwise u <= v (u is dominated by v)."""
-    u = np.asarray(u, dtype=float)
-    v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise DimensionMismatch(f"shape mismatch {u.shape} vs {v.shape}")
-    return bool(np.all(u <= v))
-
-
-def _pairwise_leq(P: np.ndarray) -> np.ndarray:
-    """Boolean matrix M[i, j] = (P[i] <= P[j] componentwise)."""
-    return np.all(P[:, None, :] <= P[None, :, :], axis=2)
-
 
 def _covered(X: np.ndarray, G: np.ndarray, cmp=np.less_equal) -> np.ndarray:
     """Rows x of X with ``cmp(x_k, g_k)`` in every coordinate k for some row g
@@ -93,46 +73,46 @@ def _covered(X: np.ndarray, G: np.ndarray, cmp=np.less_equal) -> np.ndarray:
     return hit.any(axis=1)
 
 
+def _check_disjoint(S: np.ndarray, F: np.ndarray) -> None:
+    """Raise if a row of S lies componentwise below a row of F: the upper
+    orthants of S then meet the lower orthants of F."""
+    if _covered(S, F).any():
+        raise MonotonicityViolation(
+            "a safe point is componentwise below a fail point")
+
+
+def _check_cube(P: np.ndarray, tol: float) -> None:
+    """Raise unless every coordinate lies in [-tol, 1 + tol]; NaN fails
+    every comparison, so it is rejected too."""
+    if not np.all((P >= -tol) & (P <= 1.0 + tol)):
+        raise ValueError("points must lie in the unit cube")
+
+
+def maximal_points(P) -> np.ndarray:
+    """Antichain of maximal points: same union of lower orthants.  Exact
+    duplicates collapse; rows come out in lexicographic order."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    if P.shape[0] <= 1:
+        return P.copy()
+    P = np.unique(P, axis=0)
+    leq = np.all(P[:, None, :] <= P[None, :, :], axis=2)
+    np.fill_diagonal(leq, False)
+    return P[~leq.any(axis=1)]
+
+
+def minimal_points(P) -> np.ndarray:
+    """Antichain of minimal points: same union of upper orthants.  Negation
+    is exact: rows are input rows, in reverse lexicographic order."""
+    return -maximal_points(-np.asarray(P, dtype=float))
+
+
 def is_antichain(P) -> bool:
     """True when no point is componentwise below a distinct point.
 
     Set semantics: exact duplicate rows are collapsed first.
     """
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    if P.shape[0] <= 1:
-        return True
-    P = np.unique(P, axis=0)
-    if P.shape[0] == 1:
-        return True
-    leq = _pairwise_leq(P)
-    np.fill_diagonal(leq, False)
-    return not bool(leq.any())
-
-
-def maximal_points(P) -> np.ndarray:
-    """Antichain of maximal points: same union of lower orthants."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    if P.shape[0] <= 1:
-        return P.copy()
-    P = np.unique(P, axis=0)
-    if P.shape[0] == 1:
-        return P
-    leq = _pairwise_leq(P)
-    np.fill_diagonal(leq, False)
-    return P[~leq.any(axis=1)]
-
-
-def minimal_points(P) -> np.ndarray:
-    """Antichain of minimal points: same union of upper orthants."""
-    P = np.atleast_2d(np.asarray(P, dtype=float))
-    if P.shape[0] <= 1:
-        return P.copy()
-    P = np.unique(P, axis=0)
-    if P.shape[0] == 1:
-        return P
-    geq = _pairwise_leq(P).T
-    np.fill_diagonal(geq, False)
-    return P[~geq.any(axis=1)]
+    return maximal_points(P).shape[0] == np.unique(P, axis=0).shape[0]
 
 
 # ---------------------------------------------------------------------------
@@ -162,11 +142,7 @@ def _vol_lower_union(P: np.ndarray) -> float:
     vol = 0.0
     proj_arr = np.empty((0, d - 1))
     for k in range(Ps.shape[0]):
-        pk = Ps[k, :-1]
-        if proj_arr.shape[0] == 0 or not np.any(np.all(proj_arr >= pk, axis=1)):
-            if proj_arr.shape[0]:
-                proj_arr = proj_arr[~np.all(proj_arr <= pk, axis=1)]
-            proj_arr = np.vstack([proj_arr, pk[None, :]])
+        proj_arr = _insert_maximal(proj_arr, Ps[k, :-1])
         z_next = heights[k + 1] if k + 1 < Ps.shape[0] else 0.0
         dz = heights[k] - z_next
         if dz > 0.0:
@@ -174,10 +150,9 @@ def _vol_lower_union(P: np.ndarray) -> float:
     return vol
 
 
-def _check_points(P, clip_tol: float = 1e-12) -> np.ndarray:
+def _check_points(P) -> np.ndarray:
     P = np.atleast_2d(np.asarray(P, dtype=float))
-    if np.any(P < -clip_tol) or np.any(P > 1.0 + clip_tol):
-        raise ValueError("points must lie in the unit cube")
+    _check_cube(P, 1e-12)
     return np.clip(P, 0.0, 1.0)
 
 
@@ -187,18 +162,12 @@ def lower_orthant_volume(P) -> float:
     Cost grows quickly with dimension (slab recursion); intended for
     d <= 6.  Higher dimensions should use :func:`orthant_volume_mc`.
     """
-    P = _check_points(P)
-    if P.shape[0] == 0:
-        return 0.0
-    return _vol_lower_union(maximal_points(P))
+    return _vol_lower_union(maximal_points(_check_points(P)))
 
 
 def upper_orthant_volume(P) -> float:
     """Exact volume of union_i [P_i, 1]."""
-    P = _check_points(P)
-    if P.shape[0] == 0:
-        return 0.0
-    return _vol_lower_union(maximal_points(1.0 - P))
+    return _vol_lower_union(maximal_points(1.0 - _check_points(P)))
 
 
 def _delta_lower_volume(pruned: np.ndarray, x: np.ndarray) -> float:
@@ -316,22 +285,11 @@ class LabeledDesign:
             if vals.shape != (P.shape[0],):
                 raise ValueError("values must match the number of points")
             object.__setattr__(self, "values", vals)
-        if P.size and (P.min() < 0.0 or P.max() > 1.0):
-            raise ValueError("points must lie in the unit cube")
+        _check_cube(P, 0.0)
 
     @property
     def dimension(self) -> int:
         return self.points.shape[1]
-
-    def check_consistency(self) -> None:
-        """Raise if some safe point is dominated by some fail point."""
-        F = self.points[self.fail]
-        S = self.points[~self.fail]
-        if F.shape[0] == 0 or S.shape[0] == 0:
-            return
-        if _covered(S, F).any():
-            raise MonotonicityViolation(
-                "a safe point is componentwise below a fail point")
 
 
 @dataclass(frozen=True)
@@ -341,9 +299,12 @@ class StaircaseRegion:
     ``fail_generators`` and ``safe_generators`` are antichains; their
     lower and upper orthant unions must be disjoint, which for antichains
     reduces to no safe generator being dominated by a fail generator.
-    The constructor checks both conditions.  :meth:`with_fail` and
-    :meth:`with_safe` keep them by construction: the insert keeps an
-    antichain, and each refuses a point that contradicts the other side.
+    The constructor checks both conditions, and that the generators lie
+    in the unit cube.  :meth:`with_fail` and :meth:`with_safe` keep them
+    by construction: the insert keeps an antichain, and each refuses a
+    point that contradicts the other side.  Every such conflict, a safe
+    point componentwise below a fail point, raises
+    :class:`MonotonicityViolation`.
     """
 
     fail_generators: np.ndarray   # (m1, d) maximal antichain
@@ -356,12 +317,9 @@ class StaircaseRegion:
 
     @classmethod
     def from_design(cls, design: LabeledDesign) -> "StaircaseRegion":
-        design.check_consistency()
-        F = maximal_points(design.points[design.fail]) if design.fail.any() \
-            else np.empty((0, design.dimension))
-        S = minimal_points(design.points[~design.fail]) if (~design.fail).any() \
-            else np.empty((0, design.dimension))
-        return cls(F, S, design.dimension)
+        return cls(maximal_points(design.points[design.fail]),
+                   minimal_points(design.points[~design.fail]),
+                   design.dimension)
 
     def __post_init__(self):
         F = np.atleast_2d(np.asarray(self.fail_generators, dtype=float))
@@ -374,11 +332,10 @@ class StaircaseRegion:
         object.__setattr__(self, "safe_generators", S)
         if F.shape[1] != self.dimension or S.shape[1] != self.dimension:
             raise DimensionMismatch("generator dimension mismatch")
+        _check_cube(np.vstack([F, S]), 0.0)
         if not is_antichain(F) or not is_antichain(S):
             raise ValueError("generators must form antichains")
-        if _covered(S, F).any():
-            raise OverlappingRegions(
-                "certified fail and safe orthants intersect")
+        _check_disjoint(S, F)
 
     def contains_batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -395,19 +352,13 @@ class StaircaseRegion:
 
     def with_fail(self, x) -> "StaircaseRegion":
         x = np.asarray(x, dtype=float)
-        if self.safe_generators.shape[0] and \
-                np.any(np.all(x >= self.safe_generators, axis=1)):
-            raise MonotonicityViolation(
-                "fail point dominates a safe generator")
+        _check_disjoint(self.safe_generators, x[None, :])
         return self._updated(_insert_maximal(self.fail_generators, x),
                              self.safe_generators)
 
     def with_safe(self, x) -> "StaircaseRegion":
         x = np.asarray(x, dtype=float)
-        if self.fail_generators.shape[0] and \
-                np.any(np.all(x <= self.fail_generators, axis=1)):
-            raise MonotonicityViolation(
-                "safe point is dominated by a fail generator")
+        _check_disjoint(x[None, :], self.fail_generators)
         # negation is exact, so the stored generator is the observed point
         return self._updated(self.fail_generators,
                              -_insert_maximal(-self.safe_generators, -x))
@@ -422,10 +373,8 @@ class StaircaseRegion:
 
     def volume_bounds(self) -> Tuple[float, float]:
         """(vol of certified fail set, 1 - vol of certified safe set)."""
-        lo = _vol_lower_union(self.fail_generators)
-        hi = 1.0 - _vol_lower_union(1.0 - self.safe_generators) \
-            if self.safe_generators.shape[0] else 1.0
-        return lo, hi
+        return (_vol_lower_union(self.fail_generators),
+                1.0 - _vol_lower_union(1.0 - self.safe_generators))
 
 
 def bounds_from_design(design: LabeledDesign,
@@ -448,11 +397,9 @@ def bounds_from_design(design: LabeledDesign,
     n = _MC_VOLUME_N
     margin = float(np.sqrt(np.log(2.0 / _MC_ALPHA) / (2.0 * n)))
     lo_hat, _ = orthant_volume_mc(region.fail_generators, upper=False, n=n,
-                                  rng=rng.derive(0)) \
-        if region.fail_generators.shape[0] else (0.0, 0.0)
+                                  rng=rng.derive(0))
     hi_hat, _ = orthant_volume_mc(region.safe_generators, upper=True, n=n,
-                                  rng=rng.derive(1)) \
-        if region.safe_generators.shape[0] else (0.0, 0.0)
+                                  rng=rng.derive(1))
     lower = max(0.0, lo_hat - margin)
     upper = min(1.0, 1.0 - hi_hat + margin)
     return ProbabilityBounds(lower, max(lower, upper), kind=HIGH_PROBABILITY,
@@ -500,7 +447,9 @@ class RejectionSampler:
                 f"collected {len(out)}/{n} region points in {spent} uniform draws")
         return np.array(out)
 
+    @property
     def acceptance_rate(self) -> float:
+        """Fraction of uniform candidates that landed in the region."""
         if self.attempts == 0:
             return 1.0
         return self.draws / self.attempts
@@ -662,6 +611,10 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
     ----------
     f : BlackBoxFunction
         Componentwise nondecreasing in the orientation already applied.
+        This is assumed, not tested: every query lies in the undecided
+        region, so no label can contradict an earlier one and
+        :class:`MonotonicityViolation` is never raised; a non-monotone
+        ``f`` gives bounds without a guarantee.
     budget : int
         Total oracle queries.
     rng : RandomStream
@@ -724,7 +677,7 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         need = n - pool.shape[0]
         if sampler == "auto" and walker is None \
                 and rejection.attempts >= 8 * rejection.chunk \
-                and rejection.acceptance_rate() < SWITCH_ACCEPTANCE:
+                and rejection.acceptance_rate < SWITCH_ACCEPTANCE:
             walker = make_walker()
             name = "auto(rejection->mcmc)"
         if walker is not None:

@@ -15,6 +15,15 @@ PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "rarebound"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
+def _listed_in_all(tree):
+    """The strings of a module-level ``__all__``."""
+    return {c.value for node in tree.body if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "__all__"
+                    for t in node.targets)
+            for c in ast.walk(node.value)
+            if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+
+
 def unused_imports(source):
     """Names bound by module-level imports that the module never reads."""
     tree = ast.parse(source)
@@ -28,11 +37,7 @@ def unused_imports(source):
                 imported[alias.asname or alias.name] = node.lineno
     used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
     # names listed in __all__ are exported, which counts as a use
-    for node in tree.body:
-        if isinstance(node, ast.Assign) and any(
-                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
-            used |= {c.value for c in ast.walk(node.value)
-                     if isinstance(c, ast.Constant) and isinstance(c.value, str)}
+    used |= _listed_in_all(tree)
     return sorted(f"{name} (line {line})" for name, line in imported.items()
                   if name not in used)
 
@@ -49,18 +54,13 @@ def unreferenced_definitions(sources):
 
     ``sources`` maps a module name to its text.  A definition counts as
     used when its name is read outside its own body anywhere in the
-    sources, or listed in an ``__all__``.
+    sources, or listed in the ``__all__`` of ``__init__.py``, the
+    package's public interface.  A module's own ``__all__`` does not
+    count, so it cannot hide a definition that nothing reaches.
     """
     trees = {name: ast.parse(text) for name, text in sources.items()}
     reads = sum((_references(t) for t in trees.values()), collections.Counter())
-    exported = set()
-    for tree in trees.values():
-        for node in tree.body:
-            if isinstance(node, ast.Assign) and any(
-                    isinstance(t, ast.Name) and t.id == "__all__"
-                    for t in node.targets):
-                exported |= {c.value for c in ast.walk(node.value)
-                             if isinstance(c, ast.Constant)}
+    exported = _listed_in_all(ast.parse(sources.get("__init__.py", "")))
     return sorted(
         f"{module}: {node.name} (line {node.lineno})"
         for module, tree in trees.items() for node in tree.body
@@ -85,16 +85,20 @@ def test_no_unused_imports(path):
 
 def test_scan_finds_unreferenced_definitions():
     sources = {
-        "a.py": "__all__ = ['api']\n"
+        "__init__.py": "from .a import api\n__all__ = ['api']\n",
+        "a.py": "__all__ = ['api', 'listed']\n"
                 "def api():\n    return _helper()\n"
                 "def _helper():\n    return 1\n"
-                "def _recursive(n):\n    return _recursive(n - 1)\n",
+                "def _recursive(n):\n    return _recursive(n - 1)\n"
+                "def listed():\n    return 2\n",
         "b.py": "class Used:\n    pass\n"
                 "class Unused:\n    pass\n"
                 "def caller(m):\n    return m.Used()\n",
     }
+    # listed() is in a module __all__ but not the package's: still dead
     assert unreferenced_definitions(sources) == [
-        "a.py: _recursive (line 6)", "b.py: Unused (line 3)", "b.py: caller (line 5)"]
+        "a.py: _recursive (line 6)", "a.py: listed (line 8)",
+        "b.py: Unused (line 3)", "b.py: caller (line 5)"]
 
 
 def test_every_definition_is_referenced():

@@ -10,13 +10,11 @@ from rarebound.core import DETERMINISTIC, HIGH_PROBABILITY, RandomStream
 from rarebound.monotone import (
     LabeledDesign,
     MonotonicityViolation,
-    OverlappingRegions,
     RejectionSampler,
     SamplerStalled,
     SelectionConfig,
     StaircaseRegion,
     bounds_from_design,
-    dominates,
     is_antichain,
     lower_orthant_volume,
     maximal_points,
@@ -59,11 +57,6 @@ def contains(region, x):
 
 
 class TestDominance:
-    def test_dominates(self):
-        assert dominates([0.1, 0.2], [0.1, 0.3])
-        assert dominates([0.1, 0.2], [0.1, 0.2])
-        assert not dominates([0.2, 0.2], [0.1, 0.3])
-
     def test_antichain(self):
         assert is_antichain(np.array([[0.2, 0.8], [0.8, 0.2]]))
         assert not is_antichain(np.array([[0.2, 0.2], [0.8, 0.8]]))
@@ -128,6 +121,20 @@ class TestOrthantVolumes:
         with pytest.raises(ValueError):
             lower_orthant_volume(np.array([[1.2, 0.5]]))
 
+    @pytest.mark.parametrize("call", [
+        lambda P: LabeledDesign(np.vstack([P, [[0.2, 0.2]]]),
+                                np.array([True, False])),
+        lower_orthant_volume,
+        upper_orthant_volume,
+        orthant_volume_mc,
+        lambda P: StaircaseRegion(P, np.empty((0, 2)), 2),
+    ], ids=["design", "lower", "upper", "mc", "region"])
+    def test_nan_is_outside_the_cube(self, call):
+        # NaN fails every comparison, so a check for coordinates below 0
+        # or above 1 lets it through; each entry point must reject it
+        with pytest.raises(ValueError, match="unit cube"):
+            call(np.array([[np.nan, 0.5]]))
+
 
 class TestStaircase2:
     """The sorted 2-D staircase against the generic volume and region code."""
@@ -179,9 +186,38 @@ class TestLabeledDesign:
         pts = np.array([[0.6, 0.6], [0.4, 0.4]])
         bad = LabeledDesign(pts, np.array([True, False]))
         with pytest.raises(MonotonicityViolation):
-            bad.check_consistency()
+            StaircaseRegion.from_design(bad)
         ok = LabeledDesign(pts, np.array([False, True]))
-        ok.check_consistency()
+        StaircaseRegion.from_design(ok)
+
+    @given(st.integers(0, 10_000), st.integers(0, 10), st.integers(1, 4),
+           st.booleans())
+    @settings(max_examples=80, deadline=None)
+    def test_from_design_matches_brute_force(self, seed, m, d, monotone):
+        # coordinates on a 4-level grid, so rows tie exactly in some or all
+        # coordinates; a threshold on the coordinate sum labels
+        # monotonically, random labels mostly conflict
+        gen = np.random.default_rng(seed)
+        P = gen.integers(0, 4, (m, d)) / 3.0
+        fail = P.sum(axis=1) < 0.5 * d if monotone else gen.random(m) < 0.5
+        design = LabeledDesign(P, fail)
+
+        def leq(a, b):
+            return all(u <= v for u, v in zip(a, b))
+
+        F = {tuple(x) for x in P[fail]}
+        S = {tuple(x) for x in P[~fail]}
+        if any(leq(s, f) for s in S for f in F):
+            with pytest.raises(MonotonicityViolation):
+                StaircaseRegion.from_design(design)
+            return
+        r = StaircaseRegion.from_design(design)
+        top = {f for f in F if not any(g != f and leq(f, g) for g in F)}
+        bottom = {s for s in S if not any(g != s and leq(g, s) for g in S)}
+        assert len(r.fail_generators) == len(top)
+        assert {tuple(g) for g in r.fail_generators} == top
+        assert len(r.safe_generators) == len(bottom)
+        assert {tuple(g) for g in r.safe_generators} == bottom
 
 
 class TestStaircaseRegion:
@@ -293,7 +329,7 @@ class TestStaircaseRegion:
         assert lo <= prob.p_exact <= hi
 
     def test_overlapping_construction(self):
-        with pytest.raises(OverlappingRegions):
+        with pytest.raises(MonotonicityViolation):
             StaircaseRegion(np.array([[0.6, 0.6]]), np.array([[0.4, 0.4]]), 2)
 
     def test_volume_bounds_hand_case(self):
@@ -353,7 +389,7 @@ class TestRejectionSampler:
         X = s.draw_batch(r, gen, 300)
         assert X.shape == (300, 2)
         assert r.contains_batch(X).all()
-        assert 0.0 < s.acceptance_rate() <= 1.0
+        assert 0.0 < s.acceptance_rate <= 1.0
 
     def test_single_draws_match_region(self):
         # one-point draws leave accepted candidates buffered; they are
