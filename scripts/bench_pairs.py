@@ -1,0 +1,142 @@
+#!/usr/bin/env python3
+"""Paired benchmark runs of two checkouts, written as BENCH_<label>.json.
+
+Runs ``perfbench/run.py`` of each checkout on the same workloads, seeds and
+run length, one process at a time.  Pair k runs both sides back to back and
+alternates which side goes first, so a drift in machine speed hits both
+sides alike.  The summary gives, per workload, seed and end-to-end metric,
+each side's median and quartiles over the pairs and the number of pairs in
+which the change did better (ties count for neither side); the direction
+of each metric comes from the change checkout's BENCHMARK.json.
+
+    python scripts/bench_pairs.py --parent ../parent --change . \\
+        --label volume --runs mono-hd:202:10 --runs mono-d2:202:3 \\
+        --traced mono-hd:202 --note "what the change does"
+
+``--runs W:SEED:PAIRS`` may repeat; ``--traced W:SEED`` adds one
+``--trace 1`` run per side.  The file goes to ``--out`` (default: the
+current directory).
+"""
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+import numpy
+
+RUN = ["python3", "perfbench/run.py"]
+
+
+def run_side(checkout, workload, seed, seconds, trace):
+    """One benchmark process; returns the JSON object of its last line."""
+    cmd = RUN + ["--workload", workload, "--seed", str(seed),
+                 "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
+                          check=False)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{' '.join(cmd)} in {checkout} failed "
+                         f"({proc.returncode}):\n{proc.stderr[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def spread(values):
+    if len(values) == 1:
+        return {"median": values[0], "q1": values[0], "q3": values[0]}
+    q1, q2, q3 = statistics.quantiles(values, n=4, method="inclusive")
+    return {"median": q2, "q1": q1, "q3": q3}
+
+
+def summarize(runs, better):
+    """Per (workload, seed): each metric's quartiles and pairs won."""
+    summary = {}
+    for key in sorted({(r["workload"], r["seed"]) for r in runs}):
+        rows = [r for r in runs if (r["workload"], r["seed"]) == key]
+        pairs = sorted({r["pair"] for r in rows})
+        side = {(r["pair"], r["side"]): r["result"]["metrics"] for r in rows}
+        cell = {}
+        for name, direction in better.items():
+            vals = {s: [side[(k, s)][name]["value"] for k in pairs]
+                    for s in ("parent", "change")}
+            sign = -1.0 if direction == "lower" else 1.0
+            won = sum(sign * (c - p) > 0.0
+                      for p, c in zip(vals["parent"], vals["change"]))
+            cell[name] = {"parent": spread(vals["parent"]),
+                          "change": spread(vals["change"]),
+                          "change_better_in_pairs": f"{won}/{len(pairs)}"}
+        summary[f"{key[0]} seed {key[1]}"] = cell
+    return summary
+
+
+def spec(text, parts):
+    fields = text.split(":")
+    if len(fields) != parts:
+        raise argparse.ArgumentTypeError(f"expected {parts} fields in {text!r}")
+    return (fields[0],) + tuple(int(f) for f in fields[1:])
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--parent", required=True, help="parent checkout")
+    ap.add_argument("--change", required=True, help="changed checkout")
+    ap.add_argument("--label", required=True)
+    ap.add_argument("--runs", action="append", default=[],
+                    type=lambda t: spec(t, 3), metavar="W:SEED:PAIRS")
+    ap.add_argument("--traced", action="append", default=[],
+                    type=lambda t: spec(t, 2), metavar="W:SEED")
+    ap.add_argument("--seconds", type=float, default=22.0)
+    ap.add_argument("--note", default="", help="what the change does")
+    ap.add_argument("--out", default=".")
+    args = ap.parse_args(argv)
+
+    with open(os.path.join(args.change, "BENCHMARK.json"), encoding="utf-8") as fh:
+        better = {m["name"]: m["better"] for m in json.load(fh)["end_to_end"]}
+    sides = {"parent": args.parent, "change": args.change}
+    seconds = f"{args.seconds:g}"
+    runs = []
+    for workload, seed, n_pairs in args.runs:
+        for pair in range(1, n_pairs + 1):
+            order = ["parent", "change"] if pair % 2 else ["change", "parent"]
+            for i, name in enumerate(order):
+                result = run_side(sides[name], workload, seed, seconds, 0)
+                runs.append({"workload": workload, "seed": seed, "pair": pair,
+                             "side": name, "ran_first": i == 0,
+                             "result": result})
+                print(f"{workload} seed {seed} pair {pair} {name}: "
+                      f"{json.dumps(result['metrics'])}", flush=True)
+
+    out = {
+        "change": args.note,
+        "command": f"{' '.join(RUN)} --workload W --seed S "
+                   f"--seconds {seconds} --trace 0",
+        "host": f"{platform.system()} {platform.machine()}, "
+                f"{os.cpu_count()} CPUs, Python {platform.python_version()}, "
+                f"NumPy {numpy.__version__}; one benchmark process at a time",
+        "seeds": {},
+        "order": "parent and change alternate which runs first within each "
+                 "pair (ran_first)",
+    }
+    for workload, seed, _ in args.runs:
+        out["seeds"].setdefault(workload, []).append(seed)
+    out["summary"] = summarize(runs, better)
+    out["runs"] = runs
+    for workload, seed in args.traced:
+        key = f"traced_{workload.replace('-', '_')}_seed_{seed}"
+        out["traced_command"] = (f"{' '.join(RUN)} --workload {workload} "
+                                 f"--seed {seed} --seconds {seconds} --trace 1")
+        out[key] = {name: run_side(path, workload, seed, seconds, 1)
+                    for name, path in sides.items()}
+    path = os.path.join(args.out, f"BENCH_{args.label}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(out, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

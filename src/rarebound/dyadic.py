@@ -105,6 +105,16 @@ def default_max_depth(lipschitz: float, eps_target: float = 1e-5) -> int:
     return max(1, int(math.ceil(math.log2(lipschitz / eps_target))))
 
 
+def _outward(units: int, shift: int, up: bool) -> float:
+    """units * 2^-shift as a float, rounded down, or up when ``up``."""
+    v = units / (1 << shift)          # int division rounds to nearest
+    num, den = v.as_integer_ratio()   # exact
+    excess = (num << shift) - units * den   # sign of v - units 2^-shift
+    if (excess < 0) if up else (excess > 0):
+        v = math.nextafter(v, math.inf if up else -math.inf)
+    return v
+
+
 @dataclass
 class DyadicRun:
     """Outcome of a refinement run.
@@ -132,6 +142,11 @@ def refine(f: BlackBoxFunction, lipschitz: float, budget: int,
     is deterministic.  Splitting costs 2^d queries (one per child); the
     loop stops when the remaining budget cannot split another cube, when
     the frontier is empty, or when only cubes at ``max_depth`` remain.
+
+    Inside and unknown mass are counted exactly, as integers in units of
+    the smallest cube, 2^-(d max_depth); every reported bound, trace rows
+    included, rounds that exact sum outward once: p_lower down, p_upper
+    and the unknown mass up.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
@@ -145,18 +160,28 @@ def refine(f: BlackBoxFunction, lipschitz: float, budget: int,
     frontier: List[Tuple[int, Tuple[int, ...]]] = []
 
     queries = 0
-    p_lower = 0.0
-    unknown_mass = 0.0
+    shift = d * max_depth
+    inside_units = 0
+    unknown_units = 0
+
+    def units(depth: int) -> int:
+        return 1 << (d * (max_depth - depth))
+
+    def row(splits: int) -> Tuple[int, int, float, float, float]:
+        lower = _outward(inside_units, shift, up=False)
+        upper = min(1.0, _outward(inside_units + unknown_units, shift, up=True))
+        return (splits, queries, lower, upper,
+                _outward(unknown_units, shift, up=True))
 
     def admit(cube: DyadicCube, label: str) -> None:
-        nonlocal p_lower, unknown_mass
+        nonlocal inside_units, unknown_units
         if label == LABEL_INSIDE:
             inside.append(cube)
-            p_lower += cube.measure
+            inside_units += units(cube.depth)
         elif label == LABEL_OUTSIDE:
             outside.append(cube)
         else:
-            unknown_mass += cube.measure
+            unknown_units += units(cube.depth)
             if cube.depth >= max_depth:
                 resolved_unknown.append(cube)
             else:
@@ -165,26 +190,24 @@ def refine(f: BlackBoxFunction, lipschitz: float, budget: int,
     label = label_cube(f, lipschitz, root)
     queries += 1
     admit(root, label)
-    trace: List[Tuple[int, int, float, float, float]] = [
-        (0, queries, p_lower, p_lower + unknown_mass, unknown_mass)]
+    trace: List[Tuple[int, int, float, float, float]] = [row(0)]
 
     splits = 0
     n_children = 2 ** d
     while frontier and queries + n_children <= budget:
         depth, index = heapq.heappop(frontier)
         parent = DyadicCube(depth, index)
-        unknown_mass -= parent.measure
+        unknown_units -= units(depth)
         for child in parent.children():
             lab = label_cube(f, lipschitz, child)
             queries += 1
             admit(child, lab)
         splits += 1
-        trace.append((splits, queries, p_lower, p_lower + unknown_mass,
-                      unknown_mass))
+        trace.append(row(splits))
 
     pending = [DyadicCube(j, idx) for j, idx in frontier] + resolved_unknown
-    bounds = ProbabilityBounds(p_lower, min(1.0, p_lower + unknown_mass),
-                               queries_used=queries)
+    _, _, lower, upper, _ = trace[-1]
+    bounds = ProbabilityBounds(lower, upper, queries_used=queries)
     return DyadicRun(bounds=bounds, inside=inside, outside=outside,
                      unknown=pending, trace=trace, queries_used=queries,
                      max_depth_hit=bool(resolved_unknown))

@@ -8,11 +8,12 @@ yield deterministic probability bounds
     vol(union of fail lower orthants)  <=  p  <=  1 - vol(union of safe upper orthants)
 
 with the gap carried by the staircase-shaped undecided region in between.
-This module provides the dominance primitives, exact union volumes (with a
-Monte Carlo fallback in high dimension), the undecided-region type, and a
-sequential bounder that spends a query budget on points of the undecided
-region: drawn by a sampler, or in two dimensions placed on an estimate of
-the fail/safe boundary.
+This module provides the dominance primitives, union volumes with an a
+priori rounding-error bound (and a Monte Carlo fallback in high
+dimension), the undecided-region type, and a sequential bounder that
+spends a query budget on points of the undecided region: drawn by a
+sampler, or in two dimensions placed on an estimate of the fail/safe
+boundary.
 """
 
 from __future__ import annotations
@@ -126,6 +127,23 @@ def _vol2(P: np.ndarray) -> float:
     return float(np.sum(P[order, 0] * np.diff(ymax)))
 
 
+def _vol3(P: np.ndarray) -> float:
+    """Volume of a union of lower orthants in [0,1]^3 on a grid.
+
+    Over the cell (x_{i-1}, x_i] x (y_{j-1}, y_j] of the sorted distinct
+    x and y values (x_0 = y_0 = 0) the union reaches the largest z of the
+    points with x >= x_i and y >= y_j: each point's z goes into its
+    (i, j) cell, and suffix maxima along both axes spread it down.
+    """
+    xs, ix = np.unique(P[:, 0], return_inverse=True)
+    ys, iy = np.unique(P[:, 1], return_inverse=True)
+    H = np.zeros((xs.size, ys.size))
+    np.maximum.at(H, (ix, iy), P[:, 2])
+    H = np.maximum.accumulate(H[::-1], axis=0)[::-1]
+    H = np.maximum.accumulate(H[:, ::-1], axis=1)[:, ::-1]
+    return float(np.diff(xs, prepend=0.0) @ H @ np.diff(ys, prepend=0.0))
+
+
 def _vol_lower_union(P: np.ndarray) -> float:
     if P.shape[0] == 0:
         return 0.0
@@ -134,6 +152,8 @@ def _vol_lower_union(P: np.ndarray) -> float:
         return float(P.max())
     if d == 2:
         return _vol2(P)
+    if d == 3:
+        return _vol3(P)
     # slab decomposition on the last coordinate: between consecutive
     # heights the cross-section is the union over points reaching that high
     order = np.argsort(-P[:, -1], kind="stable")
@@ -150,6 +170,51 @@ def _vol_lower_union(P: np.ndarray) -> float:
     return vol
 
 
+# Rounding error of the volumes above, in the standard model
+# fl(a op b) = (a op b)(1 + delta), |delta| <= u = 2^-53 (Higham 2002,
+# ch. 3-4).  Every term of every sum is a product of nonnegative factors,
+# so a computed volume equals sum_t T_t prod_{i <= N} (1 + delta_ti) over
+# the exact terms T_t, and it lies within a relative gamma_N = Nu/(1 - Nu)
+# of the exact volume once each term carries at most N rounding factors.
+# With m generators:
+# - d = 2: a height difference, a product, and at most m - 1 additions
+#   in any order: N_2 = m + 1;
+# - d = 3: two grid-width differences, the two products of
+#   dx @ H @ dy and at most (nx - 1) + (ny - 1) additions with nx, ny <= m,
+#   in whatever order or fused form BLAS uses: N_3 = 2(m + 1);
+# - d >= 4: per slab a height difference and a product, at most m - 1
+#   additions over the slabs, on top of a slab volume of at most m
+#   generators: N_d = N_{d-1} + m + 1;
+# so N_d = (d - 1)(m + 1) for every d >= 1.  The safe side flips its
+# generators first, c = fl(1 - s) <= (1 + u)(1 - s) in every coordinate,
+# which enlarges the flipped union at most by the factor (1 + u)^d; that
+# adds d factors.  A product that underflows (below 2^-1022) adds an
+# absolute error of at most 2^-1075 instead; a computation that finishes
+# makes fewer than 2^100 products, so these add up to less than 2^-974,
+# which one more factor (1 - u) covers for any volume above 2^-900.
+_UNIT_ROUNDOFF = 2.0 ** -53
+_TINY_VOLUME = 2.0 ** -900
+
+
+def _rounding_terms(d: int, m: int) -> int:
+    """N such that a computed orthant-union volume of m generators in d
+    dimensions, flipped or not, is within gamma_N of the exact volume."""
+    return (d - 1) * (m + 1) + d
+
+
+def _round_down(v: float, n: int) -> float:
+    """A float at most the exact volume x of which v is the computed value
+    with n rounding factors.
+
+    x >= v / (1 + gamma_n) = v (1 - nu), less the underflow allowance
+    u v; 1 - (n + 1)u is exact, and one step down undoes the
+    round-to-nearest of the product.
+    """
+    if v < _TINY_VOLUME:
+        return 0.0
+    return float(np.nextafter(v * (1.0 - (n + 1) * _UNIT_ROUNDOFF), -np.inf))
+
+
 def _check_points(P) -> np.ndarray:
     P = np.atleast_2d(np.asarray(P, dtype=float))
     _check_cube(P, 1e-12)
@@ -157,16 +222,19 @@ def _check_points(P) -> np.ndarray:
 
 
 def lower_orthant_volume(P) -> float:
-    """Exact volume of union_i [0, P_i] inside the unit cube.
+    """Volume of union_i [0, P_i] inside the unit cube, within a relative
+    gamma_N of the exact one (see ``_rounding_terms``).
 
-    Cost grows quickly with dimension (slab recursion); intended for
-    d <= 6.  Higher dimensions should use :func:`orthant_volume_mc`.
+    A sweep at d = 2, a grid at d = 3, and slabs on the last coordinate
+    above that: cost grows quickly with dimension; intended for d <= 6.
+    Higher dimensions should use :func:`orthant_volume_mc`.
     """
     return _vol_lower_union(maximal_points(_check_points(P)))
 
 
 def upper_orthant_volume(P) -> float:
-    """Exact volume of union_i [P_i, 1]."""
+    """Volume of union_i [P_i, 1], within a relative gamma_N of the exact
+    one."""
     return _vol_lower_union(maximal_points(1.0 - _check_points(P)))
 
 
@@ -372,16 +440,30 @@ class StaircaseRegion:
         return region
 
     def volume_bounds(self) -> Tuple[float, float]:
-        """(vol of certified fail set, 1 - vol of certified safe set)."""
-        return (_vol_lower_union(self.fail_generators),
-                1.0 - _vol_lower_union(1.0 - self.safe_generators))
+        """(vol of certified fail set, 1 - vol of certified safe set),
+        the outward-rounded volumes of the certified sets.
+
+        This is the one place the monotone route rounds outward; the
+        engine calls it once per run, through :func:`bounds_from_design`.
+        Each volume is computed in floating point and moved past its a
+        priori rounding error gamma_N (see ``_rounding_terms``), so the
+        lower bound is at most the exact volume of the fail set, and the
+        upper bound at least one minus the exact volume of the safe set.
+        """
+        F, S, d = self.fail_generators, self.safe_generators, self.dimension
+        lower = _round_down(_vol_lower_union(F),
+                            _rounding_terms(d, F.shape[0]))
+        safe = _round_down(_vol_lower_union(1.0 - S),
+                           _rounding_terms(d, S.shape[0]))
+        return lower, min(1.0, float(np.nextafter(1.0 - safe, 2.0)))
 
 
 def bounds_from_design(design: LabeledDesign,
                        rng: Optional[RandomStream] = None) -> ProbabilityBounds:
     """Deterministic bounds on P(g < y) implied by a labeled design.
 
-    Exact orthant-union volumes for d <= 6; beyond that the volumes are
+    For d <= 6 the bounds are the outward-rounded volumes of the certified
+    sets (:meth:`StaircaseRegion.volume_bounds`); beyond that the volumes are
     estimated by Monte Carlo and the interval is widened so that it holds
     with probability at least 1 - 2e-6 (Hoeffding on each side), with the
     bound kind downgraded accordingly.
@@ -391,8 +473,7 @@ def bounds_from_design(design: LabeledDesign,
     m = design.points.shape[0]
     if d <= MC_VOLUME_DIM:
         lo, hi = region.volume_bounds()
-        return ProbabilityBounds(max(0.0, lo), min(1.0, hi),
-                                 kind=DETERMINISTIC, queries_used=m)
+        return ProbabilityBounds(lo, hi, kind=DETERMINISTIC, queries_used=m)
     rng = rng or RandomStream(424242, 0)
     n = _MC_VOLUME_N
     margin = float(np.sqrt(np.log(2.0 / _MC_ALPHA) / (2.0 * n)))
@@ -574,7 +655,6 @@ class SequentialRun:
     design: LabeledDesign
     region: StaircaseRegion
     bounds: ProbabilityBounds
-    trace: List[Tuple[int, float, float]]   # (queries_so_far, lower, upper)
     sampler_name: str
     queries_used: int
     selection_rule: str = "uniform"
@@ -589,10 +669,11 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
     Each step draws candidate points uniformly from the current undecided
     region (via the chosen sampler), selects one according to ``selection``,
     labels it with one oracle call, and folds it into the certified
-    fail/safe orthant unions.  Bounds are exact set volumes, so they are
-    deterministic and nested over the run regardless of how the points were
-    produced (for d <= 6; beyond that volumes fall back to Monte Carlo and
-    only the final bounds are reported).
+    fail/safe orthant unions.  The bounds are computed once, at the end of
+    the run, by :func:`bounds_from_design`: for d <= 6 they are the volumes
+    of the certified sets, rounded outward, so they are deterministic
+    however the points were produced; beyond that the volumes fall back to
+    Monte Carlo.
 
     In two dimensions the exact "balance" rule (the default there) draws
     nothing from a sampler.  Its candidates lie on an estimate of the
@@ -616,7 +697,8 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         :class:`MonotonicityViolation` is never raised; a non-monotone
         ``f`` gives bounds without a guarantee.
     budget : int
-        Total oracle queries.
+        Total oracle queries.  An oracle value that is not finite raises
+        ``ValueError`` before the point is labelled.
     rng : RandomStream
     sampler : str
         Where candidate points come from: "rejection"
@@ -647,13 +729,9 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
     # 2-D exact balance takes its candidates from the estimated boundary
     boundary = d == 2 and rule == "balance" and exact_scores
 
-    exact = d <= MC_VOLUME_DIM
-    vol_lo = 0.0
-    vol_safe = 0.0
     pts: List[np.ndarray] = []
     labels: List[bool] = []
     vals: List[float] = []
-    trace: List[Tuple[int, float, float]] = []
     name = sampler
     region = StaircaseRegion.empty(d)
     pool = np.empty((0, d))
@@ -726,7 +804,7 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         pool = np.delete(pool, sel[pick], axis=0)
         return P[pick]
 
-    for step in range(budget):
+    for _ in range(budget):
         x = _boundary_query(_Staircase2(region.fail_generators),
                             _Staircase2(1.0 - region.safe_generators),
                             grid) if boundary else None
@@ -734,29 +812,16 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
             x = pool_query()
 
         value = f(x)
+        if not np.isfinite(value):
+            raise ValueError(f"oracle returned {value!r} at {x.tolist()}")
         failed = value < f.threshold
         pts.append(x)
         labels.append(failed)
         vals.append(value)
-        if failed:
-            if exact:
-                vol_lo += _delta_lower_volume(region.fail_generators, x)
-            region = region.with_fail(x)
-        else:
-            if exact:
-                vol_safe += _delta_lower_volume(1.0 - region.safe_generators,
-                                                1.0 - x)
-            region = region.with_safe(x)
-        if exact:
-            trace.append((step + 1, vol_lo, 1.0 - vol_safe))
+        region = region.with_fail(x) if failed else region.with_safe(x)
 
     design = LabeledDesign(np.array(pts), np.array(labels), np.array(vals))
-    if exact:
-        bounds = ProbabilityBounds(max(0.0, vol_lo), min(1.0, 1.0 - vol_safe),
-                                   kind=DETERMINISTIC, queries_used=budget)
-    else:
-        bounds = bounds_from_design(design, rng=rng.derive(7))
-        trace.append((budget, bounds.lower, bounds.upper))
-    return SequentialRun(design=design, region=region, bounds=bounds,
-                         trace=trace, sampler_name=name, queries_used=budget,
+    return SequentialRun(design=design, region=region,
+                         bounds=bounds_from_design(design, rng=rng.derive(7)),
+                         sampler_name=name, queries_used=budget,
                          selection_rule=rule)

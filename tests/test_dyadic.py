@@ -1,9 +1,12 @@
 """Dyadic-cube labeling: geometry, exact bounds on slabs, refinement traces."""
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from rarebound.bench import make_lipschitz_toy_1d, make_linear_toy
+from rarebound.bench import get_benchmark, make_lipschitz_toy_1d, make_linear_toy
 from rarebound.core import BlackBoxFunction, DimensionMismatch
 from rarebound.dyadic import (
     LABEL_INSIDE,
@@ -143,6 +146,36 @@ class TestRefine:
         b = refine(prob2.function, prob2.lipschitz, budget=150)
         assert a.trace == b.trace
         assert (a.bounds.lower, a.bounds.upper) == (b.bounds.lower, b.bounds.upper)
+
+    @pytest.mark.parametrize("name, budget, max_depth", [
+        ("lipschitz1d:p=0.3", 400, 60),
+        ("linear:d=2:y=0.7", 300, 30),
+    ])
+    def test_bounds_are_the_outward_rounded_exact_sums(self, name, budget,
+                                                       max_depth):
+        # a float running sum of 2^-(d depth) measures loses bits once
+        # d max_depth > 53; the bounds must be the exact sums rounded out
+        prob = get_benchmark(name)
+        run = refine(prob.function, prob.lipschitz, budget=budget,
+                     max_depth=max_depth)
+        d = prob.dimension
+
+        def mass(cubes):
+            return sum(Fraction(1, 2 ** (d * c.depth)) for c in cubes)
+
+        def down(x):
+            v = float(x)
+            return math.nextafter(v, -math.inf) if v > x else v
+
+        def up(x):
+            v = float(x)
+            return math.nextafter(v, math.inf) if v < x else v
+
+        inside, unknown = mass(run.inside), mass(run.unknown)
+        assert run.bounds.lower == down(inside)
+        assert run.bounds.upper == min(1.0, up(inside + unknown))
+        assert run.trace[-1][2:] == (run.bounds.lower, run.bounds.upper,
+                                     up(unknown))
 
     def test_loose_constant_still_contains(self):
         # overestimating L keeps correctness, just widens the gap

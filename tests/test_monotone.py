@@ -1,12 +1,15 @@
 """Dominance geometry, staircase volumes, and the sequential bounder."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rarebound.bench import make_example1, make_linear_toy
-from rarebound.core import DETERMINISTIC, HIGH_PROBABILITY, RandomStream
+from rarebound.core import (DETERMINISTIC, HIGH_PROBABILITY, BlackBoxFunction,
+                            RandomStream)
 from rarebound.monotone import (
     LabeledDesign,
     MonotonicityViolation,
@@ -23,7 +26,13 @@ from rarebound.monotone import (
     sequential_bounder,
     upper_orthant_volume,
 )
-from rarebound.monotone import _boundary_query, _Staircase2
+from rarebound.monotone import _boundary_query, _rounding_terms, _Staircase2
+
+U = 2.0 ** -53    # unit roundoff of binary64
+
+
+def gamma(n):
+    return n * U / (1.0 - n * U)
 
 
 def incl_excl_lower(P):
@@ -35,6 +44,29 @@ def incl_excl_lower(P):
         mins = P[idx].min(axis=0)
         total += (-1.0) ** (len(idx) + 1) * float(np.prod(mins))
     return total
+
+
+def exact_lower_volume(rows):
+    """Exact volume of the union of [0, r] over rows, in Fractions, by slabs
+    on the last coordinate; independent oracle."""
+    rows = sorted((tuple(Fraction(v) for v in r) for r in rows),
+                  key=lambda r: r[-1], reverse=True)
+    if not rows:
+        return Fraction(0)
+    if len(rows[0]) == 1:
+        return rows[0][0]
+    vol = Fraction(0)
+    for k, r in enumerate(rows):
+        below = rows[k + 1][-1] if k + 1 < len(rows) else 0
+        if r[-1] > below:
+            vol += (r[-1] - below) * exact_lower_volume(
+                [q[:-1] for q in rows[:k + 1]])
+    return vol
+
+
+def exact_upper_volume(rows):
+    """Exact volume of the union of [r, 1], the flip 1 - r done exactly."""
+    return exact_lower_volume([[1 - Fraction(v) for v in r] for r in rows])
 
 
 def random_points(seed, m, d):
@@ -110,6 +142,30 @@ class TestOrthantVolumes:
         P = random_points(seed, m + 1, d)
         assert lower_orthant_volume(P) >= \
             lower_orthant_volume(P[:-1]) - 1e-12
+
+    @given(st.integers(3, 5), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_rounding_stays_within_the_stated_bound(self, d, data):
+        # tied coordinates, zeros, ones, and coordinates small enough for
+        # products to underflow
+        coord = st.sampled_from([0.0, 1.0, 0.5, 1 / 3, 1e-200]) \
+            | st.floats(0.0, 1.0)
+        P = np.array(data.draw(st.lists(
+            st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=10)))
+        F, S = maximal_points(P), minimal_points(P)
+        fail, safe = exact_lower_volume(F), exact_upper_volume(S)
+        for got, exact, m in ((lower_orthant_volume(P), fail, F.shape[0]),
+                              (upper_orthant_volume(P), safe, S.shape[0])):
+            # below 2^-900 the absolute error of underflowing products
+            # may exceed gamma_N times the volume
+            if exact >= Fraction(2.0 ** -900):
+                assert abs(Fraction(got) - exact) <= \
+                    Fraction(gamma(_rounding_terms(d, m))) * exact
+        none = np.empty((0, d))
+        lower, _ = StaircaseRegion(F, none, d).volume_bounds()
+        _, upper = StaircaseRegion(none, S, d).volume_bounds()
+        assert Fraction(lower) <= fail
+        assert Fraction(upper) >= 1 - safe
 
     def test_mc_estimate_agrees(self):
         P = random_points(3, 5, 3)
@@ -433,8 +489,10 @@ class TestRejectionSampler:
 
 class TestSequentialBounder:
     @pytest.mark.parametrize("d, expected", [
-        (3, "(4.156909750672107e-05, 0.006362734505804157)"),
-        (2, "(0.00041908819905396295, 0.0006051014329087057)"),
+        pytest.param(3, "(4.156909750672099e-05, 0.0063627345058108195)",
+                     id="d3"),
+        pytest.param(2, "(0.0004190881990539619, 0.0006051014329112593)",
+                     id="d2"),
     ])
     def test_golden_bounds(self, d, expected):
         # pinned to the last bit: a change to the oracle or to region
@@ -448,13 +506,40 @@ class TestSequentialBounder:
         run = sequential_bounder(prob.function, 80, RandomStream(100, 0))
         assert run.bounds.lower <= prob.p_exact <= run.bounds.upper
         assert run.bounds.kind == DETERMINISTIC
-        lows = [t[1] for t in run.trace]
-        highs = [t[2] for t in run.trace]
+        D = run.design
+        trace = [bounds_from_design(LabeledDesign(D.points[:n], D.fail[:n]))
+                 for n in range(1, 81)]
+        assert (trace[-1].lower, trace[-1].upper) == \
+            (run.bounds.lower, run.bounds.upper)
+        lows = [b.lower for b in trace]
+        highs = [b.upper for b in trace]
         assert all(b >= a for a, b in zip(lows, lows[1:]))
         assert all(b <= a for a, b in zip(highs, highs[1:]))
         assert run.queries_used == 80
         assert prob.function.query_count == 80
         assert run.design.points.shape == (80, 2)
+
+    @pytest.mark.parametrize("d, p, rep", [
+        (3, 5e-2, 0), (3, 5e-2, 1), (3, 5e-3, 1), (4, 5e-2, 1), (4, 5e-3, 0)])
+    def test_bounds_contain_the_exact_certified_volumes(self, d, p, rep):
+        # the reported interval must hold the exact volumes of the sets it
+        # certifies, with the flip 1 - s of the safe generators done exactly
+        run = sequential_bounder(make_example1(d, p).function, 40,
+                                 RandomStream(20260823, rep), sampler="auto")
+        fail = exact_lower_volume(run.region.fail_generators)
+        safe = exact_upper_volume(run.region.safe_generators)
+        assert Fraction(run.bounds.lower) <= fail
+        assert Fraction(run.bounds.upper) >= 1 - safe
+
+    def test_non_finite_oracle_value_raises(self):
+        # NaN compares False with the threshold, so it would label its
+        # point safe and certify the whole upper orthant
+        def g(X):
+            return np.where(X[:, 0] < 0.5, np.nan, X[:, 0] + X[:, 1])
+
+        f = BlackBoxFunction(g, dimension=2, threshold=0.3, vectorized=True)
+        with pytest.raises(ValueError, match="nan"):
+            sequential_bounder(f, 50, RandomStream(1, 0))
 
     @pytest.mark.parametrize("rule", ["balance", "coverage", "maximin",
                                       "uniform"])
@@ -478,12 +563,15 @@ class TestSequentialBounder:
             assert run.selection_rule == "balance"
             assert b.kind == DETERMINISTIC
             assert b.lower <= prob.p_exact <= b.upper
-            # the accumulated bounds are the exact volumes of the generators
-            assert b.lower == pytest.approx(
-                lower_orthant_volume(run.region.fail_generators), abs=1e-15)
-            assert b.upper == pytest.approx(
-                1.0 - upper_orthant_volume(run.region.safe_generators),
-                abs=1e-15)
+            # the bounds contain the computed volumes of the generators,
+            # widened by no more than the stated gamma_N
+            F, S = run.region.fail_generators, run.region.safe_generators
+            fail, safe = lower_orthant_volume(F), upper_orthant_volume(S)
+            g_fail = gamma(_rounding_terms(2, F.shape[0]) + 1)
+            g_safe = gamma(_rounding_terms(2, S.shape[0]) + 1)
+            assert fail * (1.0 - 2.0 * g_fail) <= b.lower <= fail
+            assert 1.0 - safe <= b.upper <= 1.0 - safe * (1.0 - 2.0 * g_safe) \
+                + 4.0 * U
         # no sampler is involved; the stream only offsets the abscissae
         assert np.array_equal(runs[0].design.points, runs[1].design.points)
         assert not np.array_equal(runs[0].design.points,
@@ -495,7 +583,9 @@ class TestSequentialBounder:
         b = sequential_bounder(make_linear_toy(2, 0.5).function, 40,
                                RandomStream(55, 3))
         assert np.array_equal(a.design.points, b.design.points)
-        assert a.trace == b.trace
+        assert np.array_equal(a.design.fail, b.design.fail)
+        assert (a.bounds.lower, a.bounds.upper) == (b.bounds.lower,
+                                                    b.bounds.upper)
 
     def test_example1_containment(self):
         prob = make_example1(3, 0.05)
