@@ -11,11 +11,13 @@ list-benchmarks print the benchmark registry
 
 Config files are flat ``key = value`` text with ``[section]`` headers.
 The keys of ``[experiment]`` (the default section) are the fields of
-:class:`ExperimentConfig`; those of ``[monotone]``, ``[mcmc]``,
-``[dyadic]``, ``[shift]`` and ``[fsd]`` are the fields of the options
-class it holds under that name, with the same defaults.  Unknown sections
-or keys are rejected with a line diagnostic.  Exit codes: 0 success, 2
-configuration error, 3 method error.
+:class:`ExperimentConfig`; those of ``[mcmc]``, ``[dyadic]``,
+``[shift]`` and ``[fsd]`` are the fields of the options class it holds
+under that name, with the same defaults.  The monotone methods have no
+section of their own: the sequential bounder fixes its candidate rule
+by dimension, and ``[mcmc]`` configures the walk of ``monotone-mcmc``.
+Unknown sections or keys are rejected with a line diagnostic.  Exit
+codes: 0 success, 2 configuration error, 3 method error.
 
 The output directory is taken from, in decreasing precedence, the
 ``--output-dir`` flag, the ``RAREBOUND_OUTPUT_DIR`` environment variable,
@@ -39,7 +41,7 @@ from .bench import benchmark_descriptions, get_benchmark, list_benchmark_names
 from .core import RandomStream, surrogate_mc_estimate
 from .dyadic import refine
 from .mcmc import WalkConfig
-from .monotone import SelectionConfig, sequential_bounder
+from .monotone import sequential_bounder
 from .surrogate import (
     CONSERVATIVE_HIGH,
     CONSERVATIVE_LOW,
@@ -86,16 +88,6 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # configuration
-
-@dataclass
-class MonotoneOptions:
-    """Knobs for the sequential staircase bounder."""
-
-    pool_size: int = 192
-    score_subsample: int = 48
-    rule: str = "auto"              # auto | balance | coverage | maximin | uniform
-    exact_scores: str = "auto"      # true | false | auto
-
 
 @dataclass
 class McmcOptions:
@@ -172,7 +164,6 @@ class ExperimentConfig:
     seed: int = 20260823
     workers: int = 0                # 0 means one per available core
     output_dir: str = "results"
-    monotone: MonotoneOptions = field(default_factory=MonotoneOptions)
     mcmc: McmcOptions = field(default_factory=McmcOptions)
     dyadic: DyadicOptions = field(default_factory=DyadicOptions)
     shift: ShiftOptions = field(default_factory=ShiftOptions)
@@ -184,8 +175,6 @@ class ExperimentConfig:
 # tuple split on commas or spaces).
 _CHOICES: Dict[str, Tuple[str, ...]] = {
     "method": METHODS,
-    "rule": ("auto", "balance", "coverage", "maximin", "uniform"),
-    "exact_scores": ("auto", "true", "false"),
     "theta_source": ("train", "test"),
     "family": ("polynomial", "network"),
     "direction": (CONSERVATIVE_LOW, CONSERVATIVE_HIGH),
@@ -292,14 +281,6 @@ def _walk_config(opts: McmcOptions) -> WalkConfig:
     return wc
 
 
-def _selection_config(opts: MonotoneOptions) -> SelectionConfig:
-    exact = opts.exact_scores if opts.exact_scores == "auto" \
-        else opts.exact_scores == "true"
-    return SelectionConfig(pool_size=opts.pool_size,
-                           score_subsample=opts.score_subsample,
-                           rule=opts.rule, exact_scores=exact)
-
-
 def _run_dyadic(cfg: ExperimentConfig, problem, rng: RandomStream) -> dict:
     opts = cfg.dyadic
     lipschitz = opts.lipschitz if opts.lipschitz > 0.0 else problem.lipschitz
@@ -314,7 +295,6 @@ def _run_monotone(cfg: ExperimentConfig, problem, rng: RandomStream) -> dict:
     sampler = "rejection" if cfg.method == "monotone-exact" else "mcmc"
     run = sequential_bounder(problem.function, cfg.budget, rng,
                              sampler=sampler,
-                             selection=_selection_config(cfg.monotone),
                              walk_config=_walk_config(cfg.mcmc))
     return {"queries": run.queries_used,
             "p_lower": run.bounds.lower, "p_upper": run.bounds.upper}

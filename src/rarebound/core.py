@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -77,10 +77,6 @@ class BlackBoxFunction:
     def query_count(self) -> int:
         return self._count
 
-    def reset_count(self) -> None:
-        with self._lock:
-            self._count = 0
-
     def _check_point(self, x: np.ndarray) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if x.shape != (self.dimension,):
@@ -109,9 +105,6 @@ class BlackBoxFunction:
                 raise ValueError("vectorized evaluator returned wrong shape")
             return out
         return np.array([float(self.evaluator(row)) for row in X])
-
-    def is_failure(self, value: float) -> bool:
-        return value < self.threshold
 
 
 def eval_batch(predictor: Callable, X: np.ndarray) -> np.ndarray:
@@ -175,17 +168,13 @@ class MCEstimate:
     p_hat: float
     n: int
     std_err: float
-    ci95: Tuple[float, float]
 
     @classmethod
     def from_counts(cls, hits: int, n: int) -> "MCEstimate":
         if n <= 0:
             raise ValueError("n must be positive")
         p = hits / n
-        se = float(np.sqrt(p * (1.0 - p) / n))
-        lo = max(0.0, p - 1.96 * se)
-        hi = min(1.0, p + 1.96 * se)
-        return cls(p_hat=p, n=n, std_err=se, ci95=(lo, hi))
+        return cls(p_hat=p, n=n, std_err=float(np.sqrt(p * (1.0 - p) / n)))
 
 
 @dataclass(frozen=True)

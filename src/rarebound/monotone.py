@@ -12,14 +12,14 @@ This module provides the dominance primitives, union volumes with an a
 priori rounding-error bound (and a Monte Carlo fallback in high
 dimension), the undecided-region type, and a sequential bounder that
 spends a query budget on points of the undecided region: drawn by a
-sampler, or in two dimensions placed on an estimate of the fail/safe
-boundary.
+sampler, in two dimensions placed on an estimate of the fail/safe
+boundary, and in one dimension at the midpoint of the undecided interval.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -47,6 +47,8 @@ MC_VOLUME_DIM = 6          # exact volumes up to here, Monte Carlo beyond
 _MC_VOLUME_N = 200_000
 _MC_ALPHA = 1e-6           # per-volume failure mass of the MC fallback bounds
 SWITCH_ACCEPTANCE = 5e-3   # sampler "auto" hands over to the walk below this
+_POOL_SIZE = 192           # sampled region points kept on hand ...
+_SCORE_SUBSAMPLE = 48      # ... of which each step scores this many
 
 
 class MonotonicityViolation(RuntimeError):
@@ -239,24 +241,12 @@ def upper_orthant_volume(P) -> float:
 
 
 def _delta_lower_volume(pruned: np.ndarray, x: np.ndarray) -> float:
-    """Volume added to a lower-orthant union by a new point x.
+    """Area added to a 2-D lower-orthant union by a new point x.
 
-    ``pruned`` is the current maximal antichain.  The increment is
-    vol[0,x] minus the part already covered, which is the union of the
-    clipped boxes [0, min(P_i, x)].
+    ``pruned`` is the current maximal antichain; the increment is
+    vol[0,x] minus the part already covered.
     """
-    box = float(np.prod(x))
-    if box == 0.0:
-        return 0.0
-    if pruned.shape[0] == 0:
-        return box
-    if x.shape[0] == 2:
-        return float(_Staircase2(pruned).gain(x[:1], x[1:])[0])
-    clipped = np.minimum(pruned, x[None, :])
-    clipped = clipped[np.all(clipped > 0.0, axis=1)]
-    if clipped.shape[0] == 0:
-        return box
-    return box - _vol_lower_union(maximal_points(clipped))
+    return float(_Staircase2(pruned).gain(x[:1], x[1:])[0])
 
 
 def _insert_maximal(pruned: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -536,57 +526,6 @@ class RejectionSampler:
         return self.draws / self.attempts
 
 
-@dataclass
-class SelectionConfig:
-    """How the next query point is chosen from the undecided region.
-
-    A pool of ``pool_size`` (approximately) uniform region points is kept on
-    hand; each step scores a random subsample of ``score_subsample`` of them
-    and queries the best.  A candidate's two scores are the unknown mass it
-    would retire if it failed (its lower-orthant contribution) and if it
-    proved safe (upper-orthant contribution).
-
-    In two dimensions the exact "balance" rule (the default there) keeps no
-    pool: its candidates lie on the estimated fail/safe boundary (see
-    :func:`sequential_bounder`), so ``pool_size`` and ``score_subsample``
-    act only for the other rules, for proxy scores, and in other
-    dimensions.
-
-    rule:
-        "balance"  - maximize the product of the two scores, favoring
-                     points that make guaranteed progress on both bounds;
-        "coverage" - maximize their sum, favoring whichever side currently
-                     has the most retirable mass;
-        "maximin"  - ignore the volume scores and take the candidate
-                     farthest (Euclidean) from every queried point;
-        "uniform"  - no scoring, query a single uniform draw per step;
-        "auto"     - "balance" for d <= 2, "coverage" above.
-    exact_scores:
-        True computes the scores as exact staircase volume increments,
-        False ranks candidates by pool domination counts (a cheap Monte
-        Carlo proxy for the same volumes); "auto" is exact for d <= 2.
-    """
-
-    pool_size: int = 192
-    score_subsample: int = 48
-    rule: str = "auto"
-    exact_scores: Union[bool, str] = "auto"
-
-    def resolve(self, dimension: int) -> Tuple[str, bool]:
-        rule = self.rule
-        if rule == "auto":
-            rule = "balance" if dimension <= 2 else "coverage"
-        if rule not in ("balance", "coverage", "maximin", "uniform"):
-            raise ValueError(f"unknown selection rule {self.rule!r}")
-        exact = self.exact_scores
-        if exact == "auto":
-            exact = dimension <= 2
-        elif not isinstance(exact, bool):
-            raise ValueError("exact_scores must be True, False or 'auto', "
-                             f"got {self.exact_scores!r}")
-        return rule, exact
-
-
 # 2-D boundary-following selection (see _boundary_query)
 _LOG_FLOOR = 1e-12        # stands in for coordinate 0 in log coordinates
 _GRID_DECADES = 12        # candidate abscissae span [_LOG_FLOOR, 1] ...
@@ -657,36 +596,47 @@ class SequentialRun:
     bounds: ProbabilityBounds
     sampler_name: str
     queries_used: int
-    selection_rule: str = "uniform"
 
 
 def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
                        sampler: str = "auto",
-                       selection: Optional[SelectionConfig] = None,
                        walk_config=None) -> SequentialRun:
     """Spend ``budget`` oracle queries bounding p = P(g(X) < y).
 
-    Each step draws candidate points uniformly from the current undecided
-    region (via the chosen sampler), selects one according to ``selection``,
-    labels it with one oracle call, and folds it into the certified
-    fail/safe orthant unions.  The bounds are computed once, at the end of
-    the run, by :func:`bounds_from_design`: for d <= 6 they are the volumes
-    of the certified sets, rounded outward, so they are deterministic
-    however the points were produced; beyond that the volumes fall back to
-    Monte Carlo.
+    Each step picks one point of the current undecided region, labels it
+    with one oracle call, and folds it into the certified fail/safe
+    orthant unions.  The bounds are computed once, at the end of the run,
+    by :func:`bounds_from_design`: for d <= 6 they are the volumes of the
+    certified sets, rounded outward, so they are deterministic however
+    the points were picked; beyond that the volumes fall back to Monte
+    Carlo.
 
-    In two dimensions the exact "balance" rule (the default there) draws
-    nothing from a sampler.  Its candidates lie on an estimate of the
-    fail/safe boundary: in log-log coordinates, the midpoints of the
-    brackets the two staircases leave at log-spaced abscissae (at a random
-    offset per run), and of the horizontal brackets in the rows below the
-    lowest fail point.  The candidate with the largest product of exact
-    fail and safe gains picks the column, which is then queried at the
-    midpoint of the polylines through the fail and through the safe
-    generators, kept inside the middle of the bracket.  Gains and region
-    membership come from the sorted staircases by binary search and
-    running sums.  ``sampler`` and ``walk_config`` do not act on such
-    runs, whose ``sampler_name`` is "boundary".
+    How the point is picked depends only on the dimension.  A candidate's
+    two gains are the unknown mass it would retire if it failed (its
+    lower-orthant contribution) and if it proved safe (upper-orthant
+    contribution).
+
+    - d = 1: the midpoint of the undecided interval (max F, min S), where
+      the product of the two exact gains peaks.
+    - d = 2: a point on an estimate of the fail/safe boundary: in log-log
+      coordinates, the midpoints of the brackets the two staircases
+      leave at log-spaced abscissae (at a random offset per run), and of
+      the horizontal brackets in the rows below the lowest fail point.
+      The candidate with the largest product of exact gains picks the
+      column, which is then queried at the midpoint of the polylines
+      through the fail and through the safe generators, kept inside the
+      middle of the bracket.  Gains and region membership come from the
+      sorted staircases by binary search and running sums.  Only when no
+      such candidate lies in the region does the step fall back to the
+      pool below, scored by the product of exact gains.
+    - d >= 3: a pool of ``_POOL_SIZE`` region points drawn by the sampler
+      is kept on hand; each step scores a random subsample of
+      ``_SCORE_SUBSAMPLE`` of them by the sum of their pool domination
+      counts (a cheap Monte Carlo proxy for the two gains) and queries
+      the best.
+
+    At d <= 2 ``sampler`` and ``walk_config`` act only on the pool
+    fallback, and the run's ``sampler_name`` is "boundary".
 
     Parameters
     ----------
@@ -701,14 +651,11 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         ``ValueError`` before the point is labelled.
     rng : RandomStream
     sampler : str
-        Where candidate points come from: "rejection"
+        Where pool points come from: "rejection"
         (:class:`RejectionSampler`), "mcmc"
         (:class:`rarebound.mcmc.RegionWalkSampler`), or "auto" (rejection
         that hands over to the walk sampler once its acceptance rate drops
         below ``SWITCH_ACCEPTANCE``).
-    selection : SelectionConfig, optional
-        Candidate scoring configuration; defaults to dimension-adaptive
-        scoring (see :class:`SelectionConfig`).
     walk_config
         Passed to the walk sampler when it is instantiated.
 
@@ -724,10 +671,6 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
     gen = rng.generator()
     rejection = RejectionSampler()
     walker = None
-    selection = selection or SelectionConfig()
-    rule, exact_scores = selection.resolve(d)
-    # 2-D exact balance takes its candidates from the estimated boundary
-    boundary = d == 2 and rule == "balance" and exact_scores
 
     pts: List[np.ndarray] = []
     labels: List[bool] = []
@@ -740,10 +683,11 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         from .mcmc import RegionWalkSampler
         return RegionWalkSampler(region, gen, walk_config)
 
-    if boundary:
+    if d == 2:
         # log-spaced abscissae at a random offset, so replications differ
         grid = 10.0 ** ((np.arange(_GRID_DECADES * _GRID_PER_DECADE)
                          + gen.random()) / _GRID_PER_DECADE - _GRID_DECADES)
+    if d <= 2:
         name = "boundary"
     elif sampler == "mcmc":
         walker = make_walker()
@@ -767,47 +711,36 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
 
     def pool_query() -> np.ndarray:
         nonlocal pool
-        if rule == "uniform":
-            return refill(np.empty((0, d)), 1)[0]
         if pool.shape[0]:
             pool = pool[region.contains_batch(pool)]
-        pool = refill(pool, selection.pool_size)
-        if pool.shape[0] > selection.score_subsample:
-            sel = gen.choice(pool.shape[0], selection.score_subsample,
-                             replace=False)
+        pool = refill(pool, _POOL_SIZE)
+        if pool.shape[0] > _SCORE_SUBSAMPLE:
+            sel = gen.choice(pool.shape[0], _SCORE_SUBSAMPLE, replace=False)
         else:
             sel = np.arange(pool.shape[0])
         P = pool[sel]
-        if rule == "maximin":
-            if pts:
-                D = np.asarray(pts)
-                score = np.sqrt(((P[:, None, :] - D[None, :, :]) ** 2)
-                                .sum(axis=2)).min(axis=1)
-            else:
-                score = np.ones(P.shape[0])
+        if d == 2:
+            F = region.fail_generators
+            Fc = 1.0 - region.safe_generators
+            score = (np.array([_delta_lower_volume(F, c) for c in P])
+                     * np.array([_delta_lower_volume(Fc, 1.0 - c) for c in P]))
         else:
-            if exact_scores:
-                F = region.fail_generators
-                Fc = 1.0 - region.safe_generators
-                gain_fail = np.array([_delta_lower_volume(F, c) for c in P])
-                gain_safe = np.array(
-                    [_delta_lower_volume(Fc, 1.0 - c) for c in P])
-            else:
-                geq = np.all(P[:, None, :] >= P[None, :, :], axis=2)
-                gain_fail = geq.sum(axis=0).astype(float)
-                gain_safe = geq.sum(axis=1).astype(float)
-            if rule == "balance":
-                score = gain_fail * gain_safe
-            else:
-                score = gain_fail + gain_safe
+            geq = np.all(P[:, None, :] >= P[None, :, :], axis=2)
+            score = geq.sum(axis=0) + geq.sum(axis=1)
         pick = int(np.argmax(score))
         pool = np.delete(pool, sel[pick], axis=0)
         return P[pick]
 
     for _ in range(budget):
-        x = _boundary_query(_Staircase2(region.fail_generators),
-                            _Staircase2(1.0 - region.safe_generators),
-                            grid) if boundary else None
+        if d == 1:
+            x = np.array([0.5 * (region.fail_generators.max(initial=0.0)
+                                 + region.safe_generators.min(initial=1.0))])
+        elif d == 2:
+            x = _boundary_query(_Staircase2(region.fail_generators),
+                                _Staircase2(1.0 - region.safe_generators),
+                                grid)
+        else:
+            x = None
         if x is None:
             x = pool_query()
 
@@ -823,5 +756,4 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
     design = LabeledDesign(np.array(pts), np.array(labels), np.array(vals))
     return SequentialRun(design=design, region=region,
                          bounds=bounds_from_design(design, rng=rng.derive(7)),
-                         sampler_name=name, queries_used=budget,
-                         selection_rule=rule)
+                         sampler_name=name, queries_used=budget)

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import os
+import re
 import typing
 
 import numpy as np
@@ -34,18 +35,36 @@ workers = 1
 
 
 CONFIG_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 
 
 def option_fields():
-    """(name, annotated type, default) of every config key, all sections."""
-    classes = [ExperimentConfig] + [
-        cls for cls in typing.get_type_hints(ExperimentConfig).values()
+    """(section, name, annotated type, default) of every config key."""
+    sections = [("experiment", ExperimentConfig)] + [
+        (name, cls) for name, cls in
+        typing.get_type_hints(ExperimentConfig).items()
         if dataclasses.is_dataclass(cls)]
-    for cls in classes:
+    for section, cls in sections:
         hints = typing.get_type_hints(cls)
         for f in dataclasses.fields(cls):
             if not dataclasses.is_dataclass(hints[f.name]):
-                yield f.name, hints[f.name], f.default
+                yield section, f.name, hints[f.name], f.default
+
+
+def readme_keys():
+    """Config keys the README documents, by section: the rows of the
+    top-level table, and the backquoted names in each bullet of the
+    "Method sections" list."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    table = text.split("### Config format", 1)[1]
+    table = table.split("Method sections", 1)[0]
+    out = {"experiment": set(re.findall(r"^\| `(\w+)` \|", table, re.M))}
+    block = text.split("Method sections and their defaults:\n\n", 1)[1]
+    for bullet in re.split(r"^- ", block.split("\n\n", 1)[0], flags=re.M)[1:]:
+        section, body = re.match(r"`\[(\w+)\]`(.*)", bullet, re.S).groups()
+        out[section] = set(re.findall(r"`([a-z_][a-z0-9_]*)`", body))
+    return out
 
 
 def read_csv(path):
@@ -66,7 +85,6 @@ class TestParseConfig:
         assert cfg.budget == 15
         assert cfg.replications == 2
         assert cfg.seed == 20260823
-        assert cfg.monotone.rule == "auto"
         assert cfg.shift.theta_source == "train"
         assert cfg.fsd.family == "polynomial"
 
@@ -104,8 +122,9 @@ class TestParseConfig:
             parse_config_text(text)
 
     def test_unknown_key_names_line_and_section(self):
-        text = MINIMAL + "\n[monotone]\npool = 10\n"
-        with pytest.raises(ConfigError, match=r":10: unknown key 'pool'"):
+        text = MINIMAL + "\n[mcmc]\npool = 10\n"
+        with pytest.raises(ConfigError,
+                           match=r":10: unknown key 'pool' in section \[mcmc"):
             parse_config_text(text)
 
     def test_malformed_line(self):
@@ -158,7 +177,7 @@ class TestOptionFields:
     def test_defaults_have_their_annotated_types(self):
         # values parse as the type of the default, so a float key with an
         # int default would reject "0.5"
-        for name, hint, default in option_fields():
+        for _, name, hint, default in option_fields():
             if hint == typing.Tuple[int, ...]:
                 assert type(default) is tuple, name
                 assert all(type(v) is int for v in default), name
@@ -169,15 +188,22 @@ class TestOptionFields:
     def test_choice_keys_name_one_field_with_a_valid_default(self):
         keys = list(option_fields())
         for key, choices in _CHOICES.items():
-            matches = [default for name, _, default in keys if name == key]
+            matches = [default for _, name, _, default in keys if name == key]
             assert len(matches) == 1, key
             # method is required: its default "" means unset
             assert matches[0] in choices or (key, matches[0]) == ("method", "")
 
-    def test_switch_acceptance_is_not_a_key(self):
-        text = MINIMAL + "\n[monotone]\nswitch_acceptance = 0.01\n"
+    def test_readme_names_every_key(self):
+        documented = {}
+        for section, name, _, _ in option_fields():
+            documented.setdefault(section, set()).add(name)
+        assert readme_keys() == documented
+
+    def test_monotone_section_is_rejected(self):
+        # the sequential bounder's candidate rule is fixed by dimension
+        text = MINIMAL + "\n[monotone]\nrule = auto\n"
         with pytest.raises(ConfigError,
-                           match=r":10: unknown key 'switch_acceptance'"):
+                           match=r":9: unknown section \[monotone\]"):
             parse_config_text(text)
 
 

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rarebound.bench import make_example1, make_linear_toy
+from rarebound.bench import get_benchmark, make_example1, make_linear_toy
 from rarebound.core import (DETERMINISTIC, HIGH_PROBABILITY, BlackBoxFunction,
                             RandomStream)
 from rarebound.monotone import (
@@ -15,7 +15,6 @@ from rarebound.monotone import (
     MonotonicityViolation,
     RejectionSampler,
     SamplerStalled,
-    SelectionConfig,
     StaircaseRegion,
     bounds_from_design,
     is_antichain,
@@ -541,17 +540,6 @@ class TestSequentialBounder:
         with pytest.raises(ValueError, match="nan"):
             sequential_bounder(f, 50, RandomStream(1, 0))
 
-    @pytest.mark.parametrize("rule", ["balance", "coverage", "maximin",
-                                      "uniform"])
-    def test_each_rule_is_sound(self, rule):
-        prob = make_linear_toy(2, 0.6)
-        run = sequential_bounder(
-            prob.function, 50, RandomStream(200, 0),
-            selection=SelectionConfig(rule=rule, pool_size=64,
-                                      score_subsample=16))
-        assert run.bounds.lower <= prob.p_exact <= run.bounds.upper
-        assert run.selection_rule == rule
-
     def test_two_dimensional_balance_follows_the_boundary(self):
         prob = make_example1(2, 5e-3)
         runs = [sequential_bounder(prob.function, 60, RandomStream(3, r),
@@ -560,7 +548,6 @@ class TestSequentialBounder:
         for run in runs:
             b = run.bounds
             assert run.sampler_name == "boundary"
-            assert run.selection_rule == "balance"
             assert b.kind == DETERMINISTIC
             assert b.lower <= prob.p_exact <= b.upper
             # the bounds contain the computed volumes of the generators,
@@ -576,6 +563,19 @@ class TestSequentialBounder:
         assert np.array_equal(runs[0].design.points, runs[1].design.points)
         assert not np.array_equal(runs[0].design.points,
                                   runs[2].design.points)
+
+    @pytest.mark.parametrize("name, sampler, budget", [
+        ("lipschitz1d:p=2.1e-3", "rejection", 200),
+        ("linear:d=1:y=0.3", "mcmc", 30)])
+    def test_one_dimension_bisects_without_a_sampler(self, name, sampler,
+                                                     budget):
+        # the undecided interval falls below 5e-8 long before the budget
+        # is spent, where no sampler finds region points any more
+        prob = get_benchmark(name)
+        run = sequential_bounder(prob.function, budget,
+                                 RandomStream(20260823, 0), sampler=sampler)
+        assert run.sampler_name == "boundary"
+        assert run.bounds.lower <= prob.p_exact <= run.bounds.upper
 
     def test_deterministic_replay(self):
         a = sequential_bounder(make_linear_toy(2, 0.5).function, 40,
@@ -599,22 +599,3 @@ class TestSequentialBounder:
         with pytest.raises(ValueError):
             sequential_bounder(prob.function, 10, RandomStream(1, 0),
                                sampler="metropolis")
-        with pytest.raises(ValueError):
-            sequential_bounder(prob.function, 10, RandomStream(1, 0),
-                               selection=SelectionConfig(rule="best"))
-
-
-class TestSelectionConfig:
-    def test_auto_resolution(self):
-        cfg = SelectionConfig()
-        assert cfg.resolve(2) == ("balance", True)
-        assert cfg.resolve(3) == ("coverage", False)
-
-    def test_explicit(self):
-        cfg = SelectionConfig(rule="maximin", exact_scores=True)
-        assert cfg.resolve(5) == ("maximin", True)
-
-    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
-    def test_exact_scores_must_be_bool_or_auto(self, value):
-        with pytest.raises(ValueError, match="exact_scores"):
-            SelectionConfig(exact_scores=value).resolve(3)
