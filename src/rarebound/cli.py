@@ -11,11 +11,11 @@ list-benchmarks print the benchmark registry
 
 Config files are flat ``key = value`` text with ``[section]`` headers.
 The keys of ``[experiment]`` (the default section) are the fields of
-:class:`ExperimentConfig`; those of ``[mcmc]``, ``[dyadic]``,
-``[shift]`` and ``[fsd]`` are the fields of the options class it holds
-under that name, with the same defaults.  The monotone methods have no
-section of their own: the sequential bounder fixes its candidate rule
-by dimension, and ``[mcmc]`` configures the walk of ``monotone-mcmc``.
+:class:`ExperimentConfig`; those of ``[dyadic]``, ``[shift]`` and
+``[fsd]`` are the fields of the options class it holds under that name,
+with the same defaults.  The monotone methods have no section of their
+own: the sequential bounder fixes its candidate rule by dimension, and
+the transformed walk of ``monotone-mcmc`` its tuning.
 Unknown sections or keys are rejected with a line diagnostic.  Exit
 codes: 0 success, 2 configuration error, 3 method error.
 
@@ -32,15 +32,14 @@ import csv
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .bench import benchmark_descriptions, get_benchmark, list_benchmark_names
-from .core import RandomStream, surrogate_mc_estimate
+from .core import RandomStream, check_finite, surrogate_mc_estimate
 from .dyadic import refine
-from .mcmc import WalkConfig
 from .monotone import sequential_bounder
 from .surrogate import (
     CONSERVATIVE_HIGH,
@@ -88,17 +87,6 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # configuration
-
-@dataclass
-class McmcOptions:
-    """Knobs for the transformed-walk sampler used by monotone-mcmc."""
-
-    chains: int = 32
-    window: int = 200
-    scale: float = 0.0              # 0 keeps the sampler default 2.38^2
-    burn_in: float = 0.2
-    thin: int = 0                   # 0 measures the gap from autocorrelation
-
 
 @dataclass
 class DyadicOptions:
@@ -164,7 +152,6 @@ class ExperimentConfig:
     seed: int = 20260823
     workers: int = 0                # 0 means one per available core
     output_dir: str = "results"
-    mcmc: McmcOptions = field(default_factory=McmcOptions)
     dyadic: DyadicOptions = field(default_factory=DyadicOptions)
     shift: ShiftOptions = field(default_factory=ShiftOptions)
     fsd: FsdOptions = field(default_factory=FsdOptions)
@@ -272,15 +259,6 @@ def _validate(cfg: ExperimentConfig, source: str) -> None:
 # ---------------------------------------------------------------------------
 # method runners
 
-def _walk_config(opts: McmcOptions) -> WalkConfig:
-    wc = WalkConfig(n_chains=opts.chains, window=opts.window,
-                    burn_in_fraction=opts.burn_in,
-                    thin=opts.thin if opts.thin > 0 else None)
-    if opts.scale > 0.0:
-        wc = replace(wc, scale=opts.scale)
-    return wc
-
-
 def _run_dyadic(cfg: ExperimentConfig, problem, rng: RandomStream) -> dict:
     opts = cfg.dyadic
     lipschitz = opts.lipschitz if opts.lipschitz > 0.0 else problem.lipschitz
@@ -294,8 +272,7 @@ def _run_dyadic(cfg: ExperimentConfig, problem, rng: RandomStream) -> dict:
 def _run_monotone(cfg: ExperimentConfig, problem, rng: RandomStream) -> dict:
     sampler = "rejection" if cfg.method == "monotone-exact" else "mcmc"
     run = sequential_bounder(problem.function, cfg.budget, rng,
-                             sampler=sampler,
-                             walk_config=_walk_config(cfg.mcmc))
+                             sampler=sampler)
     return {"queries": run.queries_used,
             "p_lower": run.bounds.lower, "p_upper": run.bounds.upper}
 
@@ -308,8 +285,10 @@ def _run_shift(cfg: ExperimentConfig, problem, rng: RandomStream) -> dict:
     n_test = opts.test_size if opts.test_size > 0 else 50 * d
     X_train = rng.derive(0).generator().random((n_train, d))
     y_train = f.evaluate_batch(X_train)
+    check_finite(y_train, X_train)
     X_test = rng.derive(1).generator().random((n_test, d))
     y_test = f.evaluate_batch(X_test)
+    check_finite(y_test, X_test)
     family = FeedforwardFamily(dimension=d, hidden=opts.hidden)
     best_score, best_model = -np.inf, None
     # surrogates are retained only above a predictivity floor, so a failed
@@ -341,6 +320,7 @@ def _run_fsd(cfg: ExperimentConfig, problem, rng: RandomStream) -> dict:
     m = opts.train_size if opts.train_size > 0 else 50 * d
     X = rng.derive(0).generator().random((m, d))
     y = f.evaluate_batch(X)
+    check_finite(y, X)
     if opts.family == "polynomial":
         family = PolynomialFamily(dimension=d, degree=opts.degree)
     else:

@@ -30,6 +30,7 @@ __all__ = [
     "mc_estimate",
     "surrogate_mc_estimate",
     "eval_batch",
+    "check_finite",
 ]
 
 DETERMINISTIC = "deterministic"
@@ -120,6 +121,20 @@ def eval_batch(predictor: Callable, X: np.ndarray) -> np.ndarray:
     if out.shape == (X.shape[0],):
         return out
     return np.array([float(predictor(row)) for row in X])
+
+
+def check_finite(values, points) -> None:
+    """Raise ``ValueError`` at the first oracle value that is not finite.
+
+    ``values`` is one value or an (n,) array and ``points`` the point or
+    (n, d) batch it was computed at.  A NaN would otherwise compare False
+    with the threshold and pass for a safe label or a training target.
+    """
+    if np.isfinite(values).all():
+        return
+    i = np.flatnonzero(~np.isfinite(np.atleast_1d(values)))[0]
+    raise ValueError(f"oracle returned {float(np.atleast_1d(values)[i])!r} "
+                     f"at {np.atleast_2d(points)[i].tolist()}")
 
 
 @dataclass(frozen=True)

@@ -60,10 +60,6 @@ class DyadicCube:
     def sidelength(self) -> float:
         return 2.0 ** (-self.depth)
 
-    @property
-    def measure(self) -> float:
-        return 2.0 ** (-self.depth * self.dimension)
-
     def center(self) -> Tuple[float, ...]:
         s = self.sidelength
         return tuple((i + 0.5) * s for i in self.index)

@@ -13,24 +13,30 @@ Metropolis chain and the usual ergodic guarantees apply.  The walk only
 proposes candidate points: :func:`rarebound.monotone.sequential_bounder`
 draws its query pools from :class:`RegionWalkSampler` and computes the
 bounds from the labelled design, so they do not depend on how well the
-chains mix.
+chains mix.  The tuning is therefore fixed: 32 chains, proposal scale
+2.38^2, a 200-step adaptation window, burn-in of a fifth of a window,
+and a thinning gap measured from the lag-1 autocorrelation.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import RandomStream
-from .monotone import SamplerStalled
+from .monotone import RejectionSampler
 from .special import normal_cdf, normal_quantile
 
 _BOUNDARY_EPS = 1e-15
 _RIDGE = 1e-8
-_DEFAULT_SCALE = 2.38 ** 2
+_N_CHAINS = 32
+_SCALE = 2.38 ** 2        # proposal covariance is _SCALE * cov / d
+_WINDOW = 200             # steps between covariance adaptations
+_BURN_IN = _WINDOW // 5   # steps before the first draw
+_MAX_GAP = 64             # cap on the measured thinning gap
+_SEED_CHUNK = 8192        # cube draws per rejection chunk when seeding chains
 
 
 class BoundaryInput(UserWarning):
@@ -113,83 +119,43 @@ def lag_one_autocorrelation(chain):
     return float(np.clip(rho, -1.0, 1.0).max()) if safe.any() else 0.0
 
 
-def decorrelation_gap(chain, ceiling=64):
+def decorrelation_gap(chain):
     """Thinning gap that damps lag-1 autocorrelation below 0.1.
 
     For an AR(1) chain with coefficient rho the lag-k autocorrelation is
     rho^k, so ``k = ceil(3 / (1 - rho))`` pushes it under ``e^-3``.  The gap
-    is clipped to ``[1, ceiling]``.
+    is clipped to ``[1, 64]``.
     """
     rho = lag_one_autocorrelation(chain)
     if rho <= 0.0:
         return 1
     rho = min(rho, 1.0 - 1e-6)
-    return int(min(ceiling, max(1, math.ceil(3.0 / (1.0 - rho)))))
-
-
-@dataclass
-class WalkConfig:
-    """Tuning knobs for :class:`RegionWalkSampler`.
-
-    :func:`rarebound.monotone.sequential_bounder` passes its
-    ``walk_config`` here when it starts the walk (``sampler="mcmc"``, or
-    ``"auto"`` after the hand-over); the CLI fills it from the ``[mcmc]``
-    config section.
-
-    Attributes
-    ----------
-    n_chains : int
-        Independent chains advanced in lockstep.
-    scale : float
-        Proposal scale multiplier; the proposal covariance is
-        ``scale * cov / d``.
-    window : int
-        Steps between covariance adaptations; the covariance is frozen
-        in between.
-    burn_in_fraction : float
-        Steps run before the first draw, as a fraction of ``window``.
-    thin : int or None
-        Stride between harvested states; measured from the lag-1
-        autocorrelation when None.
-    init_chunk : int
-        Cube draws per rejection attempt when seeding chains.
-    max_init_draws : int
-        Total cube draws before initialization gives up.
-    """
-
-    n_chains: int = 32
-    scale: float = _DEFAULT_SCALE
-    window: int = 200
-    burn_in_fraction: float = 0.2
-    thin: int | None = None
-    init_chunk: int = 8192
-    max_init_draws: int = 20_000_000
+    return int(min(_MAX_GAP, max(1, math.ceil(3.0 / (1.0 - rho)))))
 
 
 class RegionWalkSampler:
     """Approximately uniform draws from a staircase region via batched walks.
 
-    Runs ``n_chains`` transformed random-walk Metropolis chains in lockstep.
+    Runs 32 transformed random-walk Metropolis chains in lockstep.  They
+    start at the first 32 region points of the generator's uniform stream.
     The proposal covariance is re-estimated from the pooled trajectory once
     per window and frozen in between.  When the region shrinks, chains that
     fall outside are re-seeded from surviving ones, so no rejection restart
-    is needed.
+    is needed; if none survives, the chains start afresh as above.
 
     Parameters
     ----------
     region : StaircaseRegion
         Initial region; may be the whole cube.
     rng : RandomStream or numpy.random.Generator
-    config : WalkConfig, optional
     """
 
-    def __init__(self, region, rng, config=None):
-        self.config = config or WalkConfig()
+    def __init__(self, region, rng):
         self._gen = rng.generator() if isinstance(rng, RandomStream) else rng
         self.region = region
         self._dim = region.dimension
         self._cov = np.eye(self._dim)
-        self._chol = math.sqrt(self.config.scale / self._dim) * np.eye(self._dim)
+        self._chol = math.sqrt(_SCALE / self._dim) * np.eye(self._dim)
         self._accepted = 0
         self._proposed = 0
         self._steps_since_adapt = 0
@@ -198,22 +164,11 @@ class RegionWalkSampler:
         self._burned_in = False
 
     def _initial_states(self):
-        cfg = self.config
+        # on the whole cube every draw is a region point: take just 32
         if self.region.fail_generators.size == 0 and self.region.safe_generators.size == 0:
-            return self._gen.random((cfg.n_chains, self._dim))
-        out = np.empty((0, self._dim))
-        spent = 0
-        while out.shape[0] < cfg.n_chains and spent < cfg.max_init_draws:
-            X = self._gen.random((cfg.init_chunk, self._dim))
-            spent += cfg.init_chunk
-            out = np.vstack([out, X[self.region.contains_batch(X)]])
-        if out.shape[0] == 0:
-            raise SamplerStalled(
-                f"rejection initialization found no region point in {spent} draws")
-        if out.shape[0] < cfg.n_chains:
-            extra = self._gen.integers(0, out.shape[0], cfg.n_chains - out.shape[0])
-            out = np.vstack([out, out[extra]])
-        return out[:cfg.n_chains]
+            return self._gen.random((_N_CHAINS, self._dim))
+        return RejectionSampler(chunk=_SEED_CHUNK).draw_batch(
+            self.region, self._gen, _N_CHAINS)
 
     @property
     def acceptance_rate(self):
@@ -239,7 +194,7 @@ class RegionWalkSampler:
         if len(self._recent) >= 2:
             traj = np.vstack(self._recent)
             self._cov = adapt_covariance(traj)
-            self._chol = np.linalg.cholesky(self.config.scale * self._cov / self._dim)
+            self._chol = np.linalg.cholesky(_SCALE * self._cov / self._dim)
         self._recent = []
         self._steps_since_adapt = 0
 
@@ -251,11 +206,10 @@ class RegionWalkSampler:
         without it the stationary law in cube coordinates would not be
         uniform.
         """
-        cfg = self.config
         X = self._states
         Z = psi(np.clip(X, _BOUNDARY_EPS, 1.0 - _BOUNDARY_EPS))
         for _ in range(n_steps):
-            if self._steps_since_adapt >= cfg.window:
+            if self._steps_since_adapt >= _WINDOW:
                 self._adapt()
             E = self._gen.standard_normal(Z.shape) @ self._chol.T
             Z_new = Z + E
@@ -270,7 +224,7 @@ class RegionWalkSampler:
             self._proposed += accept.size
             self._steps_since_adapt += 1
             self._recent.append(X.copy())
-            if len(self._recent) > cfg.window:
+            if len(self._recent) > _WINDOW:
                 self._recent.pop(0)
         self._states = X
         return X
@@ -281,19 +235,15 @@ class RegionWalkSampler:
         Chains are advanced a measured decorrelation gap between snapshot
         harvests; the first call additionally burns in the chains.
         """
-        cfg = self.config
         if not self._burned_in:
-            self.step(max(1, int(cfg.burn_in_fraction * cfg.window)))
+            self.step(_BURN_IN)
             self._burned_in = True
         out = []
         got = 0
         while got < n:
-            gap = cfg.thin
-            if gap is None:
-                traj = (np.stack([s[0] for s in self._recent])
-                        if len(self._recent) >= 3 else self._states)
-                gap = decorrelation_gap(traj)
-            self.step(gap)
+            traj = (np.stack([s[0] for s in self._recent])
+                    if len(self._recent) >= 3 else self._states)
+            self.step(decorrelation_gap(traj))
             out.append(self._states.copy())
             got += self._states.shape[0]
         pool = np.vstack(out)[:n]

@@ -24,7 +24,8 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .core import (DETERMINISTIC, HIGH_PROBABILITY, BlackBoxFunction,
-                   DimensionMismatch, ProbabilityBounds, RandomStream)
+                   DimensionMismatch, ProbabilityBounds, RandomStream,
+                   check_finite)
 
 __all__ = [
     "MonotonicityViolation",
@@ -599,8 +600,7 @@ class SequentialRun:
 
 
 def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
-                       sampler: str = "auto",
-                       walk_config=None) -> SequentialRun:
+                       sampler: str = "auto") -> SequentialRun:
     """Spend ``budget`` oracle queries bounding p = P(g(X) < y).
 
     Each step picks one point of the current undecided region, labels it
@@ -635,8 +635,8 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
       counts (a cheap Monte Carlo proxy for the two gains) and queries
       the best.
 
-    At d <= 2 ``sampler`` and ``walk_config`` act only on the pool
-    fallback, and the run's ``sampler_name`` is "boundary".
+    At d <= 2 ``sampler`` acts only on the pool fallback, and the run's
+    ``sampler_name`` is "boundary".
 
     Parameters
     ----------
@@ -653,11 +653,9 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
     sampler : str
         Where pool points come from: "rejection"
         (:class:`RejectionSampler`), "mcmc"
-        (:class:`rarebound.mcmc.RegionWalkSampler`), or "auto" (rejection
-        that hands over to the walk sampler once its acceptance rate drops
-        below ``SWITCH_ACCEPTANCE``).
-    walk_config
-        Passed to the walk sampler when it is instantiated.
+        (:class:`rarebound.mcmc.RegionWalkSampler`, whose tuning is
+        fixed), or "auto" (rejection that hands over to the walk sampler
+        once its acceptance rate drops below ``SWITCH_ACCEPTANCE``).
 
     Returns
     -------
@@ -681,7 +679,7 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
 
     def make_walker():
         from .mcmc import RegionWalkSampler
-        return RegionWalkSampler(region, gen, walk_config)
+        return RegionWalkSampler(region, gen)
 
     if d == 2:
         # log-spaced abscissae at a random offset, so replications differ
@@ -745,8 +743,7 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
             x = pool_query()
 
         value = f(x)
-        if not np.isfinite(value):
-            raise ValueError(f"oracle returned {value!r} at {x.tolist()}")
+        check_finite(value, x)
         failed = value < f.threshold
         pts.append(x)
         labels.append(failed)

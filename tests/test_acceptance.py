@@ -30,7 +30,7 @@ from rarebound.bench import (
 from rarebound.cli import parse_config_text, run_experiment
 from rarebound.core import BlackBoxFunction, RandomStream
 from rarebound.dyadic import refine
-from rarebound.mcmc import RegionWalkSampler, WalkConfig, psi, psi_inv
+from rarebound.mcmc import RegionWalkSampler, psi, psi_inv
 from rarebound.monotone import (
     LabeledDesign,
     RejectionSampler,
@@ -287,8 +287,7 @@ def test_criterion_09_walk_sampler_distribution():
         np.array([True, True, False, False])))
     ref = RejectionSampler(chunk=65536).draw_batch(
         region, RandomStream(99, 0).generator(), 200_000)
-    sampler = RegionWalkSampler(region, RandomStream(99, 1),
-                                WalkConfig(n_chains=32, window=200))
+    sampler = RegionWalkSampler(region, RandomStream(99, 1))
     walk = sampler.draw(100_000)
 
     def hist(pts):

@@ -9,6 +9,8 @@ import typing
 import numpy as np
 import pytest
 
+from rarebound import cli
+from rarebound.bench import ToyProblem
 from rarebound.cli import (
     _CHOICES,
     METHODS,
@@ -23,6 +25,7 @@ from rarebound.cli import (
     run_lambda_table,
     run_timing,
 )
+from rarebound.core import BlackBoxFunction
 
 MINIMAL = """
 [experiment]
@@ -122,9 +125,9 @@ class TestParseConfig:
             parse_config_text(text)
 
     def test_unknown_key_names_line_and_section(self):
-        text = MINIMAL + "\n[mcmc]\npool = 10\n"
+        text = MINIMAL + "\n[dyadic]\npool = 10\n"
         with pytest.raises(ConfigError,
-                           match=r":10: unknown key 'pool' in section \[mcmc"):
+                           match=r":10: unknown key 'pool' in section \[dyadic"):
             parse_config_text(text)
 
     def test_malformed_line(self):
@@ -199,11 +202,15 @@ class TestOptionFields:
             documented.setdefault(section, set()).add(name)
         assert readme_keys() == documented
 
-    def test_monotone_section_is_rejected(self):
-        # the sequential bounder's candidate rule is fixed by dimension
-        text = MINIMAL + "\n[monotone]\nrule = auto\n"
+    @pytest.mark.parametrize("section, key", [
+        pytest.param("monotone", "rule = auto", id="monotone"),
+        pytest.param("mcmc", "chains = 32", id="mcmc")])
+    def test_monotone_section_is_rejected(self, section, key):
+        # the sequential bounder fixes its candidate rule by dimension and
+        # the walk's tuning
+        text = MINIMAL + f"\n[{section}]\n{key}\n"
         with pytest.raises(ConfigError,
-                           match=r":9: unknown section \[monotone\]"):
+                           match=rf":9: unknown section \[{section}\]"):
             parse_config_text(text)
 
 
@@ -367,6 +374,29 @@ class TestMain:
         cfg = self.write_cfg(tmp_path, text)
         assert main(["run", cfg, "--output-dir", str(tmp_path / "x")]) == 3
         assert capsys.readouterr().err.startswith("method error: ValueError")
+
+    @pytest.mark.parametrize("method, section", [
+        ("shift", "[shift]\nepochs = 20\nmax_refits = 0\nmc_samples = 100\n"),
+        ("fsd", "[fsd]\nepochs = 20\nrestarts = 0\nmc_samples = 100\n")])
+    def test_non_finite_oracle_value_exit_3(self, tmp_path, capsys,
+                                            monkeypatch, method, section):
+        # NaN near one face of the cube: the training targets must be
+        # rejected before any surrogate is fitted to them
+        def g(X):
+            return np.where(X[:, 0] > 0.9, np.nan, X[:, 0] + X[:, 1])
+
+        problem = ToyProblem(
+            name="nan-face", dimension=2, p_exact=0.125,
+            function=BlackBoxFunction(g, dimension=2, threshold=0.5,
+                                      vectorized=True),
+            orientation=np.ones(2))
+        monkeypatch.setattr(cli, "get_benchmark", lambda name: problem)
+        text = (f"[experiment]\nmethod = {method}\nbenchmark = nan-face\n"
+                f"replications = 1\nworkers = 1\n{section}")
+        cfg = self.write_cfg(tmp_path, text)
+        assert main(["run", cfg, "--output-dir", str(tmp_path / "x")]) == 3
+        assert re.match(r"method error: ValueError: oracle returned nan at "
+                        r"\[0\.9", capsys.readouterr().err)
 
     def test_workers_flag_overrides(self, tmp_path):
         cfg = self.write_cfg(tmp_path, MINIMAL)

@@ -26,12 +26,17 @@ def slab(d, y, L=1.0):
     return f, L
 
 
+def measure(cube):
+    """Lebesgue measure 2^-(d * depth) of a dyadic cube."""
+    return 2.0 ** (-cube.depth * cube.dimension)
+
+
 class TestCubeGeometry:
     def test_root(self):
         root = DyadicCube(0, (0, 0))
         assert root.dimension == 2
         assert root.sidelength == 1.0
-        assert root.measure == 1.0
+        assert measure(root) == 1.0
         assert root.center() == (0.5, 0.5)
 
     def test_children_partition_parent(self):
@@ -41,7 +46,7 @@ class TestCubeGeometry:
         assert len({k.index for k in kids}) == 4
         assert all(k.depth == 3 for k in kids)
         # measures sum exactly (dyadic rationals are exact in binary)
-        assert sum(k.measure for k in kids) == parent.measure
+        assert sum(measure(k) for k in kids) == measure(parent)
         # every child center lies strictly inside the parent box
         s = parent.sidelength
         lo = np.array(parent.index) * s
@@ -92,7 +97,7 @@ class TestSlabExactness:
         assert run.bounds.lower == 0.125
         assert run.bounds.upper == 0.375
         assert run.max_depth_hit
-        assert sum(c.measure for c in run.unknown) == pytest.approx(0.25)
+        assert sum(measure(c) for c in run.unknown) == pytest.approx(0.25)
 
     def test_1d_32_queries(self):
         prob = make_lipschitz_toy_1d(2.1e-3)
@@ -135,7 +140,7 @@ class TestRefine:
     def test_partition_is_complete(self):
         f, L = slab(2, 0.25)
         run = refine(f, L, budget=200, max_depth=4)
-        total = sum(c.measure for group in (run.inside, run.outside,
+        total = sum(measure(c) for group in (run.inside, run.outside,
                                             run.unknown) for c in group)
         assert total == pytest.approx(1.0, abs=1e-12)
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rarebound import mcmc
 from rarebound.core import RandomStream
 from rarebound.mcmc import (
     BoundaryInput,
     RegionWalkSampler,
-    WalkConfig,
     adapt_covariance,
     decorrelation_gap,
     lag_one_autocorrelation,
@@ -84,14 +84,13 @@ class TestDecorrelation:
         assert decorrelation_gap(np.random.default_rng(0)
                                  .standard_normal((5000, 1))) == 1
         assert decorrelation_gap(np.full((100, 2), 0.5)) == 1
-        assert decorrelation_gap(self.ar1(0.999), ceiling=64) == 64
+        assert decorrelation_gap(self.ar1(0.999)) == 64
 
 
 class TestMHStep:
     def test_stays_in_region(self):
         region = box_region()
-        s = RegionWalkSampler(region, RandomStream(3, 0),
-                              WalkConfig(n_chains=8, window=50))
+        s = RegionWalkSampler(region, RandomStream(3, 0))
         X = s._states.copy()
         moved = 0
         for _ in range(200):
@@ -101,11 +100,11 @@ class TestMHStep:
             X = new
         assert moved > 20     # chains actually mix
 
-    def test_rejection_keeps_state(self):
+    def test_rejection_keeps_state(self, monkeypatch):
         # a huge proposal scale makes the Jacobian ratio reject every move
+        monkeypatch.setattr(mcmc, "_SCALE", 1e12)
         region = box_region()
-        s = RegionWalkSampler(region, RandomStream(4, 0),
-                              WalkConfig(n_chains=8, scale=1e12, window=1000))
+        s = RegionWalkSampler(region, RandomStream(4, 0))
         X = s._states.copy()
         new = s.step(20)
         assert np.array_equal(new, X)
@@ -115,17 +114,25 @@ class TestMHStep:
 class TestRegionWalkSampler:
     def test_draws_in_region(self):
         region = box_region()
-        s = RegionWalkSampler(region, RandomStream(6, 0),
-                              WalkConfig(n_chains=8, window=50))
+        s = RegionWalkSampler(region, RandomStream(6, 0))
         X = s.draw(100)
         assert X.shape == (100, 2)
         assert region.contains_batch(X).all()
         assert 0.0 <= s.acceptance_rate <= 1.0
 
+    def test_chains_start_at_the_first_region_points(self):
+        # a thin region, so the 32 seeds span more than one rejection chunk
+        region = StaircaseRegion.from_design(LabeledDesign(
+            np.array([[0.998, 0.999]]), np.array([True])))
+        s = RegionWalkSampler(region, RandomStream(8, 0))
+        X = RandomStream(8, 0).generator().random((40_000, 2))
+        inside = np.flatnonzero(region.contains_batch(X))
+        assert inside[31] >= 8192
+        assert np.array_equal(s._states, X[inside[:32]])
+
     def test_update_region_reseeds(self):
         region = StaircaseRegion.empty(2)
-        s = RegionWalkSampler(region, RandomStream(7, 0),
-                              WalkConfig(n_chains=16, window=40))
+        s = RegionWalkSampler(region, RandomStream(7, 0))
         s.draw(16)
         shrunk = box_region()
         s.update_region(shrunk)

@@ -487,17 +487,22 @@ class TestRejectionSampler:
 
 
 class TestSequentialBounder:
-    @pytest.mark.parametrize("d, expected", [
-        pytest.param(3, "(4.156909750672099e-05, 0.0063627345058108195)",
+    @pytest.mark.parametrize("d, sampler, expected", [
+        pytest.param(3, "auto",
+                     "(4.156909750672099e-05, 0.0063627345058108195)",
                      id="d3"),
-        pytest.param(2, "(0.0004190881990539619, 0.0006051014329112593)",
+        pytest.param(2, "auto",
+                     "(0.0004190881990539619, 0.0006051014329112593)",
                      id="d2"),
+        pytest.param(3, "mcmc",
+                     "(3.576791385105685e-05, 0.0027373693251272484)",
+                     id="d3-mcmc"),
     ])
-    def test_golden_bounds(self, d, expected):
-        # pinned to the last bit: a change to the oracle or to region
-        # membership that moves one label moves these
+    def test_golden_bounds(self, d, sampler, expected):
+        # pinned to the last bit: a change to the oracle, to region
+        # membership or to the walk that moves one label moves these
         run = sequential_bounder(make_example1(d, 5e-4).function, 60,
-                                 RandomStream(202, 0), sampler="auto")
+                                 RandomStream(202, 0), sampler=sampler)
         assert repr((run.bounds.lower, run.bounds.upper)) == expected
 
     def test_contains_truth_and_traces_nest(self):
