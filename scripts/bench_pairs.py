@@ -7,7 +7,10 @@ alternates which side goes first, so a drift in machine speed hits both
 sides alike.  The summary gives, per workload, seed and end-to-end metric,
 each side's median and quartiles over the pairs and the number of pairs in
 which the change did better (ties count for neither side); the direction
-of each metric comes from the change checkout's BENCHMARK.json.
+of each metric comes from the change checkout's BENCHMARK.json.  Each run
+keeps its per-replication output digests (the ``fingerprint per
+replication:`` line), and the summary counts, per workload and seed, the
+replications both sides reached and those whose digests are equal.
 
     python scripts/bench_pairs.py --parent ../parent --change . \\
         --label volume --runs mono-hd:202:10 --runs mono-d2:202:3 \\
@@ -29,10 +32,12 @@ import sys
 import numpy
 
 RUN = ["python3", "perfbench/run.py"]
+DIGESTS = "fingerprint per replication:"
 
 
 def run_side(checkout, workload, seed, seconds, trace):
-    """One benchmark process; returns the JSON object of its last line."""
+    """One benchmark process; returns the JSON object of its last line,
+    with the per-replication digests it printed under ``fingerprints``."""
     cmd = RUN + ["--workload", workload, "--seed", str(seed),
                  "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True,
@@ -41,7 +46,25 @@ def run_side(checkout, workload, seed, seconds, trace):
     if proc.returncode != 0 or not lines:
         raise SystemExit(f"{' '.join(cmd)} in {checkout} failed "
                          f"({proc.returncode}):\n{proc.stderr[-2000:]}")
-    return json.loads(lines[-1])
+    result = json.loads(lines[-1])
+    result["fingerprints"] = next(
+        (line[len(DIGESTS):].split() for line in lines
+         if line.startswith(DIGESTS)), [])
+    return result
+
+
+def digest_match(results):
+    """Replications that both sides reached, and how many of them have
+    equal digests on every run of both sides.  ``results`` maps a side to
+    its run results; replication r is the r-th digest of a run."""
+    seen = {}
+    for side, runs in results.items():
+        for result in runs:
+            for r, digest in enumerate(result["fingerprints"]):
+                seen.setdefault(r, {}).setdefault(side, set()).add(digest)
+    shared = [d for d in seen.values() if len(d) == len(results)]
+    same = sum(len(set.union(*d.values())) == 1 for d in shared)
+    return {"shared_replications": len(shared), "matching": same}
 
 
 def spread(values):
@@ -58,7 +81,9 @@ def summarize(runs, better):
         rows = [r for r in runs if (r["workload"], r["seed"]) == key]
         pairs = sorted({r["pair"] for r in rows})
         side = {(r["pair"], r["side"]): r["result"]["metrics"] for r in rows}
-        cell = {}
+        cell = {"fingerprints": digest_match(
+            {s: [r["result"] for r in rows if r["side"] == s]
+             for s in ("parent", "change")})}
         for name, direction in better.items():
             vals = {s: [side[(k, s)][name]["value"] for k in pairs]
                     for s in ("parent", "change")}
@@ -130,6 +155,8 @@ def main(argv=None):
                                  f"--seed {seed} --seconds {seconds} --trace 1")
         out[key] = {name: run_side(path, workload, seed, seconds, 1)
                     for name, path in sides.items()}
+        out[key]["fingerprints"] = digest_match(
+            {name: [out[key][name]] for name in sides})
     path = os.path.join(args.out, f"BENCH_{args.label}.json")
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(out, fh, indent=1)

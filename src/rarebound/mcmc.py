@@ -176,11 +176,16 @@ class RegionWalkSampler:
         return self._accepted / self._proposed if self._proposed else 0.0
 
     def update_region(self, region):
-        """Shrink to a nested region, re-seeding any chains left outside."""
+        """Shrink to a nested region, re-seeding any chains left outside.
+
+        Every chain state lies in the previous region, so after one label
+        only the orthant it removed is tested
+        (:meth:`~rarebound.monotone.StaircaseRegion.retain`).
+        """
         if region.dimension != self._dim:
             raise ValueError("region dimension changed")
+        alive = region.retain(self._states, self.region)
         self.region = region
-        alive = region.contains_batch(self._states)
         if not alive.any():
             self._states = self._initial_states()
         elif not alive.all():

@@ -50,6 +50,8 @@ _MC_ALPHA = 1e-6           # per-volume failure mass of the MC fallback bounds
 SWITCH_ACCEPTANCE = 5e-3   # sampler "auto" hands over to the walk below this
 _POOL_SIZE = 192           # sampled region points kept on hand ...
 _SCORE_SUBSAMPLE = 48      # ... of which each step scores this many
+_FIRST_PASS = 8            # safe generators a large batch meets first ...
+_TWO_PASS_ROWS = 1024      # ... when it has at least this many rows
 
 
 class MonotonicityViolation(RuntimeError):
@@ -75,6 +77,13 @@ def _covered(X: np.ndarray, G: np.ndarray, cmp=np.less_equal) -> np.ndarray:
     for k in range(1, X.shape[1]):
         hit &= cmp(X[:, k, None], G[None, :, k])
     return hit.any(axis=1)
+
+
+def _clear_covered(out: np.ndarray, X: np.ndarray, G: np.ndarray,
+                   cmp=np.less_equal) -> None:
+    """Set ``out`` False on its True rows whose point ``_covered`` finds in G."""
+    rows = np.flatnonzero(out)
+    out[rows] = ~_covered(X[rows], G, cmp)
 
 
 def _check_disjoint(S: np.ndarray, F: np.ndarray) -> None:
@@ -364,6 +373,14 @@ class StaircaseRegion:
     point that contradicts the other side.  Every such conflict, a safe
     point componentwise below a fail point, raises
     :class:`MonotonicityViolation`.
+
+    An update removes exactly one orthant: ``with_fail(x)`` leaves this
+    region minus [0, x], and ``with_safe(x)`` this region minus [x, 1].
+    The new region records that orthant and an identity token of the
+    region it came from, never the region itself, so a run does not keep
+    its chain of regions alive.  Membership uses exact comparisons only,
+    so points known to lie in the predecessor need testing against that
+    one orthant alone, which :meth:`retain` does.
     """
 
     fail_generators: np.ndarray   # (m1, d) maximal antichain
@@ -395,39 +412,79 @@ class StaircaseRegion:
         if not is_antichain(F) or not is_antichain(S):
             raise ValueError("generators must form antichains")
         _check_disjoint(S, F)
+        self._set_origin(None, None, False)
 
-    def contains_batch(self, X) -> np.ndarray:
+    def _set_origin(self, parent, cut, upper) -> None:
+        # identity token of this region; the token of the region it was
+        # made from by removing the orthant of ``cut`` (lower or upper)
+        object.__setattr__(self, "_token", object())
+        object.__setattr__(self, "_parent", parent)
+        object.__setattr__(self, "_cut", cut)
+        object.__setattr__(self, "_cut_upper", upper)
+
+    def _batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         if X.ndim != 2 or X.shape[1] != self.dimension:
             raise DimensionMismatch(
                 f"expected batch of shape (n, {self.dimension}), got {X.shape}")
+        return X
+
+    def contains_batch(self, X) -> np.ndarray:
+        X = self._batch(X)
         # for a rare failure the certified safe set covers most of the cube,
         # so the fail side is tested only on the rows that survive the safe
-        # side (about 1% of rejection candidates)
-        out = ~_covered(X, self.safe_generators, np.greater_equal)
-        rows = np.flatnonzero(out)
-        out[rows] = ~_covered(X[rows], self.fail_generators)
+        # side (about 1% of rejection candidates); a large batch meets the
+        # safe generators with the largest upper orthants first, and the
+        # rest only on the rows those leave
+        S = self.safe_generators
+        if X.shape[0] >= _TWO_PASS_ROWS and S.shape[0] > 2 * _FIRST_PASS:
+            # ranked per call: bounds_from_design reads the stored order
+            first = np.zeros(S.shape[0], dtype=bool)
+            first[np.argpartition(np.prod(1.0 - S, axis=1),
+                                  -_FIRST_PASS)[-_FIRST_PASS:]] = True
+            out = ~_covered(X, S[first], np.greater_equal)
+            _clear_covered(out, X, S[~first], np.greater_equal)
+        else:
+            out = ~_covered(X, S, np.greater_equal)
+        _clear_covered(out, X, self.fail_generators)
         return out
+
+    def retain(self, X, since: "StaircaseRegion") -> np.ndarray:
+        """Membership mask of a batch X whose points all lie in ``since``.
+
+        When this region is ``since`` after one :meth:`with_fail` or
+        :meth:`with_safe`, X is tested against the one removed orthant
+        alone, in O(n d) instead of O(n m d); the mask is the one
+        :meth:`contains_batch` gives.  For any other ``since`` this is
+        :meth:`contains_batch`.
+        """
+        if self._parent is not since._token:
+            return self.contains_batch(X)
+        return ~_covered(self._batch(X), self._cut,
+                         np.greater_equal if self._cut_upper else np.less_equal)
 
     def with_fail(self, x) -> "StaircaseRegion":
         x = np.asarray(x, dtype=float)
         _check_disjoint(self.safe_generators, x[None, :])
         return self._updated(_insert_maximal(self.fail_generators, x),
-                             self.safe_generators)
+                             self.safe_generators, x, upper=False)
 
     def with_safe(self, x) -> "StaircaseRegion":
         x = np.asarray(x, dtype=float)
         _check_disjoint(x[None, :], self.fail_generators)
         # negation is exact, so the stored generator is the observed point
         return self._updated(self.fail_generators,
-                             -_insert_maximal(-self.safe_generators, -x))
+                             -_insert_maximal(-self.safe_generators, -x),
+                             x, upper=True)
 
-    def _updated(self, fail_generators, safe_generators) -> "StaircaseRegion":
+    def _updated(self, fail_generators, safe_generators, x,
+                 upper: bool) -> "StaircaseRegion":
         # skips __post_init__: its O(m^2) checks hold by construction here
         region = object.__new__(StaircaseRegion)
         object.__setattr__(region, "fail_generators", fail_generators)
         object.__setattr__(region, "safe_generators", safe_generators)
         object.__setattr__(region, "dimension", self.dimension)
+        region._set_origin(self._token, np.array(x, dtype=float)[None, :], upper)
         return region
 
     def volume_bounds(self) -> Tuple[float, float]:
@@ -492,14 +549,18 @@ class RejectionSampler:
         self.attempts = 0
         self.draws = 0
         self._buffer = np.empty((0, 0))
+        self._since = None        # the region every buffered point lies in
 
     def draw_batch(self, region: StaircaseRegion, gen: np.random.Generator,
                    n: int) -> np.ndarray:
         """Return up to ``n`` uniform region points (fewer only on stall)."""
-        # leftover candidates are re-checked against the current region;
-        # the unused tail of an iid uniform stream stays uniform
+        # leftover candidates lie in the region of the previous call, so
+        # one label later only the orthant it removed is tested
+        # (StaircaseRegion.retain); the unused tail of an iid uniform
+        # stream stays uniform
         if self._buffer.shape[0]:
-            self._buffer = self._buffer[region.contains_batch(self._buffer)]
+            self._buffer = self._buffer[region.retain(self._buffer, self._since)]
+        self._since = region
         out: List[np.ndarray] = list(self._buffer[:n])
         self._buffer = self._buffer[n:]
         self.draws += len(out)
@@ -676,6 +737,7 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
     name = sampler
     region = StaircaseRegion.empty(d)
     pool = np.empty((0, d))
+    pool_region = region          # the region every pool point lies in
 
     def make_walker():
         from .mcmc import RegionWalkSampler
@@ -708,10 +770,11 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         return np.vstack([pool, fresh]) if pool.shape[0] else fresh
 
     def pool_query() -> np.ndarray:
-        nonlocal pool
+        nonlocal pool, pool_region
         if pool.shape[0]:
-            pool = pool[region.contains_batch(pool)]
+            pool = pool[region.retain(pool, pool_region)]
         pool = refill(pool, _POOL_SIZE)
+        pool_region = region
         if pool.shape[0] > _SCORE_SUBSAMPLE:
             sel = gen.choice(pool.shape[0], _SCORE_SUBSAMPLE, replace=False)
         else:

@@ -1,5 +1,8 @@
 """Dominance geometry, staircase volumes, and the sequential bounder."""
 
+import gc
+import itertools
+import weakref
 from fractions import Fraction
 
 import numpy as np
@@ -383,6 +386,44 @@ class TestStaircaseRegion:
         lo, hi = rebuilt.volume_bounds()
         assert lo <= prob.p_exact <= hi
 
+    @given(st.integers(2, 5), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_retain_matches_contains_batch(self, d, data):
+        # points on the grid of quarters tie the generator faces; labels
+        # come from the monotone rule "fail iff the sum is below c"
+        grid = np.array(list(itertools.product(range(5), repeat=d))) / 4.0
+        rows = data.draw(st.lists(st.integers(0, grid.shape[0] - 1),
+                                  min_size=2, max_size=30))
+        c = data.draw(st.integers(1, 4 * d - 1)) / 4.0
+        regions = [StaircaseRegion.empty(d)]
+        for x in grid[rows]:
+            r = regions[-1]
+            regions.append(r.with_fail(x) if x.sum() < c else r.with_safe(x))
+        for t, since in enumerate(regions[:-1]):
+            P = grid[since.contains_batch(grid)]
+            rebuilt = StaircaseRegion(since.fail_generators,
+                                      since.safe_generators, d)
+            # one hop, then two hops, itself and an equal but unrelated
+            # region: only the first takes the one-orthant test
+            for later, origin in ((regions[t + 1], since),
+                                  (regions[min(t + 2, len(regions) - 1)], since),
+                                  (since, since), (regions[t + 1], rebuilt)):
+                assert np.array_equal(later.retain(P, origin),
+                                      later.contains_batch(P))
+
+    def test_updates_do_not_keep_their_predecessor(self):
+        # a run makes one region per query: each must be freed once the
+        # engine moves on, although its successor can still test points
+        # against it by identity
+        r = self.region()
+        ref = weakref.ref(r)
+        r2 = r.with_fail(np.array([0.5, 0.1]))
+        mask = r2.retain(np.array([[0.4, 0.05], [0.5, 0.5]]), r)
+        assert mask.tolist() == [False, True]
+        del r
+        gc.collect()
+        assert ref() is None
+
     def test_overlapping_construction(self):
         with pytest.raises(MonotonicityViolation):
             StaircaseRegion(np.array([[0.6, 0.6]]), np.array([[0.4, 0.4]]), 2)
@@ -487,23 +528,34 @@ class TestRejectionSampler:
 
 
 class TestSequentialBounder:
-    @pytest.mark.parametrize("d, sampler, expected", [
-        pytest.param(3, "auto",
-                     "(4.156909750672099e-05, 0.0063627345058108195)",
+    @pytest.mark.parametrize("d, sampler, budget, rep, expected, name", [
+        pytest.param(3, "auto", 60, 0,
+                     "(4.156909750672099e-05, 0.0063627345058108195)", None,
                      id="d3"),
-        pytest.param(2, "auto",
-                     "(0.0004190881990539619, 0.0006051014329112593)",
+        pytest.param(2, "auto", 60, 0,
+                     "(0.0004190881990539619, 0.0006051014329112593)", None,
                      id="d2"),
-        pytest.param(3, "mcmc",
-                     "(3.576791385105685e-05, 0.0027373693251272484)",
+        pytest.param(3, "mcmc", 60, 0,
+                     "(3.576791385105685e-05, 0.0027373693251272484)", None,
                      id="d3-mcmc"),
+        # the two cells of the mono-hd benchmark protocol; replication 3
+        # of d = 3 hands over to the walk, so its chain states are kept
+        # across region updates
+        pytest.param(4, "auto", 200, 0,
+                     "(3.4109665226175185e-05, 0.009260691466239425)", None,
+                     id="d4-auto"),
+        pytest.param(3, "auto", 200, 3,
+                     "(0.0002299270745673286, 0.0011785056834747734)",
+                     "auto(rejection->mcmc)", id="d3-switch"),
     ])
-    def test_golden_bounds(self, d, sampler, expected):
+    def test_golden_bounds(self, d, sampler, budget, rep, expected, name):
         # pinned to the last bit: a change to the oracle, to region
         # membership or to the walk that moves one label moves these
-        run = sequential_bounder(make_example1(d, 5e-4).function, 60,
-                                 RandomStream(202, 0), sampler=sampler)
+        run = sequential_bounder(make_example1(d, 5e-4).function, budget,
+                                 RandomStream(202, rep), sampler=sampler)
         assert repr((run.bounds.lower, run.bounds.upper)) == expected
+        if name is not None:
+            assert run.sampler_name == name
 
     def test_contains_truth_and_traces_nest(self):
         prob = make_linear_toy(2, 0.5)
