@@ -13,7 +13,6 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
-import math
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -131,10 +130,7 @@ def check_finite(values, points) -> None:
     (n, d) batch it was computed at.  A NaN would otherwise compare False
     with the threshold and pass for a safe label or a training target.
     """
-    if isinstance(values, float):     # the one value of a single query
-        if math.isfinite(values):
-            return
-    elif np.isfinite(values).all():
+    if np.isfinite(values).all():
         return
     i = np.flatnonzero(~np.isfinite(np.atleast_1d(values)))[0]
     raise ValueError(f"oracle returned {float(np.atleast_1d(values)[i])!r} "

@@ -28,7 +28,8 @@ from rarebound.monotone import (
     sequential_bounder,
     upper_orthant_volume,
 )
-from rarebound.monotone import _boundary_query, _rounding_terms, _Staircase2
+from rarebound.monotone import (_TWO_PASS_ROWS, _boundary_query, _rounding_terms,
+                                _Staircase2)
 
 U = 2.0 ** -53    # unit roundoff of binary64
 
@@ -314,14 +315,13 @@ class TestStaircaseRegion:
         lo2, hi2 = r2.volume_bounds()
         assert lo2 > lo and hi2 == hi
 
-    @pytest.mark.parametrize("d", [2, 3, 4, 5])
-    def test_batch_matches_broadcast_reference(self, d):
-        rng = np.random.default_rng(40 + d)
+    @staticmethod
+    def check_against_reference(rng, d, n):
         for _ in range(5):
             P = rng.random((30, d))
             fail = P.sum(axis=1) < 0.4 * d      # a monotone labelling
             r = StaircaseRegion.from_design(LabeledDesign(P, fail))
-            X = rng.random((300, d))
+            X = rng.random((n, d))
             # rows that tie generator coordinates exactly, in all
             # coordinates or in some, on both sides
             G = np.vstack([r.fail_generators, r.safe_generators])
@@ -331,6 +331,17 @@ class TestStaircaseRegion:
             X = np.vstack([X, G, ties])
             assert np.array_equal(r.contains_batch(X),
                                   contains_reference(r, X))
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_batch_matches_broadcast_reference(self, d):
+        self.check_against_reference(np.random.default_rng(40 + d), d, 300)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5])
+    def test_large_batch_matches_broadcast_reference(self, d):
+        # batches of _TWO_PASS_ROWS rows or more meet the largest safe
+        # orthant first
+        self.check_against_reference(np.random.default_rng(60 + d), d,
+                                     _TWO_PASS_ROWS)
 
     def test_batch_with_an_empty_side(self):
         d = 3
