@@ -11,11 +11,11 @@ list-benchmarks print the benchmark registry
 
 Config files are flat ``key = value`` text with ``[section]`` headers.
 The keys of ``[experiment]`` (the default section) are the fields of
-:class:`ExperimentConfig`; those of ``[dyadic]``, ``[shift]`` and
-``[fsd]`` are the fields of the options class it holds under that name,
-with the same defaults.  The monotone methods have no section of their
-own: the sequential bounder fixes its candidate rule by dimension, and
-the transformed walk of ``monotone-mcmc`` its tuning.
+:class:`ExperimentConfig`; those of ``[monotone]``, ``[dyadic]``,
+``[shift]`` and ``[fsd]`` are the fields of the options class it holds
+under that name, with the same defaults.  ``[monotone]`` has one key,
+the region sampler: the sequential bounder fixes its candidate rule by
+dimension, and the transformed walk its tuning.
 Unknown sections or keys are rejected with a line diagnostic.  Exit
 codes: 0 success, 2 configuration error, 3 method error.
 
@@ -89,6 +89,20 @@ class ConfigError(ValueError):
 # configuration
 
 @dataclass
+class MonotoneOptions:
+    """Knobs for the sequential bounder of the monotone methods.
+
+    ``sampler`` draws the region points of d >= 3: "rejection", the
+    transformed walk "mcmc", or "auto", which starts with rejection and
+    hands over to the walk once rejection's acceptance rate falls below
+    5e-3.  "method" keeps each method's own: rejection for
+    ``monotone-exact``, the walk for ``monotone-mcmc``.
+    """
+
+    sampler: str = "method"         # method | rejection | mcmc | auto
+
+
+@dataclass
 class DyadicOptions:
     """Knobs for the Lipschitz cube refinement."""
 
@@ -152,6 +166,7 @@ class ExperimentConfig:
     seed: int = 20260823
     workers: int = 0                # 0 means one per available core
     output_dir: str = "results"
+    monotone: MonotoneOptions = field(default_factory=MonotoneOptions)
     dyadic: DyadicOptions = field(default_factory=DyadicOptions)
     shift: ShiftOptions = field(default_factory=ShiftOptions)
     fsd: FsdOptions = field(default_factory=FsdOptions)
@@ -162,6 +177,7 @@ class ExperimentConfig:
 # tuple split on commas or spaces).
 _CHOICES: Dict[str, Tuple[str, ...]] = {
     "method": METHODS,
+    "sampler": ("method", "rejection", "mcmc", "auto"),
     "theta_source": ("train", "test"),
     "family": ("polynomial", "network"),
     "direction": (CONSERVATIVE_LOW, CONSERVATIVE_HIGH),
@@ -270,7 +286,9 @@ def _run_dyadic(cfg: ExperimentConfig, problem, rng: RandomStream) -> dict:
 
 
 def _run_monotone(cfg: ExperimentConfig, problem, rng: RandomStream) -> dict:
-    sampler = "rejection" if cfg.method == "monotone-exact" else "mcmc"
+    sampler = cfg.monotone.sampler
+    if sampler == "method":
+        sampler = "rejection" if cfg.method == "monotone-exact" else "mcmc"
     run = sequential_bounder(problem.function, cfg.budget, rng,
                              sampler=sampler)
     return {"queries": run.queries_used,

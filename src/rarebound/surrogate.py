@@ -101,8 +101,8 @@ class FeedforwardFamily:
     """Small fully connected network with logistic activations.
 
     ``hidden`` holds the hidden layer widths (one or two layers is typical);
-    the readout is linear.  Parameters are stored as a flat vector so the
-    family can share the generic optimizers in this module.
+    the readout is linear.  Parameters are stored as a flat vector, so
+    the fits and the pattern search treat both families alike.
     """
 
     dimension: int
@@ -170,7 +170,8 @@ class FeedforwardFamily:
                 grad[k:k + width] = delta.sum(axis=0)
                 k -= m * width
                 grad[k:k + m * width] = (a_in.T @ delta).ravel()
-                delta = delta @ W.T
+                if idx:
+                    delta = delta @ W.T
             return grad
 
         return h[:, 0], pullback
@@ -201,33 +202,14 @@ class RegressionSurrogate:
 # ---------------------------------------------------------------------------
 # fitting and predictivity
 
-def _adam(loss_grad, x0, lr=0.02, epochs=2000, tol=1e-12):
-    """Minimize a smooth objective; returns (best_x, best_loss)."""
-    x = x0.copy()
-    m = np.zeros_like(x)
-    v = np.zeros_like(x)
-    b1, b2, eps = 0.9, 0.999, 1e-8
-    best_x, best_loss = x.copy(), math.inf
-    for t in range(1, epochs + 1):
-        loss, g = loss_grad(x)
-        if loss < best_loss:
-            best_loss, best_x = loss, x.copy()
-        if loss <= tol:
-            break
-        m = b1 * m + (1 - b1) * g
-        v = b2 * v + (1 - b2) * g * g
-        x = x - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
-    return best_x, best_loss
-
-
 def fit(family: Family, X, y, rng: Optional[RandomStream] = None,
         epochs: int = 3000, lr: float = 0.02, tol: float = 1e-10,
         overpredict_weight: float = 0.0) -> RegressionSurrogate:
     """Fit a surrogate family to data, every point weighing the same.
 
     Polynomial families are solved by exact least squares;
-    feedforward families by full-batch gradient training with a seeded
-    deterministic initialization, stopping at ``tol`` or after ``epochs``.
+    feedforward families by full-batch Adam with a seeded deterministic
+    initialization, stopping at ``tol`` or after ``epochs``.
 
     Parameters
     ----------
@@ -269,18 +251,109 @@ def fit(family: Family, X, y, rng: Optional[RandomStream] = None,
                 f"feature rank {rank} < {family.n_parameters} parameters")
         return RegressionSurrogate(family=family, eta=eta)
     gen = (rng or RandomStream(0, 0)).generator()
-    eta0 = family.init_parameters(gen)
-    wn = 1.0 / y.size
-
-    def loss_grad(eta):
-        pred, pullback = family.value_and_grad(eta, X)
-        r = pred - y
-        scale = wn if overpredict_weight == 0.0 \
-            else wn * (1.0 + overpredict_weight * (r > 0))
-        return float(np.sum(scale * r * r)), pullback(2.0 * scale * r)
-
-    eta, _ = _adam(loss_grad, eta0, lr=lr, epochs=epochs, tol=tol)
+    eta = _train(family, np.ascontiguousarray(X), y,
+                 family.init_parameters(gen), lr=lr, epochs=epochs, tol=tol,
+                 overpredict_weight=overpredict_weight)
     return RegressionSurrogate(family=family, eta=eta)
+
+
+def _train(family: FeedforwardFamily, X: np.ndarray, y: np.ndarray,
+           eta0: np.ndarray, lr: float, epochs: int, tol: float,
+           overpredict_weight: float) -> np.ndarray:
+    """Full-batch Adam (Kingma & Ba 2015) on the weighted squared loss;
+    returns the parameters of the lowest loss seen.
+
+    Each epoch is ``family.value_and_grad``'s forward pass and pullback
+    followed by the Adam step, with every product and sum in the same
+    order, so the parameters match that reference bit for bit.  All
+    buffers and their per-layer views are made once and updated in place.
+    Hidden layers form -(hW + b) as h(-W) - b, which is exact because
+    rounding to nearest is symmetric in sign.
+    """
+    # about 44 NumPy calls an epoch on arrays of a few hundred numbers:
+    # call overhead, not arithmetic, sets the cost, so the functions
+    # called most are local names
+    dot, exp, add, subtract, multiply, divide = (
+        np.dot, np.exp, np.add, np.subtract, np.multiply, np.divide)
+    n = y.size
+    last = len(family.layer_shapes) - 1
+    x, neg, g = eta0.copy(), np.empty_like(eta0), np.empty_like(eta0)
+    layers = family._unpack(x)
+    neg_layers = family._unpack(neg)
+    grads = family._unpack(g)
+    weights_T = [W.T for W, _ in layers]
+    acts = [X] + [np.empty((n, w)) for w in family.hidden]
+    acts_T = [a.T for a in acts]
+    deltas = [np.empty((n, w)) for w in family.hidden]
+    z = np.empty((n, 1))
+    pred = z.reshape(n)
+    r, scale, sr, work = (np.empty(n) for _ in range(4))
+    cotangent = work.reshape(n, 1)
+    positive = np.empty(n, dtype=bool)
+    index = positive.view(np.uint8)
+    # the loss weight of a residual: wn, or wn (1 + w) where it is positive
+    loss_weights = (1.0 / n) * (1.0 + overpredict_weight * np.array([0.0, 1.0]))
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    decay = np.array([[b1], [b2]])
+    rate = np.array([[1 - b1], [1 - b2]])
+    bias_fix = np.empty((2, 1))
+    moments = np.zeros((2, eta0.size))      # rows m and v
+    step = np.empty((2, eta0.size))
+    step_m, step_v = step
+    best, best_loss = x.copy(), math.inf
+    for t in range(1, epochs + 1):
+        np.negative(x, out=neg)
+        for idx in range(last):
+            a = acts[idx + 1]
+            dot(acts[idx], neg_layers[idx][0], out=a)
+            subtract(a, layers[idx][1], out=a)
+            exp(a, out=a)
+            add(a, 1.0, out=a)
+            divide(1.0, a, out=a)
+        dot(acts[last], layers[last][0], out=z)
+        add(z, layers[last][1], out=z)
+
+        subtract(pred, y, out=r)
+        np.greater(r, 0.0, out=positive)
+        loss_weights.take(index, None, scale, "clip")
+        multiply(scale, r, out=sr)
+        multiply(sr, r, out=work)
+        # add.reduce is np.sum without its Python wrapper
+        loss = float(add.reduce(work))
+        if loss < best_loss:
+            best_loss = loss
+            np.copyto(best, x)
+        if loss <= tol:
+            break
+
+        multiply(sr, 2.0, out=work)
+        delta = cotangent
+        for idx in range(last, -1, -1):
+            if idx != last:
+                # layer idx + 1 has read its input a, so a can take 1 - a
+                a = acts[idx + 1]
+                multiply(delta, a, out=delta)
+                subtract(1.0, a, out=a)
+                multiply(delta, a, out=delta)
+            gW, gb = grads[idx]
+            add.reduce(delta, 0, None, gb)
+            dot(acts_T[idx], delta, out=gW)
+            if idx:
+                delta = dot(delta, weights_T[idx], out=deltas[idx - 1])
+
+        multiply(g, rate, out=step)
+        multiply(step_v, g, out=step_v)
+        multiply(moments, decay, out=moments)
+        add(moments, step, out=moments)
+        bias_fix[0, 0] = 1 - b1 ** t
+        bias_fix[1, 0] = 1 - b2 ** t
+        divide(moments, bias_fix, out=step)
+        np.sqrt(step_v, out=step_v)
+        add(step_v, eps, out=step_v)
+        multiply(step_m, lr, out=step_m)
+        divide(step_m, step_v, out=step_m)
+        subtract(x, step_m, out=x)
+    return best
 
 
 def q2(model: RegressionSurrogate, X, y) -> float:

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from rarebound import cli
-from rarebound.bench import ToyProblem
+from rarebound.bench import ToyProblem, get_benchmark
 from rarebound.cli import (
     _CHOICES,
     METHODS,
@@ -25,7 +25,8 @@ from rarebound.cli import (
     run_lambda_table,
     run_timing,
 )
-from rarebound.core import BlackBoxFunction
+from rarebound.core import BlackBoxFunction, RandomStream
+from rarebound.monotone import sequential_bounder
 
 MINIMAL = """
 [experiment]
@@ -202,15 +203,17 @@ class TestOptionFields:
             documented.setdefault(section, set()).add(name)
         assert readme_keys() == documented
 
-    @pytest.mark.parametrize("section, key", [
-        pytest.param("monotone", "rule = auto", id="monotone"),
-        pytest.param("mcmc", "chains = 32", id="mcmc")])
-    def test_monotone_section_is_rejected(self, section, key):
+    @pytest.mark.parametrize("section, key, error", [
+        pytest.param("monotone", "rule = auto",
+                     r":10: unknown key 'rule' in section \[monotone\]",
+                     id="monotone"),
+        pytest.param("mcmc", "chains = 32", r":9: unknown section \[mcmc\]",
+                     id="mcmc")])
+    def test_monotone_tuning_keys_are_rejected(self, section, key, error):
         # the sequential bounder fixes its candidate rule by dimension and
-        # the walk's tuning
+        # the walk's tuning; [monotone] picks only the sampler
         text = MINIMAL + f"\n[{section}]\n{key}\n"
-        with pytest.raises(ConfigError,
-                           match=rf":9: unknown section \[{section}\]"):
+        with pytest.raises(ConfigError, match=error):
             parse_config_text(text)
 
 
@@ -220,6 +223,47 @@ class TestRunExperiment:
         outdir = run_experiment(cfg, output_dir=str(tmp_path / name))
         return outdir, read_csv(os.path.join(outdir, "rows.csv")), \
             read_csv(os.path.join(outdir, "summary.csv"))
+
+    @pytest.mark.parametrize("method, key, sampler", [
+        ("monotone-exact", "", "rejection"),
+        ("monotone-mcmc", "", "mcmc"),
+        ("monotone-exact", "sampler = method", "rejection"),
+        ("monotone-exact", "sampler = mcmc", "mcmc"),
+        ("monotone-mcmc", "sampler = auto", "auto")])
+    def test_sampler_key_picks_the_sampler(self, tmp_path, monkeypatch,
+                                           method, key, sampler):
+        seen = []
+
+        def recording(*args, sampler):
+            seen.append(sampler)
+            return sequential_bounder(*args, sampler=sampler)
+
+        monkeypatch.setattr(cli, "sequential_bounder", recording)
+        text = MINIMAL.replace("monotone-exact", method)
+        cfg = parse_config_text(text + f"\n[monotone]\n{key}\n")
+        run_experiment(cfg, output_dir=str(tmp_path / "picked"))
+        assert seen == [sampler, sampler]
+
+    def test_auto_sampler_matches_direct_call(self, tmp_path):
+        # at d=3, p=5e-4, seed 202 the auto sampler hands over to the walk
+        # in replication 3
+        budget, seed, reps = 200, 202, 4
+        text = (f"method = monotone-exact\nbenchmark = example1:d=3:p=5e-4\n"
+                f"budget = {budget}\nreplications = {reps}\nseed = {seed}\n"
+                "workers = 1\n[monotone]\nsampler = auto\n")
+        outdir = run_experiment(parse_config_text(text),
+                                output_dir=str(tmp_path / "auto"))
+        rows = [dict(zip(ROW_FIELDS, r)) for r in
+                read_csv(os.path.join(outdir, "rows.csv"))[1:]]
+        problem = get_benchmark("example1:d=3:p=5e-4")
+        names = []
+        for r, row in enumerate(rows):
+            run = sequential_bounder(problem.function, budget,
+                                     RandomStream(seed, r), sampler="auto")
+            names.append(run.sampler_name)
+            assert float(row["p_lower"]) == run.bounds.lower
+            assert float(row["p_upper"]) == run.bounds.upper
+        assert "auto(rejection->mcmc)" in names
 
     def test_rows_schema_and_formulas(self, tmp_path):
         _, rows, summary = self.run_minimal(tmp_path)

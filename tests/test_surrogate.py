@@ -161,6 +161,52 @@ class TestFit:
         with pytest.raises(ValueError):
             fit(PolynomialFamily(2, 1), X, y, overpredict_weight=2.0)
 
+    @staticmethod
+    def reference_fit(family, X, y, rng, epochs, tol, overpredict_weight,
+                      lr=0.02):
+        """Adam driven by value_and_grad's pullback, fresh arrays every
+        epoch; returns (parameters of the lowest loss, epochs run)."""
+        x = family.init_parameters(rng.generator())
+        m, v = np.zeros_like(x), np.zeros_like(x)
+        b1, b2, eps = 0.9, 0.999, 1e-8
+        wn = 1.0 / y.size
+        best_x, best_loss, t = x.copy(), np.inf, 0
+        for t in range(1, epochs + 1):
+            pred, pullback = family.value_and_grad(x, X)
+            r = pred - y
+            scale = wn * (1.0 + overpredict_weight * (r > 0))
+            loss = float(np.sum(scale * r * r))
+            if loss < best_loss:
+                best_loss, best_x = loss, x.copy()
+            if loss <= tol:
+                break
+            g = pullback(2.0 * scale * r)
+            m = b1 * m + (1 - b1) * g
+            v = b2 * v + (1 - b2) * g * g
+            x = x - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+        return best_x, t
+
+    @pytest.mark.parametrize("hidden", [(3,), (8, 8), (4, 4, 4)])
+    @pytest.mark.parametrize("weight", [0.0, 3.0])
+    @pytest.mark.parametrize("epochs, tol", [
+        pytest.param(300, 1e-10, id="all-epochs"),
+        pytest.param(300, 0.02, id="tol-stop"),
+        pytest.param(0, 1e-10, id="no-epochs"),
+        pytest.param(1, 1e-10, id="one-epoch")])
+    def test_network_fit_matches_reference_bits(self, hidden, weight,
+                                                epochs, tol):
+        # the in-place training loop keeps the reference's order of every
+        # product and sum, so any reordering shows up in the last bits
+        X, y = quad_data()
+        fam = FeedforwardFamily(2, hidden)
+        ref, ran = self.reference_fit(fam, X, y, RandomStream(9, 0), epochs,
+                                      tol, weight)
+        if tol > 1e-10:
+            assert ran < epochs     # the stop is exercised
+        got = fit(fam, X, y, rng=RandomStream(9, 0), epochs=epochs, tol=tol,
+                  overpredict_weight=weight)
+        assert np.array_equal(got.eta.view(np.int64), ref.view(np.int64))
+
     def test_asymmetric_loss_hugs_from_below(self):
         gen = np.random.default_rng(7)
         X = gen.random((150, 1))
