@@ -286,10 +286,6 @@ class _Staircase2:
         self._cum = np.concatenate(
             ([0.0], np.cumsum(self.y * np.diff(self._x0))))
 
-    def height(self, t: np.ndarray) -> np.ndarray:
-        """phi(t): a point (t, y) is covered iff y <= phi(t)."""
-        return self._y0[np.searchsorted(self.x, t, side="left")]
-
     def reach(self, h: np.ndarray) -> np.ndarray:
         """Largest x_j with y_j >= h (0 if none): the union's extent at height h."""
         return self._x0[np.searchsorted(-self.y, -h, side="right")]
@@ -297,6 +293,18 @@ class _Staircase2:
     def _area_below(self, t: np.ndarray) -> np.ndarray:
         j = np.searchsorted(self.x, t, side="left")
         return self._cum[j] + self._y0[j] * (t - self._x0[j])
+
+    def _gain_above(self, X: np.ndarray, Y: np.ndarray, j: np.ndarray,
+                    r=None) -> np.ndarray:
+        """:meth:`gain`, to the bit, of candidates above the staircase, given
+        j = searchsorted(x, X) and optionally r, the step of reach(Y).  There
+        reach(Y) <= X, and _area_below(x0[r]) is _cum[r]: the x_j increase
+        strictly and cumsum adds its terms in order."""
+        if r is None:
+            r = np.searchsorted(-self.y, -Y, side="right")
+        covered = (Y * self._x0[r] + (self._cum[j] + self._y0[j] * (X - self._x0[j]))
+                   - self._cum[r])
+        return np.maximum(X * Y - covered, 0.0)
 
     def gain(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Area of [0, X] x [0, Y] outside the union, per candidate."""
@@ -601,41 +609,50 @@ def _log(v):
     return np.log(np.maximum(v, _LOG_FLOOR))
 
 
-def _boundary_query(fail: _Staircase2, safe: _Staircase2,
-                    grid: np.ndarray) -> Optional[np.ndarray]:
+def _boundary_query(fail: _Staircase2, safe: _Staircase2, grid: np.ndarray,
+                    flip: np.ndarray) -> Optional[np.ndarray]:
     """Next 2-D query: on the estimated fail/safe boundary, exact-balance scored.
 
-    ``safe`` holds the flipped safe generators 1 - S.  In log-log
-    coordinates every grid abscissa t has the bracket
+    ``safe`` holds the flipped safe generators 1 - S, ``flip`` is 1 - grid.
+    In log-log coordinates every grid abscissa t has the bracket
     [phi(t), psi(t)] left by the fail and safe staircases; candidates are
     the bracket midpoints, plus, in the rows below the lowest fail
     generator (where phi = 0 leaves the vertical bracket without a lower
     end), the midpoints of the horizontal brackets.  The candidate with
-    the largest product of exact fail and safe gains fixes the column;
-    a vertical candidate is then moved to the midpoint of the log-log
-    polylines through the fail and through the safe generators, kept
-    within the middle of its bracket so the query still splits it.
-    None when no candidate lies in the undecided region.
+    the largest product of exact fail and safe gains, the first vertical
+    one on ties, fixes the column; a vertical candidate is then moved to
+    the midpoint of the log-log polylines through the fail and through
+    the safe generators, kept within the middle of its bracket so the
+    query still splits it.  None when no candidate lies in the undecided
+    region.
     """
-    def inside(X, Y):
-        return (Y > fail.height(X)) & (1.0 - Y > safe.height(1.0 - X))
-
-    lo = _log(fail.height(grid))
-    hi = _log(1.0 - safe.height(1.0 - grid))
-    cand = [np.column_stack([grid, np.exp(0.5 * (lo + hi))])]
-    if fail.x.size:
-        rows = grid[grid < fail.y[-1]]
-        reach = 1.0 - safe.reach(1.0 - rows)
-        cand.append(np.column_stack([np.sqrt(fail.x[-1] * reach), rows]))
-    P = np.vstack(cand)
-    keep = np.flatnonzero(inside(P[:, 0], P[:, 1]))
-    if keep.size == 0:
+    jf, js = np.searchsorted(fail.x, grid), np.searchsorted(safe.x, flip)
+    hf, hs = fail._y0[jf], safe._y0[js]
+    lo = _log(hf)
+    hi = _log(1.0 - hs)
+    mid = np.exp(0.5 * (lo + hi))
+    score = np.where((mid > hf) & (1.0 - mid > hs),
+                     fail._gain_above(grid, mid, jf)
+                     * safe._gain_above(flip, 1.0 - mid, js), -1.0)
+    j = int(np.argmax(score))
+    n = int(np.searchsorted(grid, fail.y[-1])) if fail.x.size else 0
+    if n:
+        rows, up = grid[:n], flip[:n]
+        rs = np.searchsorted(-safe.y, -up, side="right")
+        X = np.sqrt(fail.x[-1] * (1.0 - safe._x0[rs]))
+        Xc = 1.0 - X
+        jh, jc = np.searchsorted(fail.x, X), np.searchsorted(safe.x, Xc)
+        # every fail generator lies above the rows: all of them reach
+        side = np.where((rows > fail._y0[jh]) & (up > safe._y0[jc]),
+                        fail._gain_above(X, rows, jh, fail.x.size)
+                        * safe._gain_above(Xc, up, jc, rs), -1.0)
+        k = int(np.argmax(side))
+        if side[k] > score[j]:
+            return np.array([X[k], rows[k]])
+    if score[j] < 0.0:
         return None
-    P = P[keep]
-    score = fail.gain(P[:, 0], P[:, 1]) * safe.gain(1.0 - P[:, 0], 1.0 - P[:, 1])
-    best = int(np.argmax(score))
-    x, j = P[best], keep[best]
-    if j >= grid.size or not fail.x.size or not safe.x.size:
+    x = np.array([grid[j], mid[j]])
+    if not fail.x.size or not safe.x.size:
         return x
     t = np.log(x[0])
     est_fail = np.interp(t, _log(fail.x), _log(fail.y))
@@ -646,7 +663,7 @@ def _boundary_query(fail: _Staircase2, safe: _Staircase2,
                          + np.clip(est_safe, lo[j], hi[j])),
                   lo[j] + band, hi[j] - band)
     y = np.exp(est)
-    if inside(x[:1], np.array([y]))[0]:
+    if y > hf[j] and 1.0 - y > hs[j]:
         x = np.array([x[0], y])
     return x
 
@@ -688,10 +705,11 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
       The candidate with the largest product of exact gains picks the
       column, which is then queried at the midpoint of the polylines
       through the fail and through the safe generators, kept inside the
-      middle of the bracket.  Gains and region membership come from the
-      sorted staircases by binary search and running sums.  Only when no
-      such candidate lies in the region does the step fall back to the
-      pool below, scored by the product of exact gains.
+      middle of the bracket.  Gains and region membership come from one
+      binary search per staircase and candidate set, and from running
+      sums, exact up to a candidate's reach.  Only when no such candidate
+      lies in the region does the step fall back to the pool below,
+      scored by the product of exact gains.
     - d >= 3: a pool of ``_POOL_SIZE`` region points drawn by the sampler
       is kept on hand; each step scores a random subsample of
       ``_SCORE_SUBSAMPLE`` of them by the sum of their pool domination
@@ -749,6 +767,7 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         # log-spaced abscissae at a random offset, so replications differ
         grid = 10.0 ** ((np.arange(_GRID_DECADES * _GRID_PER_DECADE)
                          + gen.random()) / _GRID_PER_DECADE - _GRID_DECADES)
+        flip, F, S = 1.0 - grid, None, None
     if d <= 2:
         name = "boundary"
     elif sampler == "mcmc":
@@ -799,9 +818,14 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
             x = np.array([0.5 * (region.fail_generators.max(initial=0.0)
                                  + region.safe_generators.min(initial=1.0))])
         elif d == 2:
-            x = _boundary_query(_Staircase2(region.fail_generators),
-                                _Staircase2(1.0 - region.safe_generators),
-                                grid)
+            # an update replaces one generator array and keeps the other
+            if region.fail_generators is not F:
+                F = region.fail_generators
+                fail_stair = _Staircase2(F)
+            if region.safe_generators is not S:
+                S = region.safe_generators
+                safe_stair = _Staircase2(1.0 - S)
+            x = _boundary_query(fail_stair, safe_stair, grid, flip)
         else:
             x = None
         if x is None:

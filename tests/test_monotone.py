@@ -28,8 +28,9 @@ from rarebound.monotone import (
     sequential_bounder,
     upper_orthant_volume,
 )
-from rarebound.monotone import (_TWO_PASS_ROWS, _boundary_query, _rounding_terms,
-                                _Staircase2)
+import rarebound.monotone as monotone
+from rarebound.monotone import (_MID_BAND, _TWO_PASS_ROWS, _boundary_query, _log,
+                                _rounding_terms, _Staircase2)
 
 U = 2.0 ** -53    # unit roundoff of binary64
 
@@ -195,6 +196,78 @@ class TestOrthantVolumes:
             call(np.array([[np.nan, 0.5]]))
 
 
+def height(stair, t):
+    """phi(t) of a staircase: a point (t, y) is covered iff y <= phi(t)."""
+    return stair._y0[np.searchsorted(stair.x, t, side="left")]
+
+
+def reference_boundary_query(fail, safe, grid):
+    """Reference for ``_boundary_query``: the candidates stacked and
+    compacted to the region, each scored by the general ``gain`` with its
+    own binary searches."""
+    def inside(X, Y):
+        return (Y > height(fail, X)) & (1.0 - Y > height(safe, 1.0 - X))
+
+    lo = _log(height(fail, grid))
+    hi = _log(1.0 - height(safe, 1.0 - grid))
+    cand = [np.column_stack([grid, np.exp(0.5 * (lo + hi))])]
+    if fail.x.size:
+        rows = grid[grid < fail.y[-1]]
+        reach = 1.0 - safe.reach(1.0 - rows)
+        cand.append(np.column_stack([np.sqrt(fail.x[-1] * reach), rows]))
+    P = np.vstack(cand)
+    keep = np.flatnonzero(inside(P[:, 0], P[:, 1]))
+    if keep.size == 0:
+        return None
+    P = P[keep]
+    score = fail.gain(P[:, 0], P[:, 1]) * safe.gain(1.0 - P[:, 0], 1.0 - P[:, 1])
+    best = int(np.argmax(score))
+    x, j = P[best], keep[best]
+    if j >= grid.size or not fail.x.size or not safe.x.size:
+        return x
+    t = np.log(x[0])
+    est_fail = np.interp(t, _log(fail.x), _log(fail.y))
+    est_safe = np.interp(t, _log(1.0 - safe.x[::-1]), _log(1.0 - safe.y[::-1]))
+    band = _MID_BAND * (hi[j] - lo[j])
+    est = np.clip(0.5 * (np.clip(est_fail, lo[j], hi[j])
+                         + np.clip(est_safe, lo[j], hi[j])),
+                  lo[j] + band, hi[j] - band)
+    y = np.exp(est)
+    if inside(x[:1], np.array([y]))[0]:
+        x = np.array([x[0], y])
+    return x
+
+
+def same_query(a, b):
+    if a is None or b is None:
+        return a is None and b is None
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def labelled_staircases(seed, case):
+    """Fail and flipped safe staircases of points labelled by a monotone
+    curve in log-log coordinates, a third of their coordinates moved onto
+    grid values, with the grid."""
+    gen = np.random.default_rng(seed)
+    grid = 10.0 ** ((np.arange(1440) + gen.random()) / 120 - 12)
+    P = 10.0 ** (-gen.random((int(gen.integers(1, 40)), 2))
+                 * gen.uniform(0.5, 12))
+    snap = gen.random(P.shape) < 0.3
+    P[snap] = grid[gen.integers(0, grid.size, snap.sum())]
+    a, c = gen.uniform(0.2, 5), gen.normal(-6, 3)
+    fail = np.log(P[:, 0]) + a * np.log(P[:, 1]) < c
+    if case == "no-rows":
+        # a fail point at the lowest grid height and abscissa 1
+        # leaves no row below the fail staircase
+        q = np.array([1.0, grid[0]])
+        P = np.vstack([P, q])
+        fail = np.append(fail, True) | np.all(P <= q, axis=1)
+    fail[:] = {"no-fail": False, "no-safe": True}.get(case, fail)
+    F = maximal_points(P[fail]) if fail.any() else np.empty((0, 2))
+    S = minimal_points(P[~fail]) if not fail.all() else np.empty((0, 2))
+    return _Staircase2(F), _Staircase2(1.0 - S), grid
+
+
 class TestStaircase2:
     """The sorted 2-D staircase against the generic volume and region code."""
 
@@ -215,19 +288,82 @@ class TestStaircase2:
         ref = [lower_orthant_volume(np.vstack([G, c])) - base for c in C]
         assert gain == pytest.approx(ref, abs=1e-12)
         region = StaircaseRegion(G, np.empty((0, 2)), 2)
-        assert np.array_equal(C[:, 1] > stair.height(C[:, 0]),
+        assert np.array_equal(C[:, 1] > height(stair, C[:, 0]),
                               region.contains_batch(C))
         reach = [max([g[0] for g in G if g[1] >= h], default=0.0)
                  for h in C[:, 1]]
         assert stair.reach(C[:, 1]).tolist() == reach
 
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["mixed", "no-fail", "no-safe", "no-rows"]))
+    @settings(max_examples=40, deadline=None)
+    def test_region_candidates_reach_below_their_abscissa(self, seed, case):
+        # the identities the 2-D query scores by: above the staircase
+        # reach(Y) < X, the area below reach(Y) is the running sum at its
+        # step, and gain needs no minimum with X
+        fail, _, grid = labelled_staircases(seed, case)
+        gen = np.random.default_rng(seed)
+        X = np.concatenate([grid[gen.integers(0, grid.size, 40)],
+                            gen.random(40)])
+        Y = np.concatenate([gen.random(40), grid[gen.integers(0, grid.size, 40)]])
+        if fail.x.size:
+            X[:10], Y[10:20] = fail.x[gen.integers(0, fail.x.size, 10)], \
+                fail.y[gen.integers(0, fail.x.size, 10)]
+        above = Y > height(fail, X)
+        X, Y = X[above], Y[above]
+        r = np.searchsorted(-fail.y, -Y, side="right")
+        assert np.all(fail.reach(Y) < X)
+        assert np.array_equal(fail._area_below(fail.reach(Y)).view(np.int64),
+                              fail._cum[r].view(np.int64))
+        j = np.searchsorted(fail.x, X)
+        assert np.array_equal(fail._gain_above(X, Y, j).view(np.int64),
+                              fail.gain(X, Y).view(np.int64))
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["mixed", "no-fail", "no-safe", "no-rows"]))
+    @settings(max_examples=60, deadline=None)
+    def test_boundary_query_bits(self, seed, case):
+        fail, safe, grid = labelled_staircases(seed, case)
+        assert same_query(_boundary_query(fail, safe, grid, 1.0 - grid),
+                          reference_boundary_query(fail, safe, grid))
+        if case == "no-rows":
+            assert fail.y[-1] <= grid[0]
+
     def test_no_candidate_in_a_sub_floor_region(self):
         # everything above height 1e-13 right of 5e-13 is safe: no grid
         # abscissa (>= 1e-12) leaves room for a candidate
+        fail = _Staircase2(np.empty((0, 2)))
         safe = _Staircase2(1.0 - np.array([[5e-13, 1e-13]]))
         grid = np.logspace(-12, -1e-9, 50)
-        assert _boundary_query(_Staircase2(np.empty((0, 2))), safe,
-                               grid) is None
+        assert _boundary_query(fail, safe, grid, 1.0 - grid) is None
+        assert reference_boundary_query(fail, safe, grid) is None
+
+    def test_a_tie_keeps_the_vertical_candidate(self):
+        # one column m whose bracket midpoint is m, and one row m whose
+        # horizontal midpoint is sqrt(m * m) = m: the same point, with the
+        # same score, in both sets.  The vertical one wins and is moved.
+        m = np.exp(0.5 * (_log(np.zeros(1)) + _log(np.ones(1))))
+        fail = _Staircase2(np.array([[m[0] * m[0], 0.5]]))
+        safe = _Staircase2(1.0 - np.array([[0.5, 0.5]]))
+        assert np.sqrt(fail.x[-1]) == m[0]
+        x = _boundary_query(fail, safe, m, 1.0 - m)
+        assert x[0] == m[0] and x[1] != m[0]
+        assert same_query(x, reference_boundary_query(fail, safe, m))
+
+    @pytest.mark.parametrize("name", ["example1:d=2:p=5e-4", "linear:d=2:y=1.7"])
+    def test_boundary_query_bits_in_a_run(self, name, monkeypatch):
+        # every query of a run, against the reference on the same staircases
+        query, calls = monotone._boundary_query, []
+
+        def both(fail, safe, grid, flip):
+            x = query(fail, safe, grid, flip)
+            calls.append(same_query(x, reference_boundary_query(fail, safe, grid)))
+            return x
+
+        monkeypatch.setattr(monotone, "_boundary_query", both)
+        sequential_bounder(get_benchmark(name).function, 200,
+                           RandomStream(202, 0), sampler="auto")
+        assert len(calls) == 200 and all(calls)
 
 
 class TestLabeledDesign:
