@@ -10,14 +10,16 @@ which the change did better (ties count for neither side); the direction
 of each metric comes from the change checkout's BENCHMARK.json.  Each run
 keeps its per-replication output digests (the ``fingerprint per
 replication:`` line), and the summary counts, per workload and seed, the
-replications both sides reached and those whose digests are equal.
+replications both sides reached and those whose digests are equal, and
+lists the indices of those whose digests differ.
 
     python scripts/bench_pairs.py --parent ../parent --change . \\
         --label volume --runs mono-hd:202:10 --runs mono-d2:202:3 \\
         --traced mono-hd:202 --note "what the change does"
 
 ``--runs W:SEED:PAIRS`` may repeat; ``--traced W:SEED`` adds one
-``--trace 1`` run per side.  The file goes to ``--out`` (default: the
+``--trace 1`` run per side, stored with its command under
+``traced_<W>_seed_<SEED>``.  The file goes to ``--out`` (default: the
 current directory).
 """
 
@@ -54,17 +56,21 @@ def run_side(checkout, workload, seed, seconds, trace):
 
 
 def digest_match(results):
-    """Replications that both sides reached, and how many of them have
-    equal digests on every run of both sides.  ``results`` maps a side to
-    its run results; replication r is the r-th digest of a run."""
+    """Replications that both sides reached, how many of them have equal
+    digests on every run of both sides, and the indices of those that do
+    not.  ``results`` maps a side to its run results; replication r is the
+    r-th digest of a run."""
     seen = {}
     for side, runs in results.items():
         for result in runs:
             for r, digest in enumerate(result["fingerprints"]):
                 seen.setdefault(r, {}).setdefault(side, set()).add(digest)
-    shared = [d for d in seen.values() if len(d) == len(results)]
-    same = sum(len(set.union(*d.values())) == 1 for d in shared)
-    return {"shared_replications": len(shared), "matching": same}
+    shared = {r: d for r, d in seen.items() if len(d) == len(results)}
+    differing = sorted(r for r, d in shared.items()
+                       if len(set.union(*d.values())) > 1)
+    return {"shared_replications": len(shared),
+            "matching": len(shared) - len(differing),
+            "differing": differing}
 
 
 def spread(values):
@@ -151,10 +157,10 @@ def main(argv=None):
     out["runs"] = runs
     for workload, seed in args.traced:
         key = f"traced_{workload.replace('-', '_')}_seed_{seed}"
-        out["traced_command"] = (f"{' '.join(RUN)} --workload {workload} "
-                                 f"--seed {seed} --seconds {seconds} --trace 1")
         out[key] = {name: run_side(path, workload, seed, seconds, 1)
                     for name, path in sides.items()}
+        out[key]["command"] = (f"{' '.join(RUN)} --workload {workload} "
+                               f"--seed {seed} --seconds {seconds} --trace 1")
         out[key]["fingerprints"] = digest_match(
             {name: [out[key][name]] for name in sides})
     path = os.path.join(args.out, f"BENCH_{args.label}.json")

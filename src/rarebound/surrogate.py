@@ -241,20 +241,25 @@ def fit(family: Family, X, y, rng: Optional[RandomStream] = None,
         if overpredict_weight > 0.0:
             raise ValueError(
                 "asymmetric loss needs gradient training; use a network family")
-        if y.size < family.n_parameters:
-            raise ValueError(
-                f"need at least {family.n_parameters} points, got {y.size}")
-        Phi = family.features(X)
-        eta, _, rank, _ = np.linalg.lstsq(Phi, y, rcond=None)
-        if rank < family.n_parameters:
-            raise SingularDesign(
-                f"feature rank {rank} < {family.n_parameters} parameters")
-        return RegressionSurrogate(family=family, eta=eta)
+        return RegressionSurrogate(
+            family=family, eta=_least_squares(family, family.features(X), y))
     gen = (rng or RandomStream(0, 0)).generator()
     eta = _train(family, np.ascontiguousarray(X), y,
                  family.init_parameters(gen), lr=lr, epochs=epochs, tol=tol,
                  overpredict_weight=overpredict_weight)
     return RegressionSurrogate(family=family, eta=eta)
+
+
+def _least_squares(family: PolynomialFamily, Phi, y) -> np.ndarray:
+    """Exact least-squares coefficients on the feature matrix ``Phi``."""
+    if y.size < family.n_parameters:
+        raise ValueError(
+            f"need at least {family.n_parameters} points, got {y.size}")
+    eta, _, rank, _ = np.linalg.lstsq(Phi, y, rcond=None)
+    if rank < family.n_parameters:
+        raise SingularDesign(
+            f"feature rank {rank} < {family.n_parameters} parameters")
+    return eta
 
 
 def _train(family: FeedforwardFamily, X: np.ndarray, y: np.ndarray,
@@ -489,7 +494,7 @@ def check_fsd(sample_a, sample_b, direction: str = CONSERVATIVE_LOW) -> float:
         raise ValueError("samples must have equal length")
     if direction not in (CONSERVATIVE_LOW, CONSERVATIVE_HIGH):
         raise ValueError(f"unknown direction {direction!r}")
-    return float(_exact_violations(a, b, direction).max())
+    return float(_exact_violations(a, b, np.sort(b), direction).max())
 
 
 @dataclass
@@ -511,51 +516,71 @@ class FSDFitResult:
 
 
 def _exact_violations(pred_shifted: np.ndarray, y: np.ndarray,
-                      direction: str) -> np.ndarray:
-    # anchors: the union of both jump sets; dominance there implies
-    # dominance everywhere for step CDFs.  Counts make the sign exact.
+                      ys: np.ndarray, direction: str) -> np.ndarray:
+    # anchors: the union of both jump sets (ys is y sorted); dominance
+    # there implies it everywhere for step CDFs.  Counts make the sign exact.
     anchors = np.concatenate([pred_shifted, y])
     Fs = np.searchsorted(np.sort(pred_shifted), anchors, "right")
-    Fy = np.searchsorted(np.sort(y), anchors, "right")
+    Fy = np.searchsorted(ys, anchors, "right")
     gap = (Fy - Fs) if direction == CONSERVATIVE_LOW else (Fs - Fy)
     return gap / y.size
 
 
-def _shift_limit(pred: np.ndarray, y: np.ndarray, direction: str) -> float:
+def _shift_limit(pred: np.ndarray, ys: np.ndarray, bounds: np.ndarray,
+                 direction: str) -> float:
     """Extreme feasible shift for fixed surrogate values, in closed form.
 
     Under ``conservative-low`` every theta up to the smallest gap between
     the sorted data and the sorted predictions is feasible;
-    ``conservative-high`` negates both.  The result passes the exact check.
+    ``conservative-high`` negates both, so ``bounds`` is the stable sort
+    of sign * y.  The result passes the exact check.
     """
     low = direction == CONSERVATIVE_LOW
-    p, v = (pred, y) if low else (-pred, -y)
-    theta = np.min(np.sort(v, kind="stable") - np.sort(p, kind="stable"))
+    theta = np.min(bounds - np.sort(pred if low else -pred, kind="stable"))
     theta = theta if low else -theta
     # theta carries the rounding of the gap, and pred + theta rounds again;
-    # one ulp toward the feasible side absorbs both
+    # one ulp toward the feasible side absorbs both; only the worst gap
+    # is read, so the data's anchors may come sorted
     for _ in range(2):
-        if _exact_violations(pred + theta, y, direction).max() <= 0.0:
+        if _exact_violations(pred + theta, ys, ys, direction).max() <= 0.0:
             return float(theta)
         theta = np.nextafter(theta, -np.inf if low else np.inf)
     raise NonConvergence(f"shift {theta!r} fails the exact dominance check")
 
 
-def _profiled(family: Family, X: np.ndarray, y: np.ndarray,
-              eta: np.ndarray, direction: str) -> Tuple[float, float]:
-    """(objective, theta) of eta at its optimal feasible shift: the
-    least-squares shift clipped to the feasible side."""
-    pred, _ = family.value_and_grad(eta, X)
-    w = 1.0 / y.size
-    t_ls = float(np.sum(w * (y - pred)))
-    limit = _shift_limit(pred, y, direction)
-    t = min(t_ls, limit) if direction == CONSERVATIVE_LOW else max(t_ls, limit)
-    r = y - pred - t
-    return float(np.sum(w * r * r)), t
+class _Profile:
+    """eta -> (objective, theta) on one fit's data at eta's optimal feasible
+    shift: the least-squares shift clipped to the feasible side.  What
+    depends on the data alone, a polynomial's feature matrix ``Phi`` and
+    the sorted data, is built once, so a trial is one prediction pass, one
+    sort of the predictions and the exact count."""
+
+    def __init__(self, family: Family, X: np.ndarray, y: np.ndarray,
+                 direction: str):
+        self.family, self.X, self.y, self.direction = family, X, y, direction
+        self.sign = 1.0 if direction == CONSERVATIVE_LOW else -1.0
+        self.Phi = (family.features(X) if isinstance(family, PolynomialFamily)
+                    else None)
+        self.ys = np.sort(y)
+        self.bounds = np.sort(self.sign * y, kind="stable")
+
+    def predict(self, eta: np.ndarray) -> np.ndarray:
+        if self.Phi is None:
+            return self.family.value_and_grad(eta, self.X)[0]
+        return self.Phi @ eta
+
+    def __call__(self, eta: np.ndarray) -> Tuple[float, float]:
+        pred = self.predict(eta)
+        w = 1.0 / self.y.size
+        # add.reduce is np.sum without its Python wrapper
+        t_ls = float(np.add.reduce(w * (self.y - pred)))
+        limit = _shift_limit(pred, self.ys, self.bounds, self.direction)
+        t = min(t_ls, limit) if self.sign > 0.0 else max(t_ls, limit)
+        r = self.y - pred - t
+        return float(np.add.reduce(w * r * r)), t
 
 
-def _pattern_polish(family: Family, X: np.ndarray, y: np.ndarray,
-                    eta: np.ndarray, direction: str,
+def _pattern_polish(profile: _Profile, eta: np.ndarray,
                     rounds: int = 80) -> Tuple[np.ndarray, float, float]:
     """Coordinate pattern search on the exact constrained objective.
 
@@ -566,8 +591,8 @@ def _pattern_polish(family: Family, X: np.ndarray, y: np.ndarray,
     the network's readout bias) adds a constant to every prediction, which
     the profiled shift cancels exactly, so it is never moved.
     """
-    best, theta = _profiled(family, X, y, eta, direction)
-    offset = 0 if isinstance(family, PolynomialFamily) else eta.size - 1
+    best, theta = profile(eta)
+    offset = 0 if profile.Phi is not None else eta.size - 1
     steps = 0.1 * np.maximum(np.abs(eta), 1.0)
     steps[offset] = 0.0
     for _ in range(rounds):
@@ -576,7 +601,7 @@ def _pattern_polish(family: Family, X: np.ndarray, y: np.ndarray,
             for s in (steps[j], -steps[j]):
                 trial = eta.copy()
                 trial[j] += s
-                val, t = _profiled(family, X, y, trial, direction)
+                val, t = profile(trial)
                 if val < best:
                     eta, best, theta = trial, val, t
                     improved = True
@@ -641,14 +666,14 @@ def _lsi(A: np.ndarray, b: np.ndarray, G: np.ndarray,
     return np.linalg.solve(R, f - r[:-1] / r[-1])
 
 
-def _linear_head(family: Family, eta: np.ndarray, X: np.ndarray) -> np.ndarray:
+def _linear_head(profile: _Profile, eta: np.ndarray) -> np.ndarray:
     """Design H of the linear readout, predictions ``H @ eta[-H.shape[1]:]``:
     the polynomial features, or a network's last hidden activations and a
     ones column for the readout bias."""
-    if isinstance(family, PolynomialFamily):
-        return family.features(X)
-    h = X
-    for W, b in family._unpack(eta)[:-1]:
+    if profile.Phi is not None:
+        return profile.Phi
+    h = profile.X
+    for W, b in profile.family._unpack(eta)[:-1]:
         h = 1.0 / (1.0 + np.exp(-(h @ W + b)))
     return np.column_stack([h, np.ones(h.shape[0])])
 
@@ -689,39 +714,39 @@ def fsd_fit(family: Family, X, y, direction: str = CONSERVATIVE_LOW,
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     gen = (rng or RandomStream(0, 0)).generator()
-    start = fit(family, X, y, rng=rng, epochs=epochs, lr=lr)
+    profile = _Profile(family, X, y, direction)
+    start = (_least_squares(family, profile.Phi, y) if profile.Phi is not None
+             else fit(family, X, y, rng=rng, epochs=epochs, lr=lr).eta)
 
-    sign = 1.0 if direction == CONSERVATIVE_LOW else -1.0
     # rows scaled by sqrt(1/m): the least-squares objective is the mean
     sw = math.sqrt(1.0 / y.size)
-    bounds = np.sort(sign * y, kind="stable")
 
     def one_start(eta):
-        best, _ = _profiled(family, X, y, eta, direction)
+        best, _ = profile(eta)
         for _ in range(100):
             # refit the linear head under the inequalities matched to the
             # current ranks; the current point with its feasible shift
             # satisfies them, and the head's ones column absorbs the shift
-            H = _linear_head(family, eta, X)
+            H = _linear_head(profile, eta)
             n = H.shape[1]
-            po = np.argsort(sign * (H @ eta[-n:]), kind="stable")
-            z = _lsi(H * sw, y * sw, sign * H[po], bounds)
+            po = np.argsort(profile.sign * (H @ eta[-n:]), kind="stable")
+            z = _lsi(H * sw, y * sw, profile.sign * H[po], profile.bounds)
             if z is None:
                 break
             trial = eta.copy()
             trial[-n:] = z
-            val, _ = _profiled(family, X, y, trial, direction)
+            val, _ = profile(trial)
             if not val < best:
                 break
             eta, best = trial, val
-        return _pattern_polish(family, X, y, eta, direction)
+        return _pattern_polish(profile, eta)
 
-    scale = float(np.std(start.eta)) or 1.0
-    starts = [start.eta] + [start.eta + gen.normal(0.0, 0.2 * scale, start.eta.size)
-                            for _ in range(restarts)]
+    scale = float(np.std(start)) or 1.0
+    starts = [start] + [start + gen.normal(0.0, 0.2 * scale, start.size)
+                        for _ in range(restarts)]
     eta, theta, _ = min((one_start(s0) for s0 in starts), key=lambda c: c[2])
-    pred, _ = family.value_and_grad(eta, X)
-    viol = _exact_violations(pred + theta, y, direction)
+    viol = _exact_violations(profile.predict(eta) + theta, y, profile.ys,
+                             direction)
     surrogate = RegressionSurrogate(family=family, eta=eta)
     return FSDFitResult(surrogate=surrogate, theta_star=float(theta),
                         violations=viol, direction=direction)

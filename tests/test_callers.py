@@ -42,3 +42,12 @@ def test_benchmark_tracing_installs(monkeypatch):
     finally:
         recorder.uninstall()
     assert rarebound.cli.fsd_fit is original
+
+
+def test_digest_match_lists_differing_replications(monkeypatch):
+    bench_pairs = load(ROOT / "scripts" / "bench_pairs.py", monkeypatch)
+    parent = [{"fingerprints": ["a", "b", "c"]},
+              {"fingerprints": ["a", "b", "c", "d"]}]
+    change = [{"fingerprints": ["a", "x", "c", "e", "f"]}]
+    assert bench_pairs.digest_match({"parent": parent, "change": change}) == {
+        "shared_replications": 4, "matching": 2, "differing": [1, 3]}

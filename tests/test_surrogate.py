@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from rarebound import surrogate
 from rarebound.bench import make_example1
 from rarebound.core import RandomStream
 from rarebound.surrogate import (
@@ -33,6 +34,7 @@ from rarebound.surrogate import (
     _exact_violations,
     _lsi,
     _pattern_polish,
+    _Profile,
     _shift_limit,
 )
 
@@ -431,10 +433,142 @@ class TestFSDFit:
         fam = PolynomialFamily(3, 2)
         res = fsd_fit(fam, X, y, restarts=0, rng=rng.derive(1))
         w = np.full(y.size, 1.0 / y.size)
-        _, _, polished = _pattern_polish(fam, X, y, fit(fam, X, y).eta,
-                                         CONSERVATIVE_LOW)
+        _, _, polished = _pattern_polish(
+            _Profile(fam, X, y, CONSERVATIVE_LOW), fit(fam, X, y).eta)
         assert res.violations.max() <= 0.0
         assert np.sum(w * (y - res.predict(X)) ** 2) <= polished
+
+    @staticmethod
+    def reference_fsd_fit(family, X, y, direction, restarts, epochs, rng):
+        """The fit with every trial computed from scratch: predictions from
+        value_and_grad, np.sum, and fresh sorts of y for the closed-form
+        shift and the exact count.  Returns (eta, theta, violations)."""
+        low = direction == CONSERVATIVE_LOW
+
+        def violations(pred_shifted):
+            anchors = np.concatenate([pred_shifted, y])
+            Fs = np.searchsorted(np.sort(pred_shifted), anchors, "right")
+            Fy = np.searchsorted(np.sort(y), anchors, "right")
+            return ((Fy - Fs) if low else (Fs - Fy)) / y.size
+
+        def profiled(eta):
+            pred, _ = family.value_and_grad(eta, X)
+            p, v = (pred, y) if low else (-pred, -y)
+            limit = np.min(np.sort(v, kind="stable") - np.sort(p, kind="stable"))
+            limit = limit if low else -limit
+            for _ in range(2):
+                if violations(pred + limit).max() <= 0.0:
+                    break
+                limit = np.nextafter(limit, -np.inf if low else np.inf)
+            else:
+                raise AssertionError("no feasible shift")
+            w = 1.0 / y.size
+            t_ls = float(np.sum(w * (y - pred)))
+            t = min(t_ls, float(limit)) if low else max(t_ls, float(limit))
+            r = y - pred - t
+            return float(np.sum(w * r * r)), t
+
+        def polish(eta):
+            best, theta = profiled(eta)
+            offset = 0 if isinstance(family, PolynomialFamily) else eta.size - 1
+            steps = 0.1 * np.maximum(np.abs(eta), 1.0)
+            steps[offset] = 0.0
+            for _ in range(80):
+                improved = False
+                for j in np.flatnonzero(steps):
+                    for s in (steps[j], -steps[j]):
+                        trial = eta.copy()
+                        trial[j] += s
+                        val, t = profiled(trial)
+                        if val < best:
+                            eta, best, theta = trial, val, t
+                            improved = True
+                            break
+                if not improved:
+                    steps *= 0.5
+                    if steps.max() < 1e-10:
+                        break
+            return eta, theta, best
+
+        def linear_head(eta):
+            if isinstance(family, PolynomialFamily):
+                return family.features(X)
+            h = X
+            for W, b in family._unpack(eta)[:-1]:
+                h = 1.0 / (1.0 + np.exp(-(h @ W + b)))
+            return np.column_stack([h, np.ones(h.shape[0])])
+
+        def one_start(eta):
+            best, _ = profiled(eta)
+            for _ in range(100):
+                H = linear_head(eta)
+                n = H.shape[1]
+                po = np.argsort(sign * (H @ eta[-n:]), kind="stable")
+                z = _lsi(H * sw, y * sw, sign * H[po], bounds)
+                if z is None:
+                    break
+                trial = eta.copy()
+                trial[-n:] = z
+                val, _ = profiled(trial)
+                if not val < best:
+                    break
+                eta, best = trial, val
+            return polish(eta)
+
+        gen = rng.generator()
+        start = fit(family, X, y, rng=rng, epochs=epochs).eta
+        sign = 1.0 if low else -1.0
+        sw = np.sqrt(1.0 / y.size)
+        bounds = np.sort(sign * y, kind="stable")
+        scale = float(np.std(start)) or 1.0
+        starts = [start] + [start + gen.normal(0.0, 0.2 * scale, start.size)
+                            for _ in range(restarts)]
+        eta, theta, _ = min((one_start(s0) for s0 in starts),
+                            key=lambda c: c[2])
+        pred, _ = family.value_and_grad(eta, X)
+        return eta, theta, violations(pred + theta)
+
+    @pytest.mark.parametrize("direction", [CONSERVATIVE_LOW, CONSERVATIVE_HIGH])
+    @pytest.mark.parametrize("case", ["polynomial", "network"])
+    def test_matches_reference_bits(self, case, direction):
+        # the fixed-data work is built once per fit, and every trial keeps
+        # the reference's products, sums and sort kinds, so predictions
+        # formed any other way (say, updated one coordinate at a time)
+        # show up in the last bits.  With Cauchy noise the pattern search
+        # moves the winning polynomial start; on smooth data it rarely does
+        if case == "polynomial":
+            gen = np.random.default_rng(10)
+            X = gen.random((60, 3))
+            y = X[:, 0] + 0.3 * gen.standard_cauchy(60)
+            fam, restarts = PolynomialFamily(3, 2), 1
+        else:
+            X, y = quad_data(30)
+            fam, restarts = FeedforwardFamily(2, (3,)), 0
+        ref = self.reference_fsd_fit(fam, X, y, direction, restarts, 100,
+                                     RandomStream(10, 1))
+        res = fsd_fit(fam, X, y, direction=direction, restarts=restarts,
+                      epochs=100, rng=RandomStream(10, 1))
+        assert np.array_equal(res.surrogate.eta.view(np.int64),
+                              ref[0].view(np.int64))
+        assert np.float64(res.theta_star).view(np.int64) == \
+            np.float64(ref[1]).view(np.int64)
+        assert np.array_equal(res.violations, ref[2])
+
+    def test_features_built_once(self, monkeypatch):
+        # the training feature matrix is built once per fit, however many
+        # trials the pattern search runs
+        built, trials = [], []
+        features, shift_limit = PolynomialFamily.features, _shift_limit
+        monkeypatch.setattr(PolynomialFamily, "features",
+                            lambda fam, X: built.append(1) or features(fam, X))
+        monkeypatch.setattr(surrogate, "_shift_limit",
+                            lambda *a: trials.append(1) or shift_limit(*a))
+        X = RandomStream(33, 0).generator().random((60, 3))
+        y = np.asarray(make_example1(3, 5e-2).function.evaluator(X), float)
+        fsd_fit(PolynomialFamily(3, 2), X, y, restarts=2,
+                rng=RandomStream(34, 0))
+        assert len(built) == 1
+        assert len(trials) > 300
 
 
 class TestLSI:
@@ -471,7 +605,8 @@ class TestLSI:
 
 
 def _feasible(pred, y, theta, direction):
-    return _exact_violations(pred + theta, y, direction).max() <= 0.0
+    return _exact_violations(pred + theta, y, np.sort(y),
+                             direction).max() <= 0.0
 
 
 def _bisected_shift(pred, y, direction):
@@ -514,7 +649,9 @@ class TestShiftLimit:
                     else gen.integers(0, 4, m)
                 k[0] = max(k[0], 1)
                 y, pred = np.repeat(y, k), np.repeat(pred, k)
-            theta = _shift_limit(pred, y, direction)
+            sign = 1.0 if direction == CONSERVATIVE_LOW else -1.0
+            theta = _shift_limit(pred, np.sort(y),
+                                 np.sort(sign * y, kind="stable"), direction)
             assert _feasible(pred, y, theta, direction)
             step = 1e-12 * max(1.0, abs(theta))
             beyond = theta + step if direction == CONSERVATIVE_LOW else theta - step
@@ -558,10 +695,10 @@ class TestPatternPolish:
         y = y + 0.2 * np.sin(6.0 * X[:, 0])
         w = np.full(y.size, 1.0 / y.size)
         eta0 = np.random.default_rng(19).normal(0.0, 0.5, family.n_parameters)
-        eta, theta, best = _pattern_polish(family, X, y, eta0,
-                                           CONSERVATIVE_LOW)
+        eta, theta, best = _pattern_polish(
+            _Profile(family, X, y, CONSERVATIVE_LOW), eta0)
         assert eta[offset] == eta0[offset]
         assert not np.array_equal(eta, eta0)
         pred, _ = family.value_and_grad(eta, X)
-        assert _exact_violations(pred + theta, y, CONSERVATIVE_LOW).max() <= 0.0
+        assert _feasible(pred, y, theta, CONSERVATIVE_LOW)
         assert best == pytest.approx(np.sum(w * (y - pred - theta) ** 2))
