@@ -15,7 +15,9 @@ The keys of ``[experiment]`` (the default section) are the fields of
 ``[shift]`` and ``[fsd]`` are the fields of the options class it holds
 under that name, with the same defaults.  ``[monotone]`` has one key,
 the region sampler: the sequential bounder fixes its candidate rule by
-dimension, and the transformed walk its tuning.
+dimension, and the transformed walk its tuning.  The surrogate routes'
+sizes and training schedules are fixed by their runners, and
+``[dyadic]`` sets only the Lipschitz constant.
 Unknown sections or keys are rejected with a line diagnostic.  Exit
 codes: 0 success, 2 configuration error, 3 method error.
 
@@ -42,8 +44,6 @@ from .core import RandomStream, check_finite, surrogate_mc_estimate
 from .dyadic import refine
 from .monotone import sequential_bounder
 from .surrogate import (
-    CONSERVATIVE_HIGH,
-    CONSERVATIVE_LOW,
     DEFAULT_BERNSTEIN_C,
     FeedforwardFamily,
     PolynomialFamily,
@@ -104,11 +104,10 @@ class MonotoneOptions:
 
 @dataclass
 class DyadicOptions:
-    """Knobs for the Lipschitz cube refinement."""
+    """Knobs for the Lipschitz cube refinement, which refines to the depth
+    :func:`refine` derives from the constant."""
 
     lipschitz: float = 0.0          # 0 uses the benchmark's known constant
-    max_depth: int = 0              # 0 derives the depth from eps_target
-    eps_target: float = 1e-5
 
 
 @dataclass
@@ -121,18 +120,8 @@ class ShiftOptions:
     overprediction (strictly conservative, markedly larger estimates).
     """
 
-    train_size: int = 0             # 0 means 50 * d
-    test_size: int = 0              # 0 means 50 * d
     alpha: float = 0.1
-    c_constant: float = DEFAULT_BERNSTEIN_C
-    hidden: Tuple[int, ...] = (8, 8)
-    epochs: int = 16000
-    lr: float = 0.02
-    overpredict_weight: float = 3.0
     theta_source: str = "train"     # train | test
-    mc_samples: int = 20000
-    q2_gate: float = 0.9            # 0 disables the predictivity gate
-    max_refits: int = 3
 
 
 @dataclass
@@ -141,13 +130,7 @@ class FsdOptions:
 
     train_size: int = 0             # 0 means 50 * d
     family: str = "polynomial"      # polynomial | network
-    degree: int = 2
-    hidden: Tuple[int, ...] = (4, 4)
-    direction: str = CONSERVATIVE_LOW
     restarts: int = 2
-    epochs: int = 600
-    lr: float = 0.02
-    mc_samples: int = 20000
 
 
 @dataclass
@@ -173,14 +156,12 @@ class ExperimentConfig:
 
 
 # The keys whose value is one of a fixed set of words; every other key is
-# parsed as the type of its field's default (int, float, str, or an int
-# tuple split on commas or spaces).
+# parsed as the type of its field's default (int, float or str).
 _CHOICES: Dict[str, Tuple[str, ...]] = {
     "method": METHODS,
     "sampler": ("method", "rejection", "mcmc", "auto"),
     "theta_source": ("train", "test"),
     "family": ("polynomial", "network"),
-    "direction": (CONSERVATIVE_LOW, CONSERVATIVE_HIGH),
 }
 
 
@@ -189,8 +170,6 @@ def _parse_value(key: str, text: str, default: object) -> object:
         if text not in _CHOICES[key]:
             raise ValueError(f"expected one of {_CHOICES[key]}, got {text!r}")
         return text
-    if isinstance(default, tuple):
-        return tuple(int(tok) for tok in text.replace(",", " ").split())
     return type(default)(text)
 
 
@@ -275,12 +254,22 @@ def _validate(cfg: ExperimentConfig, source: str) -> None:
 # ---------------------------------------------------------------------------
 # method runners
 
+# The surrogate routes' fixed protocol; fsd trains with fsd_fit's defaults
+_POINTS_PER_DIM = 50      # training points per dimension, and shift's test points
+_MC_SAMPLES = 20_000      # Monte Carlo points on the fitted surrogate
+_SHIFT_HIDDEN = (8, 8)
+_SHIFT_EPOCHS = 16_000
+_SHIFT_OVERPREDICT_WEIGHT = 3.0
+_SHIFT_Q2_GATE = 0.9      # a fit below this q2 is retried ...
+_SHIFT_MAX_REFITS = 3     # ... this many times, keeping the best
+_FSD_DEGREE = 2
+_FSD_HIDDEN = (4, 4)
+
+
 def _run_dyadic(cfg: ExperimentConfig, problem, rng: RandomStream) -> dict:
     opts = cfg.dyadic
     lipschitz = opts.lipschitz if opts.lipschitz > 0.0 else problem.lipschitz
-    run = refine(problem.function, lipschitz, cfg.budget,
-                 max_depth=opts.max_depth if opts.max_depth > 0 else None,
-                 eps_target=opts.eps_target)
+    run = refine(problem.function, lipschitz, cfg.budget)
     return {"queries": run.queries_used,
             "p_lower": run.bounds.lower, "p_upper": run.bounds.upper}
 
@@ -299,55 +288,51 @@ def _run_shift(cfg: ExperimentConfig, problem, rng: RandomStream) -> dict:
     opts = cfg.shift
     d = problem.dimension
     f = problem.function
-    n_train = opts.train_size if opts.train_size > 0 else 50 * d
-    n_test = opts.test_size if opts.test_size > 0 else 50 * d
-    X_train = rng.derive(0).generator().random((n_train, d))
+    n = _POINTS_PER_DIM * d
+    X_train = rng.derive(0).generator().random((n, d))
     y_train = f.evaluate_batch(X_train)
     check_finite(y_train, X_train)
-    X_test = rng.derive(1).generator().random((n_test, d))
+    X_test = rng.derive(1).generator().random((n, d))
     y_test = f.evaluate_batch(X_test)
     check_finite(y_test, X_test)
-    family = FeedforwardFamily(dimension=d, hidden=opts.hidden)
+    family = FeedforwardFamily(dimension=d, hidden=_SHIFT_HIDDEN)
     best_score, best_model = -np.inf, None
     # surrogates are retained only above a predictivity floor, so a failed
     # fit is retried from a fresh deterministic initialization
-    for attempt in range(max(1, opts.max_refits + 1)):
+    for attempt in range(_SHIFT_MAX_REFITS + 1):
         model = fit(family, X_train, y_train, rng=rng.derive(10 + attempt),
-                    epochs=opts.epochs, lr=opts.lr,
-                    overpredict_weight=opts.overpredict_weight)
+                    epochs=_SHIFT_EPOCHS,
+                    overpredict_weight=_SHIFT_OVERPREDICT_WEIGHT)
         score = q2(model, X_test, y_test)
         if score > best_score:
             best_score, best_model = score, model
-        if opts.q2_gate <= 0.0 or score >= opts.q2_gate:
+        if score >= _SHIFT_Q2_GATE:
             break
     if opts.theta_source == "train":
         X_cert, y_cert = X_train, y_train
     else:
         X_cert, y_cert = X_test, y_test
-    shifted = conservative_shift(best_model, X_cert, y_cert,
-                                 alpha=opts.alpha, C=opts.c_constant)
+    shifted = conservative_shift(best_model, X_cert, y_cert, alpha=opts.alpha)
     est = surrogate_mc_estimate(shifted.predict, d, f.threshold,
-                                opts.mc_samples, rng.derive(2))
-    return {"queries": n_train + n_test, "p_hat": est.p_hat}
+                                _MC_SAMPLES, rng.derive(2))
+    return {"queries": 2 * n, "p_hat": est.p_hat}
 
 
 def _run_fsd(cfg: ExperimentConfig, problem, rng: RandomStream) -> dict:
     opts = cfg.fsd
     d = problem.dimension
     f = problem.function
-    m = opts.train_size if opts.train_size > 0 else 50 * d
+    m = opts.train_size if opts.train_size > 0 else _POINTS_PER_DIM * d
     X = rng.derive(0).generator().random((m, d))
     y = f.evaluate_batch(X)
     check_finite(y, X)
     if opts.family == "polynomial":
-        family = PolynomialFamily(dimension=d, degree=opts.degree)
+        family = PolynomialFamily(dimension=d, degree=_FSD_DEGREE)
     else:
-        family = FeedforwardFamily(dimension=d, hidden=opts.hidden)
-    result = fsd_fit(family, X, y, direction=opts.direction,
-                     restarts=opts.restarts, epochs=opts.epochs, lr=opts.lr,
-                     rng=rng.derive(1))
+        family = FeedforwardFamily(dimension=d, hidden=_FSD_HIDDEN)
+    result = fsd_fit(family, X, y, restarts=opts.restarts, rng=rng.derive(1))
     est = surrogate_mc_estimate(result.predict, d, f.threshold,
-                                opts.mc_samples, rng.derive(2))
+                                _MC_SAMPLES, rng.derive(2))
     return {"queries": m, "p_hat": est.p_hat}
 
 

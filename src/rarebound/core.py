@@ -217,23 +217,19 @@ class RandomStream:
 
 
 def mc_estimate(f: BlackBoxFunction, n: int, rng: RandomStream) -> MCEstimate:
-    """Crude Monte Carlo estimate of P(g(X) < y) with X uniform on the cube."""
-    if n <= 0:
-        raise ValueError("n must be positive")
-    gen = rng.generator()
-    X = gen.random((n, f.dimension))
-    vals = f.evaluate_batch(X)
-    hits = int(np.count_nonzero(vals < f.threshold))
-    return MCEstimate.from_counts(hits, n)
+    """Crude Monte Carlo estimate of P(g(X) < y) with X uniform on the cube;
+    every point counts as an oracle query."""
+    return surrogate_mc_estimate(f.evaluate_batch, f.dimension, f.threshold,
+                                 n, rng)
 
 
 def surrogate_mc_estimate(predictor: Callable, dimension: int, threshold: float,
                           n: int, rng: RandomStream) -> MCEstimate:
     """Monte Carlo failure estimate with the indicator taken on a surrogate.
 
-    Uses the same generator layout as :func:`mc_estimate`, so an identical
-    (seed, stream_id) with predictor == g reproduces its p_hat exactly.
-    No query counter is touched.
+    :func:`mc_estimate` is this loop with the oracle as predictor, so an
+    identical (seed, stream_id) with predictor == g reproduces its p_hat
+    exactly.  A plain predictor touches no query counter.
     """
     if n <= 0:
         raise ValueError("n must be positive")

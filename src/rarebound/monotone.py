@@ -249,13 +249,10 @@ def upper_orthant_volume(P) -> float:
     return _vol_lower_union(maximal_points(1.0 - _check_points(P)))
 
 
-def _delta_lower_volume(pruned: np.ndarray, x: np.ndarray) -> float:
-    """Area added to a 2-D lower-orthant union by a new point x.
-
-    ``pruned`` is the current maximal antichain; the increment is
-    vol[0,x] minus the part already covered.
-    """
-    return float(_Staircase2(pruned).gain(x[:1], x[1:])[0])
+def _delta_lower_volume(stair: _Staircase2, P: np.ndarray) -> np.ndarray:
+    """Area each row of P adds to the 2-D lower-orthant union of ``stair``:
+    vol[0, x] minus the part already covered, bit for bit as for one row."""
+    return stair.gain(P[:, 0], P[:, 1])
 
 
 def _insert_maximal(pruned: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -802,10 +799,8 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
             sel = np.arange(pool.shape[0])
         P = pool[sel]
         if d == 2:
-            F = region.fail_generators
-            Fc = 1.0 - region.safe_generators
-            score = (np.array([_delta_lower_volume(F, c) for c in P])
-                     * np.array([_delta_lower_volume(Fc, 1.0 - c) for c in P]))
+            score = (_delta_lower_volume(fail_stair, P)
+                     * _delta_lower_volume(safe_stair, 1.0 - P))
         else:
             geq = np.all(P[:, None, :] >= P[None, :, :], axis=2)
             score = geq.sum(axis=0) + geq.sum(axis=1)

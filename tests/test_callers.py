@@ -5,6 +5,7 @@ attribute, so a deleted or renamed name fails only when they run.  These
 tests load them the way they are used, without running them.
 """
 
+import dataclasses
 import importlib.util
 import pathlib
 import sys
@@ -23,6 +24,8 @@ def load(path, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location(f"_loaded_{path.stem}", path)
     module = importlib.util.module_from_spec(spec)
+    # dataclasses look their module up while the class body runs
+    monkeypatch.setitem(sys.modules, spec.name, module)
     spec.loader.exec_module(module)
     return module
 
@@ -42,6 +45,24 @@ def test_benchmark_tracing_installs(monkeypatch):
     finally:
         recorder.uninstall()
     assert rarebound.cli.fsd_fit is original
+
+
+def test_benchmark_overrides_name_config_keys(monkeypatch):
+    # a dataclass accepts setattr of any name, so an override of a key the
+    # config no longer has would leave the benchmark on the fixed value
+    workloads = load(ROOT / "perfbench" / "workloads.py", monkeypatch)
+    # the fsd set-up wraps cli.fsd_fit; monkeypatch puts the original back
+    monkeypatch.setattr(rarebound.cli, "fsd_fit", rarebound.cli.fsd_fit)
+    checked = []
+    for name, workload in sorted(workloads.WORKLOADS.items()):
+        state = workload.setup(rarebound, str(ROOT))
+        overrides = getattr(workload, "overrides", {})
+        if overrides:
+            cfg = state["cfg"]
+            keys = {f.name for f in dataclasses.fields(getattr(cfg, cfg.method))}
+            assert set(overrides) <= keys, (name, sorted(set(overrides) - keys))
+            checked += [(name, key) for key in overrides]
+    assert checked
 
 
 def test_digest_match_lists_differing_replications(monkeypatch):

@@ -92,7 +92,7 @@ class TestParseConfig:
         assert cfg.shift.theta_source == "train"
         assert cfg.fsd.family == "polynomial"
 
-    def test_sections_comments_and_tuples(self):
+    def test_sections_and_comments(self):
         text = """
         # full-line comment
         [experiment]
@@ -101,23 +101,48 @@ class TestParseConfig:
         replications = 1
 
         [shift]
-        hidden = 4 4
         theta_source = test
         alpha = 0.05
 
         [fsd]
-        hidden = 2, 3
+        restarts = 0
+        family = network
+        train_size = 30
+
+        [dyadic]
+        lipschitz = 2.5
         """
         cfg = parse_config_text(text)
-        assert cfg.shift.hidden == (4, 4)
         assert cfg.shift.theta_source == "test"
         assert cfg.shift.alpha == 0.05
-        assert cfg.fsd.hidden == (2, 3)
+        assert (cfg.fsd.restarts, cfg.fsd.family, cfg.fsd.train_size) == (
+            0, "network", 30)
+        assert cfg.dyadic.lipschitz == 2.5
 
     @pytest.mark.parametrize("key", ["taus = 0.1 0.03", "penalty = 10"])
     def test_unknown_fsd_keys_name_line(self, key):
         text = MINIMAL + f"\n[fsd]\n{key}\n"
         with pytest.raises(ConfigError, match=r":10: unknown key"):
+            parse_config_text(text)
+
+    @pytest.mark.parametrize("section, key", [
+        ("dyadic", "max_depth = 12"), ("dyadic", "eps_target = 1e-5"),
+        ("shift", "train_size = 100"), ("shift", "test_size = 100"),
+        ("shift", "c_constant = 6"), ("shift", "hidden = 8 8"),
+        ("shift", "epochs = 16000"), ("shift", "lr = 0.02"),
+        ("shift", "overpredict_weight = 3.0"),
+        ("shift", "mc_samples = 20000"), ("shift", "q2_gate = 0.9"),
+        ("shift", "max_refits = 3"), ("fsd", "degree = 2"),
+        ("fsd", "hidden = 4 4"), ("fsd", "direction = conservative-low"),
+        ("fsd", "epochs = 600"), ("fsd", "lr = 0.02"),
+        ("fsd", "mc_samples = 20000")])
+    def test_fixed_protocol_keys_are_rejected(self, section, key):
+        # the surrogate routes' sizes and schedules and the dyadic depth
+        # are fixed by the runners, even when set to their fixed values
+        name = key.split(" ")[0]
+        text = MINIMAL + f"\n[{section}]\n{key}\n"
+        with pytest.raises(ConfigError, match=(
+                rf"<config>:10: unknown key '{name}' in section \[{section}\]")):
             parse_config_text(text)
 
     def test_unknown_section_names_line(self):
@@ -182,12 +207,20 @@ class TestOptionFields:
         # values parse as the type of the default, so a float key with an
         # int default would reject "0.5"
         for _, name, hint, default in option_fields():
-            if hint == typing.Tuple[int, ...]:
-                assert type(default) is tuple, name
-                assert all(type(v) is int for v in default), name
-            else:
-                assert hint in (int, float, str), name
-                assert type(default) is hint, name
+            assert hint in (int, float, str), name
+            assert type(default) is hint, name
+
+    def test_settable_values(self):
+        assert sorted((section, name) for section, name, _, _ in
+                      option_fields()) == [
+            ("dyadic", "lipschitz"),
+            ("experiment", "benchmark"), ("experiment", "budget"),
+            ("experiment", "method"), ("experiment", "output_dir"),
+            ("experiment", "replications"), ("experiment", "seed"),
+            ("experiment", "workers"),
+            ("fsd", "family"), ("fsd", "restarts"), ("fsd", "train_size"),
+            ("monotone", "sampler"),
+            ("shift", "alpha"), ("shift", "theta_source")]
 
     def test_choice_keys_name_one_field_with_a_valid_default(self):
         keys = list(option_fields())
@@ -336,9 +369,7 @@ class TestRunExperiment:
     def test_shift_rows_have_estimate_only(self, tmp_path):
         text = ("[experiment]\nmethod = shift\n"
                 "benchmark = example1:d=2:p=1e-1\n"
-                "replications = 1\nworkers = 1\n"
-                "[shift]\ntrain_size = 40\ntest_size = 40\n"
-                "epochs = 300\nmc_samples = 2000\nq2_gate = 0\n")
+                "replications = 1\nworkers = 1\n")
         cfg = parse_config_text(text)
         outdir = run_experiment(cfg, output_dir=str(tmp_path / "sh"))
         row = dict(zip(ROW_FIELDS, read_csv(
@@ -346,7 +377,8 @@ class TestRunExperiment:
         assert row["p_lower"] == "" and row["p_upper"] == ""
         assert 0.0 <= float(row["p_hat"]) <= 1.0
         assert row["rel_precision"] == ""
-        assert int(row["queries"]) == 80
+        # 50 * d training and 50 * d test points
+        assert int(row["queries"]) == 200
 
 
 class TestLambdaTable:
@@ -420,8 +452,8 @@ class TestMain:
         assert capsys.readouterr().err.startswith("method error: ValueError")
 
     @pytest.mark.parametrize("method, section", [
-        ("shift", "[shift]\nepochs = 20\nmax_refits = 0\nmc_samples = 100\n"),
-        ("fsd", "[fsd]\nepochs = 20\nrestarts = 0\nmc_samples = 100\n")])
+        ("shift", ""), ("fsd", "[fsd]\nrestarts = 0\n")],
+        ids=["shift", "fsd"])
     def test_non_finite_oracle_value_exit_3(self, tmp_path, capsys,
                                             monkeypatch, method, section):
         # NaN near one face of the cube: the training targets must be

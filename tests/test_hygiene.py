@@ -1,4 +1,5 @@
-"""Every module-level import and definition in the package is used.
+"""Every module-level import and definition in the package is used, and
+every config key reaches a method runner.
 
 The package has no linter in its build, so these scans are its lint gate.
 ``__init__.py`` is skipped by the import scan because its imports are
@@ -104,3 +105,36 @@ def test_scan_finds_unreferenced_definitions():
 def test_every_definition_is_referenced():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_definitions(sources) == []
+
+
+def unread_option_fields(source):
+    """Fields of the ``*Options`` classes that no ``_run_*`` function reads.
+
+    A field counts as read when a runner reads an attribute of its name;
+    its declaration in the class body does not count.
+    """
+    tree = ast.parse(source)
+    read = {n.attr for node in tree.body if isinstance(node, ast.FunctionDef)
+            and node.name.startswith("_run_") for n in ast.walk(node)
+            if isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load)}
+    return sorted(
+        f"{node.name}.{stmt.target.id} (line {stmt.lineno})"
+        for node in tree.body
+        if isinstance(node, ast.ClassDef) and node.name.endswith("Options")
+        for stmt in node.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read)
+
+
+def test_scan_finds_unread_option_fields():
+    source = ("class AOptions:\n    used: int = 0\n    unused: int = 0\n"
+              "    written: int = 0\n"
+              "class Other:\n    free: int = 0\n"
+              "def _run_a(cfg):\n    cfg.a.written = cfg.a.used\n"
+              "def report(cfg):\n    return cfg.a.unused\n")
+    assert unread_option_fields(source) == [
+        "AOptions.unused (line 3)", "AOptions.written (line 4)"]
+
+
+def test_every_config_key_reaches_a_runner():
+    assert unread_option_fields((PACKAGE / "cli.py").read_text()) == []

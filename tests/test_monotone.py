@@ -768,6 +768,42 @@ class TestSequentialBounder:
         assert not np.array_equal(runs[0].design.points,
                                   runs[2].design.points)
 
+    def test_two_dimensional_pool_fallback_scores_like_one_candidate(
+            self, monkeypatch):
+        # x1 + x2 < 1.99 fails in every grid column at this seed (the last
+        # abscissa lies below 0.99), so once those columns have narrowed
+        # to the float resolution below 1 the boundary rule has no
+        # candidate left and the fallback scores the pool for the region
+        # right of the grid
+        def run():
+            f = get_benchmark("linear:d=2:y=1.99").function
+            return sequential_bounder(f, 440, RandomStream(1, 0),
+                                      sampler="rejection")
+
+        batched = []
+
+        def one_at_a_time(stair, P):
+            # the per-candidate formula: a fresh staircase per candidate
+            batched.append(P.shape[0])
+            G = np.column_stack((stair.x, stair.y))
+            return np.array([float(_Staircase2(G).gain(x[:1], x[1:])[0])
+                             for x in P])
+
+        fast = run()
+        monkeypatch.setattr(monotone, "_delta_lower_volume", one_at_a_time)
+        slow = run()
+        assert len(batched) == 2 * (440 - 406)
+        for a, b in ((fast.design.points, slow.design.points),
+                     (fast.design.fail, slow.design.fail),
+                     (fast.design.values, slow.design.values)):
+            assert np.array_equal(a, b)
+        assert (fast.bounds.lower, fast.bounds.upper) == (slow.bounds.lower,
+                                                          slow.bounds.upper)
+        # the fallback queries lie right of the grid, where the boundary
+        # is, and some are safe, so both staircases score non-empty
+        assert np.all(fast.design.points[406:, 0] > 0.99)
+        assert not fast.design.fail[406:].all()
+
     @pytest.mark.parametrize("name, sampler, budget", [
         ("lipschitz1d:p=2.1e-3", "rejection", 200),
         ("linear:d=1:y=0.3", "mcmc", 30)])
