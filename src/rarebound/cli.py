@@ -1,12 +1,10 @@
-"""Experiment runner: config files in, CSV reports (and optional SVG) out.
+"""Experiment runner: config files in, CSV reports out.
 
 Subcommands
 -----------
 run             execute a replicated experiment described by a config file
 lambda-table    tabulate the certificate risk curve lambda(n, p) and its
                 crossings lambda(n, p) = p
-timing          paired wall-clock comparison of the sequential bounder with
-                rejection versus walk-based sampling, per dimension
 list-benchmarks print the benchmark registry
 
 Config files are flat ``key = value`` text with ``[section]`` headers.
@@ -18,8 +16,9 @@ the region sampler: the sequential bounder fixes its candidate rule by
 dimension, and the transformed walk its tuning.  The surrogate routes'
 sizes and training schedules are fixed by their runners, and
 ``[dyadic]`` sets only the Lipschitz constant.
-Unknown sections or keys are rejected with a line diagnostic.  Exit
-codes: 0 success, 2 configuration error, 3 method error.
+Unknown sections or keys are rejected with a line diagnostic, and
+out-of-range values with their key.  Exit codes: 0 success,
+2 configuration error, 3 method error.
 
 The output directory is taken from, in decreasing precedence, the
 ``--output-dir`` flag, the ``RAREBOUND_OUTPUT_DIR`` environment variable,
@@ -62,7 +61,6 @@ __all__ = [
     "parse_config_text",
     "run_experiment",
     "run_lambda_table",
-    "run_timing",
     "main",
 ]
 
@@ -239,11 +237,18 @@ def _validate(cfg: ExperimentConfig, source: str) -> None:
         problem = get_benchmark(cfg.benchmark)
     except ValueError as exc:
         raise ConfigError(f"{source}: {exc}")
-    if cfg.budget < 1:
-        raise ConfigError(f"{source}: budget must be >= 1, got {cfg.budget}")
-    if cfg.replications < 0:
+    # 0 keeps its documented meaning for workers, lipschitz and train_size
+    for key, value, lowest in (
+            ("budget", cfg.budget, 1), ("replications", cfg.replications, 0),
+            ("workers", cfg.workers, 0), ("lipschitz", cfg.dyadic.lipschitz, 0),
+            ("train_size", cfg.fsd.train_size, 0),
+            ("restarts", cfg.fsd.restarts, 0)):
+        if not value >= lowest:     # also rejects nan
+            raise ConfigError(
+                f"{source}: {key} must be >= {lowest}, got {value}")
+    if not 0.0 < cfg.shift.alpha < 1.0:
         raise ConfigError(
-            f"{source}: replications must be >= 0, got {cfg.replications}")
+            f"{source}: alpha must be in (0, 1), got {cfg.shift.alpha}")
     if cfg.method == "dyadic" and cfg.dyadic.lipschitz <= 0.0 \
             and problem.lipschitz is None:
         raise ConfigError(
@@ -433,65 +438,11 @@ def _resolve_output_dir(flag: Optional[str], config_value: str = "results") -> s
     return flag or os.environ.get(OUTPUT_DIR_ENV) or config_value
 
 
-def _pyplot():
-    """Import matplotlib lazily; plots are decorative and optional."""
-    try:
-        import matplotlib
-        matplotlib.use("svg", force=True)
-        import matplotlib.pyplot as plt
-        return plt
-    except ImportError:
-        print("warning: matplotlib not installed, skipping SVG plots",
-              file=sys.stderr)
-        return None
-
-
-def _plot_run(outdir: str, rows: Sequence[dict]) -> None:
-    plt = _pyplot()
-    if plt is None or not rows:
-        return
-    fig, ax = plt.subplots(figsize=(7, 4))
-    p_exact = rows[0]["p_exact"]
-    for name, marker in (("p_lower", "v"), ("p_upper", "^"), ("p_hat", "o")):
-        ys = [(r["replication"], r[name]) for r in rows if r[name] is not None]
-        if ys:
-            ax.plot(*zip(*ys), marker, label=name, markersize=4)
-    ax.axhline(p_exact, color="black", linewidth=0.8, label="p_exact")
-    ax.set_xlabel("replication")
-    ax.set_ylabel("probability")
-    ax.set_yscale("log")
-    ax.set_title(f"{rows[0]['method']} on {rows[0]['benchmark']}")
-    ax.legend()
-    fig.tight_layout()
-    fig.savefig(os.path.join(outdir, "bounds.svg"))
-    plt.close(fig)
-
-
-def _plot_lambda(outdir: str, curves: Dict[float, List[Tuple[int, float]]],
-                 crossings: Dict[float, float]) -> None:
-    plt = _pyplot()
-    if plt is None:
-        return
-    fig, ax = plt.subplots(figsize=(7, 4))
-    for p, pts in sorted(curves.items(), reverse=True):
-        ns = [n for n, _ in pts]
-        ax.plot(np.log(ns), [v for _, v in pts], label=f"p={p:g}")
-        ax.axhline(p, linestyle=":", linewidth=0.6, color="gray")
-        if p in crossings:
-            ax.axvline(np.log(crossings[p]), linestyle="--", linewidth=0.6)
-    ax.set_xlabel("log(n)")
-    ax.set_ylabel("lambda(n, p)")
-    ax.legend()
-    fig.tight_layout()
-    fig.savefig(os.path.join(outdir, "lambda.svg"))
-    plt.close(fig)
-
-
 # ---------------------------------------------------------------------------
 # subcommand drivers
 
-def run_experiment(cfg: ExperimentConfig, output_dir: Optional[str] = None,
-                   plots: bool = False) -> str:
+def run_experiment(cfg: ExperimentConfig,
+                   output_dir: Optional[str] = None) -> str:
     """Execute all replications and write rows.csv + summary.csv.
 
     Returns the output directory.  Replications are dispatched to a
@@ -517,21 +468,20 @@ def run_experiment(cfg: ExperimentConfig, output_dir: Optional[str] = None,
                  for name in ROW_FIELDS] for row in rows])
     _write_csv(os.path.join(outdir, "summary.csv"), SUMMARY_FIELDS,
                _summary_rows(rows))
-    if plots:
-        _plot_run(outdir, rows)
     return outdir
 
 
 def run_lambda_table(p_values: Sequence[float], n_min: int = 1,
                      n_max: int = 1_000_000, points: int = 200,
                      C: float = DEFAULT_BERNSTEIN_C,
-                     output_dir: Optional[str] = None,
-                     plots: bool = False) -> str:
+                     output_dir: Optional[str] = None) -> str:
     """Tabulate lambda(n, p) on a log grid of n, plus crossings with p."""
     if not p_values:
         raise ConfigError("need at least one p value")
     if not (1 <= n_min < n_max):
         raise ConfigError(f"need 1 <= n_min < n_max, got {n_min}, {n_max}")
+    if points < 1 or not C > 0.0:
+        raise ConfigError(f"need points >= 1 and C > 0, got {points}, {C}")
     for p in p_values:
         if not 0.0 < p < 1.0:
             raise ConfigError(f"p must be in (0, 1), got {p}")
@@ -547,41 +497,6 @@ def run_lambda_table(p_values: Sequence[float], n_min: int = 1,
                 for p in p_values for n, value in curves[p]])
     _write_csv(os.path.join(outdir, "lambda_crossings.csv"), ["p", "n_crossing"],
                [[repr(float(p)), repr(crossings[p])] for p in p_values])
-    if plots:
-        _plot_lambda(outdir, curves, crossings)
-    return outdir
-
-
-def run_timing(dims: Sequence[int], budget: int = 200, p: float = 5e-4,
-               seed: int = 20260823,
-               methods: Sequence[str] = ("monotone-exact", "monotone-mcmc"),
-               output_dir: Optional[str] = None) -> str:
-    """Paired wall-clock comparison of the two monotone samplers.
-
-    Writes timing.csv with one row per (method, dimension); both methods
-    see the same benchmark, budget, and random stream within a dimension.
-    """
-    for method in methods:
-        if method not in ("monotone-exact", "monotone-mcmc"):
-            raise ConfigError(
-                f"timing supports the monotone methods, got {method!r}")
-    outdir = _resolve_output_dir(output_dir)
-    os.makedirs(outdir, exist_ok=True)
-    rows = []
-    for d in dims:
-        benchmark = f"example1:d={d}:p={p:g}"
-        for method in methods:
-            cfg = ExperimentConfig(method=method, benchmark=benchmark,
-                                   budget=budget, seed=seed)
-            row = _replication_row(cfg, 0)
-            rows.append(row)
-    _write_csv(os.path.join(outdir, "timing.csv"),
-               ["method", "d", "benchmark", "budget", "queries",
-                "wall_time_s", "p_lower", "p_upper"],
-               [[row["method"], row["d"], row["benchmark"], budget,
-                 row["queries"], _cell(row["wall_time_s"], ".4f"),
-                 _cell(row["p_lower"]), _cell(row["p_upper"])]
-                for row in rows])
     return outdir
 
 
@@ -601,10 +516,6 @@ def _float_list(text: str) -> List[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
-def _int_list(text: str) -> List[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rarebound",
@@ -617,8 +528,6 @@ def _build_parser() -> argparse.ArgumentParser:
                        help=f"report directory (overrides ${OUTPUT_DIR_ENV} and config)")
     p_run.add_argument("--workers", type=int, default=None,
                        help="override the configured worker count")
-    p_run.add_argument("--plots", action="store_true",
-                       help="also write decorative SVG plots (needs matplotlib)")
 
     p_lam = sub.add_parser("lambda-table",
                            help="tabulate the certificate risk curve lambda(n, p)")
@@ -631,20 +540,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_lam.add_argument("--c", type=float, default=DEFAULT_BERNSTEIN_C,
                        help="certificate constant C")
     p_lam.add_argument("--output-dir", default=None)
-    p_lam.add_argument("--plots", action="store_true")
-
-    p_tim = sub.add_parser("timing",
-                           help="wall-clock comparison of the monotone samplers")
-    p_tim.add_argument("--dims", type=_int_list, default=[3, 4, 5],
-                       help="comma-separated dimensions (at d=2 both "
-                            "methods run the same boundary rule)")
-    p_tim.add_argument("--budget", type=int, default=200)
-    p_tim.add_argument("--p", type=float, default=5e-4,
-                       help="benchmark failure probability")
-    p_tim.add_argument("--seed", type=int, default=20260823)
-    p_tim.add_argument("--methods", default="monotone-exact,monotone-mcmc",
-                       help="comma-separated monotone methods to time")
-    p_tim.add_argument("--output-dir", default=None)
 
     sub.add_parser("list-benchmarks", help="print the benchmark registry")
     return parser
@@ -657,21 +552,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             cfg = load_config(args.config)
             if args.workers is not None:
                 cfg.workers = args.workers
-            outdir = run_experiment(cfg, output_dir=args.output_dir,
-                                    plots=args.plots)
+                _validate(cfg, "--workers")
+            outdir = run_experiment(cfg, output_dir=args.output_dir)
             print(f"wrote {os.path.join(outdir, 'rows.csv')} and summary.csv")
         elif args.command == "lambda-table":
             outdir = run_lambda_table(args.p, n_min=args.n_min,
                                       n_max=args.n_max, points=args.points,
-                                      C=args.c, output_dir=args.output_dir,
-                                      plots=args.plots)
+                                      C=args.c, output_dir=args.output_dir)
             print(f"wrote lambda_table.csv and lambda_crossings.csv in {outdir}")
-        elif args.command == "timing":
-            methods = [tok.strip() for tok in args.methods.split(",") if tok.strip()]
-            outdir = run_timing(args.dims, budget=args.budget, p=args.p,
-                                seed=args.seed, methods=methods,
-                                output_dir=args.output_dir)
-            print(f"wrote timing.csv in {outdir}")
         elif args.command == "list-benchmarks":
             _list_benchmarks()
     except ConfigError as exc:

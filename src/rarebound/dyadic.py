@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .core import BlackBoxFunction, DimensionMismatch, ProbabilityBounds
@@ -113,19 +113,10 @@ def _outward(units: int, shift: int, up: bool) -> float:
 
 @dataclass
 class DyadicRun:
-    """Outcome of a refinement run.
-
-    ``trace`` has one row per completed cube split:
-    (splits_done, queries_used, p_lower, p_upper, unknown_mass).
-    """
+    """Outcome of a refinement run: the bounds and the oracle queries spent."""
 
     bounds: ProbabilityBounds
-    inside: List[DyadicCube] = field(default_factory=list)
-    outside: List[DyadicCube] = field(default_factory=list)
-    unknown: List[DyadicCube] = field(default_factory=list)
-    trace: List[Tuple[int, int, float, float, float]] = field(default_factory=list)
-    queries_used: int = 0
-    max_depth_hit: bool = False
+    queries_used: int
 
 
 def refine(f: BlackBoxFunction, lipschitz: float, budget: int,
@@ -140,70 +131,43 @@ def refine(f: BlackBoxFunction, lipschitz: float, budget: int,
     the frontier is empty, or when only cubes at ``max_depth`` remain.
 
     Inside and unknown mass are counted exactly, as integers in units of
-    the smallest cube, 2^-(d max_depth); every reported bound, trace rows
-    included, rounds that exact sum outward once: p_lower down, p_upper
-    and the unknown mass up.
+    the smallest cube, 2^-(d max_depth); the bounds round that exact sum
+    outward once, at the end: p_lower down, p_upper up.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     d = f.dimension
     if max_depth is None:
         max_depth = default_max_depth(lipschitz, eps_target)
-    root = DyadicCube(0, (0,) * d)
-    inside: List[DyadicCube] = []
-    outside: List[DyadicCube] = []
-    resolved_unknown: List[DyadicCube] = []   # unknown but at max depth
     frontier: List[Tuple[int, Tuple[int, ...]]] = []
-
     queries = 0
-    shift = d * max_depth
     inside_units = 0
     unknown_units = 0
 
     def units(depth: int) -> int:
         return 1 << (d * (max_depth - depth))
 
-    def row(splits: int) -> Tuple[int, int, float, float, float]:
-        lower = _outward(inside_units, shift, up=False)
-        upper = min(1.0, _outward(inside_units + unknown_units, shift, up=True))
-        return (splits, queries, lower, upper,
-                _outward(unknown_units, shift, up=True))
-
-    def admit(cube: DyadicCube, label: str) -> None:
-        nonlocal inside_units, unknown_units
+    def admit(cube: DyadicCube) -> None:
+        nonlocal queries, inside_units, unknown_units
+        label = label_cube(f, lipschitz, cube)
+        queries += 1
         if label == LABEL_INSIDE:
-            inside.append(cube)
             inside_units += units(cube.depth)
-        elif label == LABEL_OUTSIDE:
-            outside.append(cube)
-        else:
+        elif label == LABEL_UNKNOWN:
             unknown_units += units(cube.depth)
-            if cube.depth >= max_depth:
-                resolved_unknown.append(cube)
-            else:
+            if cube.depth < max_depth:
                 heapq.heappush(frontier, (cube.depth, cube.index))
 
-    label = label_cube(f, lipschitz, root)
-    queries += 1
-    admit(root, label)
-    trace: List[Tuple[int, int, float, float, float]] = [row(0)]
-
-    splits = 0
+    admit(DyadicCube(0, (0,) * d))
     n_children = 2 ** d
     while frontier and queries + n_children <= budget:
         depth, index = heapq.heappop(frontier)
-        parent = DyadicCube(depth, index)
         unknown_units -= units(depth)
-        for child in parent.children():
-            lab = label_cube(f, lipschitz, child)
-            queries += 1
-            admit(child, lab)
-        splits += 1
-        trace.append(row(splits))
+        for child in DyadicCube(depth, index).children():
+            admit(child)
 
-    pending = [DyadicCube(j, idx) for j, idx in frontier] + resolved_unknown
-    _, _, lower, upper, _ = trace[-1]
-    bounds = ProbabilityBounds(lower, upper, queries_used=queries)
-    return DyadicRun(bounds=bounds, inside=inside, outside=outside,
-                     unknown=pending, trace=trace, queries_used=queries,
-                     max_depth_hit=bool(resolved_unknown))
+    shift = d * max_depth
+    lower = _outward(inside_units, shift, up=False)
+    upper = min(1.0, _outward(inside_units + unknown_units, shift, up=True))
+    return DyadicRun(ProbabilityBounds(lower, upper, queries_used=queries),
+                     queries)

@@ -23,10 +23,10 @@ from rarebound.cli import (
     parse_config_text,
     run_experiment,
     run_lambda_table,
-    run_timing,
 )
 from rarebound.core import BlackBoxFunction, RandomStream
 from rarebound.monotone import sequential_bounder
+from rarebound.surrogate import lambda_crossing
 
 MINIMAL = """
 [experiment]
@@ -406,22 +406,6 @@ class TestLambdaTable:
             run_lambda_table([1.5], output_dir=str(tmp_path))
 
 
-class TestTiming:
-    def test_row_per_method_and_dim(self, tmp_path):
-        outdir = run_timing([2], budget=10, p=5e-2,
-                            output_dir=str(tmp_path / "tim"))
-        rows = read_csv(os.path.join(outdir, "timing.csv"))
-        assert rows[0] == ["method", "d", "benchmark", "budget", "queries",
-                           "wall_time_s", "p_lower", "p_upper"]
-        assert len(rows) == 3
-        assert {r[0] for r in rows[1:]} == {"monotone-exact", "monotone-mcmc"}
-        assert all(r[1] == "2" and r[3] == "10" for r in rows[1:])
-
-    def test_rejects_non_monotone_method(self, tmp_path):
-        with pytest.raises(ConfigError):
-            run_timing([2], methods=["dyadic"], output_dir=str(tmp_path))
-
-
 class TestMain:
     def write_cfg(self, tmp_path, text):
         path = tmp_path / "exp.cfg"
@@ -490,12 +474,48 @@ class TestMain:
         assert code == 0
         assert os.path.exists(os.path.join(out, "lambda_crossings.csv"))
 
-    def test_timing_subcommand(self, tmp_path):
-        out = str(tmp_path / "tm")
-        code = main(["timing", "--dims", "2", "--budget", "8",
-                     "--p", "0.05", "--output-dir", out])
+    def test_lambda_table_grid_and_constant(self, tmp_path):
+        out = str(tmp_path / "lt")
+        code = main(["lambda-table", "--p", "0.1,0.01", "--n-min", "50",
+                     "--n-max", "5000", "--points", "20", "--c", "4",
+                     "--output-dir", out])
         assert code == 0
-        assert os.path.exists(os.path.join(out, "timing.csv"))
+        table = read_csv(os.path.join(out, "lambda_table.csv"))
+        curve = [(int(r[1]), float(r[2])) for r in table[1:] if r[0] == "0.1"]
+        assert (curve[0][0], curve[-1][0]) == (50, 5000)
+        # lambda(n, p) = min(1, n exp(-n p / C)) with the given C
+        assert curve[-1][1] == pytest.approx(5000 * np.exp(-5000 * 0.1 / 4),
+                                             rel=1e-12)
+        cross = read_csv(os.path.join(out, "lambda_crossings.csv"))[1:]
+        assert [float(r[1]) for r in cross] == [
+            lambda_crossing(0.1, 4.0), lambda_crossing(0.01, 4.0)]
+
+    @pytest.mark.parametrize("argv, cfg_text", [
+        pytest.param(["run"], "workers = -3\n", id="workers"),
+        pytest.param(["run", "--workers", "-3"], "", id="workers-flag"),
+        pytest.param(["run"], "\n[dyadic]\nlipschitz = -2\n",
+                     id="lipschitz"),
+        pytest.param(["run"], "\n[dyadic]\nlipschitz = nan\n",
+                     id="lipschitz-nan"),
+        pytest.param(["run"], "\n[fsd]\ntrain_size = -5\n", id="train_size"),
+        pytest.param(["run"], "\n[fsd]\nrestarts = -1\n", id="restarts"),
+        pytest.param(["run"], "\n[shift]\nalpha = 0\n", id="alpha-0"),
+        pytest.param(["run"], "\n[shift]\nalpha = 5\n", id="alpha-5"),
+        pytest.param(["lambda-table", "--points", "0"], None, id="points"),
+        pytest.param(["lambda-table", "--c", "0"], None, id="c")])
+    def test_out_of_range_value_exit_2(self, tmp_path, capsys, argv,
+                                       cfg_text):
+        if cfg_text is not None:
+            argv = argv[:1] + [self.write_cfg(tmp_path, MINIMAL + cfg_text),
+                               *argv[1:]]
+        out = str(tmp_path / "out")
+        assert main(argv + ["--output-dir", out]) == 2
+        assert capsys.readouterr().err.startswith("config error:")
+
+    def test_removed_subcommand_exits_2(self):
+        with pytest.raises(SystemExit) as exc:
+            main(["timing"])
+        assert exc.value.code == 2
 
     def test_list_benchmarks(self, capsys):
         assert main(["list-benchmarks"]) == 0

@@ -1,4 +1,5 @@
-"""Dyadic-cube labeling: geometry, exact bounds on slabs, refinement traces."""
+"""Dyadic-cube labeling: geometry, exact bounds on slabs, and refinement
+checked against an exact replay of its traversal."""
 
 import math
 from fractions import Fraction
@@ -29,6 +30,41 @@ def slab(d, y, L=1.0):
 def measure(cube):
     """Lebesgue measure 2^-(d * depth) of a dyadic cube."""
     return 2.0 ** (-cube.depth * cube.dimension)
+
+
+def replay(f, L, budget, max_depth):
+    """Exact masses by label, and the query count, of refine's traversal.
+
+    Replays it level by level: the unknown cubes of one depth are split
+    in index order, each split costing 2^d queries, while the budget
+    allows; unknown cubes at ``max_depth`` are never split.
+    """
+    d = f.dimension
+    mass = dict.fromkeys((LABEL_INSIDE, LABEL_OUTSIDE, LABEL_UNKNOWN),
+                         Fraction(0))
+    queries = 0
+
+    def label(cubes):
+        nonlocal queries
+        unknown = []
+        for cube in cubes:
+            lab = label_cube(f, L, cube)
+            queries += 1
+            mass[lab] += Fraction(1, 2 ** (d * cube.depth))
+            if lab == LABEL_UNKNOWN and cube.depth < max_depth:
+                unknown.append(cube)
+        return unknown
+
+    level = label([DyadicCube(0, (0,) * d)])
+    while level:
+        children = []
+        for cube in sorted(level, key=lambda c: c.index):
+            if queries + 2 ** d > budget:
+                return mass, queries
+            mass[LABEL_UNKNOWN] -= Fraction(1, 2 ** (d * cube.depth))
+            children += label(cube.children())
+        level = children
+    return mass, queries
 
 
 class TestCubeGeometry:
@@ -96,8 +132,6 @@ class TestSlabExactness:
         run = refine(f, L, budget=64, max_depth=3)
         assert run.bounds.lower == 0.125
         assert run.bounds.upper == 0.375
-        assert run.max_depth_hit
-        assert sum(measure(c) for c in run.unknown) == pytest.approx(0.25)
 
     def test_1d_32_queries(self):
         prob = make_lipschitz_toy_1d(2.1e-3)
@@ -118,16 +152,20 @@ class TestSlabExactness:
 
 class TestRefine:
     def test_trace_monotone_and_valid(self):
+        # the traversal is deterministic, so a smaller budget runs a prefix
+        # of a larger one; budgets 1 + 4k end right after the k-th split
         prob = make_linear_toy(2, 0.5)
-        run = refine(prob.function, prob.lipschitz, budget=300)
-        lows = [row[2] for row in run.trace]
-        highs = [row[3] for row in run.trace]
-        qs = [row[1] for row in run.trace]
+        runs = [refine(prob.function, prob.lipschitz, budget=budget)
+                for budget in range(1, 301, 4)]
+        lows = [run.bounds.lower for run in runs]
+        highs = [run.bounds.upper for run in runs]
+        qs = [run.queries_used for run in runs]
         assert all(b >= a for a, b in zip(lows, lows[1:]))
         assert all(b <= a for a, b in zip(highs, highs[1:]))
         assert all(b > a for a, b in zip(qs, qs[1:]))
-        assert run.bounds.lower <= prob.p_exact <= run.bounds.upper
-        assert run.bounds.kind == "deterministic"
+        for run in runs:
+            assert run.bounds.lower <= prob.p_exact <= run.bounds.upper
+            assert run.bounds.kind == "deterministic"
 
     def test_budget_respected(self):
         prob = make_linear_toy(3, 1.0)
@@ -140,20 +178,25 @@ class TestRefine:
     def test_partition_is_complete(self):
         f, L = slab(2, 0.25)
         run = refine(f, L, budget=200, max_depth=4)
-        total = sum(measure(c) for group in (run.inside, run.outside,
-                                            run.unknown) for c in group)
-        assert total == pytest.approx(1.0, abs=1e-12)
+        mass, queries = replay(f, L, budget=200, max_depth=4)
+        assert sum(mass.values()) == 1
+        # masses on a depth-4 grid are exact floats
+        assert run.bounds.lower == mass[LABEL_INSIDE]
+        assert run.bounds.upper == mass[LABEL_INSIDE] + mass[LABEL_UNKNOWN]
+        assert run.queries_used == queries
 
     def test_deterministic_replay(self):
         prob = make_linear_toy(2, 0.7)
         a = refine(prob.function, prob.lipschitz, budget=150)
         prob2 = make_linear_toy(2, 0.7)
         b = refine(prob2.function, prob2.lipschitz, budget=150)
-        assert a.trace == b.trace
-        assert (a.bounds.lower, a.bounds.upper) == (b.bounds.lower, b.bounds.upper)
+        assert (a.bounds.lower, a.bounds.upper, a.queries_used) == (
+            b.bounds.lower, b.bounds.upper, b.queries_used)
 
     @pytest.mark.parametrize("name, budget, max_depth", [
         ("lipschitz1d:p=0.3", 400, 60),
+        # here the nearest float to the inside mass lies above it
+        ("lipschitz1d:p=0.1", 400, 60),
         ("linear:d=2:y=0.7", 300, 30),
     ])
     def test_bounds_are_the_outward_rounded_exact_sums(self, name, budget,
@@ -163,10 +206,8 @@ class TestRefine:
         prob = get_benchmark(name)
         run = refine(prob.function, prob.lipschitz, budget=budget,
                      max_depth=max_depth)
-        d = prob.dimension
-
-        def mass(cubes):
-            return sum(Fraction(1, 2 ** (d * c.depth)) for c in cubes)
+        mass, queries = replay(prob.function, prob.lipschitz, budget,
+                               max_depth)
 
         def down(x):
             v = float(x)
@@ -176,11 +217,10 @@ class TestRefine:
             v = float(x)
             return math.nextafter(v, math.inf) if v < x else v
 
-        inside, unknown = mass(run.inside), mass(run.unknown)
+        inside, unknown = mass[LABEL_INSIDE], mass[LABEL_UNKNOWN]
         assert run.bounds.lower == down(inside)
         assert run.bounds.upper == min(1.0, up(inside + unknown))
-        assert run.trace[-1][2:] == (run.bounds.lower, run.bounds.upper,
-                                     up(unknown))
+        assert run.queries_used == queries
 
     def test_loose_constant_still_contains(self):
         # overestimating L keeps correctness, just widens the gap

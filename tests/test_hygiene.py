@@ -1,18 +1,23 @@
-"""Every module-level import and definition in the package is used, and
-every config key reaches a method runner.
+"""Every module-level import and definition in the package is used,
+every config key reaches a method runner, and every command-line option
+is passed by some test.
 
 The package has no linter in its build, so these scans are its lint gate.
 ``__init__.py`` is skipped by the import scan because its imports are
 re-exports.
 """
 
+import argparse
 import ast
 import collections
 import pathlib
 
 import pytest
 
-PACKAGE = pathlib.Path(__file__).resolve().parents[1] / "src" / "rarebound"
+from rarebound import cli
+
+TESTS = pathlib.Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "rarebound"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
 
 
@@ -138,3 +143,55 @@ def test_scan_finds_unread_option_fields():
 
 def test_every_config_key_reaches_a_runner():
     assert unread_option_fields((PACKAGE / "cli.py").read_text()) == []
+
+
+def cli_options(parser):
+    """(subcommand, option string) of every optional argument."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sorted((name, option) for name, subparser in sub.choices.items()
+                  for action in subparser._actions
+                  for option in action.option_strings
+                  if option not in ("-h", "--help"))
+
+
+def exercised_options(sources):
+    """(subcommand, option) pairs passed in literal ``main([...])`` calls.
+
+    The first string of the list is the subcommand; every later string
+    that starts with a dash counts as an option, ``--name=value`` by its
+    name.
+    """
+    out = set()
+    for text in sources:
+        for node in ast.walk(ast.parse(text)):
+            if not (isinstance(node, ast.Call) and node.args
+                    and isinstance(node.args[0], ast.List)
+                    and getattr(node.func, "id",
+                                getattr(node.func, "attr", None)) == "main"):
+                continue
+            words = [e.value for e in node.args[0].elts
+                     if isinstance(e, ast.Constant) and isinstance(e.value, str)]
+            out |= {(words[0], w.split("=", 1)[0]) for w in words[1:]
+                    if w.startswith("-")}
+    return out
+
+
+def test_scan_finds_cli_options():
+    parser = argparse.ArgumentParser()
+    sub = parser.add_subparsers()
+    sub.add_parser("go").add_argument("--fast", "-f")
+    sub.add_parser("stop")
+    assert cli_options(parser) == [("go", "--fast"), ("go", "-f")]
+    source = ("main(['go', path, '--fast=1'])\n"
+              "cli.main(['stop', '-f', '-3'])\n"
+              "main(argv + ['--slow'])\nother(['go', '-f'])\n")
+    assert exercised_options([source]) == {
+        ("go", "--fast"), ("stop", "-f"), ("stop", "-3")}
+
+
+def test_every_cli_option_is_exercised():
+    sources = [p.read_text() for p in sorted(TESTS.glob("test_*.py"))]
+    exercised = exercised_options(sources)
+    assert [pair for pair in cli_options(cli._build_parser())
+            if pair not in exercised] == []
