@@ -14,7 +14,6 @@ from .bench import (
     make_example1,
     make_linear_toy,
     make_lipschitz_toy_1d,
-    self_validate,
 )
 from .core import (
     DETERMINISTIC,
@@ -27,7 +26,7 @@ from .core import (
     mc_estimate,
     surrogate_mc_estimate,
 )
-from .dyadic import DyadicCube, DyadicRun, default_max_depth, label_cube, refine
+from .dyadic import DyadicCube, default_max_depth, label_cube, refine
 from .mcmc import (
     RegionWalkSampler,
     adapt_covariance,
@@ -58,8 +57,6 @@ from .special import (
     normal_quantile,
 )
 from .surrogate import (
-    CONSERVATIVE_HIGH,
-    CONSERVATIVE_LOW,
     FeedforwardFamily,
     FSDFitResult,
     PolynomialFamily,
@@ -79,12 +76,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlackBoxFunction",
-    "CONSERVATIVE_HIGH",
-    "CONSERVATIVE_LOW",
     "DETERMINISTIC",
     "DimensionMismatch",
     "DyadicCube",
-    "DyadicRun",
     "FSDFitResult",
     "FeedforwardFamily",
     "HIGH_PROBABILITY",
@@ -133,7 +127,6 @@ __all__ = [
     "psi_inv",
     "q2",
     "refine",
-    "self_validate",
     "sequential_bounder",
     "surrogate_mc_estimate",
     "upper_orthant_volume",

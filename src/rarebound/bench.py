@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .core import BlackBoxFunction, MCEstimate, RandomStream, mc_estimate
+from .core import BlackBoxFunction
 from .special import beta_quantile, gamma_quantile
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "make_lipschitz_toy_1d",
     "get_benchmark",
     "list_benchmark_names",
-    "self_validate",
 ]
 
 
@@ -181,16 +180,3 @@ def get_benchmark(name: str) -> ToyProblem:
         return make_lipschitz_toy_1d(float(m.group(1)))
     raise ValueError(
         f"unknown benchmark {name!r}; known patterns: {list_benchmark_names()}")
-
-
-def self_validate(problem: ToyProblem, n: int = 1_000_000,
-                  rng: Optional[RandomStream] = None) -> MCEstimate:
-    """Monte Carlo sanity check that the stored p_exact matches the function.
-
-    Returns the estimate; callers assert |p_hat - p_exact| within a few
-    standard errors.  Does not disturb the problem's query budget
-    semantics beyond the n samples it spends.
-    """
-    rng = rng or RandomStream(20260823, 0)
-    est = mc_estimate(problem.function, n, rng)
-    return est

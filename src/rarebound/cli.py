@@ -9,10 +9,10 @@ list-benchmarks print the benchmark registry
 
 Config files are flat ``key = value`` text with ``[section]`` headers.
 The keys of ``[experiment]`` (the default section) are the fields of
-:class:`ExperimentConfig`; those of ``[monotone]``, ``[dyadic]``,
-``[shift]`` and ``[fsd]`` are the fields of the options class it holds
-under that name, with the same defaults.  ``[monotone]`` has one key,
-the region sampler: the sequential bounder fixes its candidate rule by
+:class:`ExperimentConfig`; those of ``[dyadic]``, ``[shift]`` and
+``[fsd]`` are the fields of the options class it holds under that name,
+with the same defaults.  A monotone method names its region sampler
+and has no section: the sequential bounder fixes its candidate rule by
 dimension, and the transformed walk its tuning.  The surrogate routes'
 sizes and training schedules are fixed by their runners, and
 ``[dyadic]`` sets only the Lipschitz constant.
@@ -30,6 +30,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import csv
+import math
 import os
 import sys
 import time
@@ -66,7 +67,11 @@ __all__ = [
 
 OUTPUT_DIR_ENV = "RAREBOUND_OUTPUT_DIR"
 
-METHODS = ("dyadic", "monotone-exact", "monotone-mcmc", "shift", "fsd")
+# each monotone method is the sequential bounder with one region sampler
+_SAMPLERS = {"monotone-exact": "rejection", "monotone-mcmc": "mcmc",
+             "monotone-auto": "auto"}
+
+METHODS = ("dyadic", *_SAMPLERS, "shift", "fsd")
 
 ROW_FIELDS = ("method", "benchmark", "d", "p_exact", "replication", "queries",
               "p_lower", "p_upper", "p_hat", "rel_precision", "miss_flag",
@@ -85,20 +90,6 @@ class ConfigError(ValueError):
 
 # ---------------------------------------------------------------------------
 # configuration
-
-@dataclass
-class MonotoneOptions:
-    """Knobs for the sequential bounder of the monotone methods.
-
-    ``sampler`` draws the region points of d >= 3: "rejection", the
-    transformed walk "mcmc", or "auto", which starts with rejection and
-    hands over to the walk once rejection's acceptance rate falls below
-    5e-3.  "method" keeps each method's own: rejection for
-    ``monotone-exact``, the walk for ``monotone-mcmc``.
-    """
-
-    sampler: str = "method"         # method | rejection | mcmc | auto
-
 
 @dataclass
 class DyadicOptions:
@@ -147,7 +138,6 @@ class ExperimentConfig:
     seed: int = 20260823
     workers: int = 0                # 0 means one per available core
     output_dir: str = "results"
-    monotone: MonotoneOptions = field(default_factory=MonotoneOptions)
     dyadic: DyadicOptions = field(default_factory=DyadicOptions)
     shift: ShiftOptions = field(default_factory=ShiftOptions)
     fsd: FsdOptions = field(default_factory=FsdOptions)
@@ -157,7 +147,6 @@ class ExperimentConfig:
 # parsed as the type of its field's default (int, float or str).
 _CHOICES: Dict[str, Tuple[str, ...]] = {
     "method": METHODS,
-    "sampler": ("method", "rejection", "mcmc", "auto"),
     "theta_source": ("train", "test"),
     "family": ("polynomial", "network"),
 }
@@ -274,19 +263,16 @@ _FSD_HIDDEN = (4, 4)
 def _run_dyadic(cfg: ExperimentConfig, problem, rng: RandomStream) -> dict:
     opts = cfg.dyadic
     lipschitz = opts.lipschitz if opts.lipschitz > 0.0 else problem.lipschitz
-    run = refine(problem.function, lipschitz, cfg.budget)
-    return {"queries": run.queries_used,
-            "p_lower": run.bounds.lower, "p_upper": run.bounds.upper}
+    bounds = refine(problem.function, lipschitz, cfg.budget)
+    return {"queries": bounds.queries_used,
+            "p_lower": bounds.lower, "p_upper": bounds.upper}
 
 
 def _run_monotone(cfg: ExperimentConfig, problem, rng: RandomStream) -> dict:
-    sampler = cfg.monotone.sampler
-    if sampler == "method":
-        sampler = "rejection" if cfg.method == "monotone-exact" else "mcmc"
-    run = sequential_bounder(problem.function, cfg.budget, rng,
-                             sampler=sampler)
-    return {"queries": run.queries_used,
-            "p_lower": run.bounds.lower, "p_upper": run.bounds.upper}
+    bounds = sequential_bounder(problem.function, cfg.budget, rng,
+                                sampler=_SAMPLERS[cfg.method]).bounds
+    return {"queries": bounds.queries_used,
+            "p_lower": bounds.lower, "p_upper": bounds.upper}
 
 
 def _run_shift(cfg: ExperimentConfig, problem, rng: RandomStream) -> dict:
@@ -343,8 +329,7 @@ def _run_fsd(cfg: ExperimentConfig, problem, rng: RandomStream) -> dict:
 
 _RUNNERS = {
     "dyadic": _run_dyadic,
-    "monotone-exact": _run_monotone,
-    "monotone-mcmc": _run_monotone,
+    **dict.fromkeys(_SAMPLERS, _run_monotone),
     "shift": _run_shift,
     "fsd": _run_fsd,
 }
@@ -369,12 +354,9 @@ def _replication_row(cfg: ExperimentConfig, replication: int) -> dict:
     rel = None
     if p_lower is not None and p_upper is not None and p_exact > 0.0:
         rel = (p_upper - p_lower) / p_exact
-    miss = 0
-    if p_hat is not None and p_hat < p_exact:
-        miss = 1
-    if p_lower is not None and p_upper is not None \
-            and not (p_lower <= p_exact <= p_upper):
-        miss = 1
+    # a bounds route reports both bounds, an estimate route p_hat alone
+    miss = int(p_hat is not None and p_hat < p_exact or p_lower is not None
+               and not p_lower <= p_exact <= p_upper)
     return {"method": cfg.method, "benchmark": cfg.benchmark,
             "d": problem.dimension, "p_exact": p_exact,
             "replication": replication, "queries": out["queries"],
@@ -480,8 +462,9 @@ def run_lambda_table(p_values: Sequence[float], n_min: int = 1,
         raise ConfigError("need at least one p value")
     if not (1 <= n_min < n_max):
         raise ConfigError(f"need 1 <= n_min < n_max, got {n_min}, {n_max}")
-    if points < 1 or not C > 0.0:
-        raise ConfigError(f"need points >= 1 and C > 0, got {points}, {C}")
+    if points < 1 or not 0.0 < C < math.inf:
+        raise ConfigError(
+            f"need points >= 1 and C finite and > 0, got {points}, {C}")
     for p in p_values:
         if not 0.0 < p < 1.0:
             raise ConfigError(f"p must be in (0, 1), got {p}")

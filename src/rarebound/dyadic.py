@@ -29,7 +29,6 @@ __all__ = [
     "LABEL_OUTSIDE",
     "LABEL_UNKNOWN",
     "label_cube",
-    "DyadicRun",
     "refine",
     "default_max_depth",
 ]
@@ -111,34 +110,27 @@ def _outward(units: int, shift: int, up: bool) -> float:
     return v
 
 
-@dataclass
-class DyadicRun:
-    """Outcome of a refinement run: the bounds and the oracle queries spent."""
-
-    bounds: ProbabilityBounds
-    queries_used: int
-
-
 def refine(f: BlackBoxFunction, lipschitz: float, budget: int,
-           max_depth: Optional[int] = None,
-           eps_target: float = 1e-5) -> DyadicRun:
+           max_depth: Optional[int] = None) -> ProbabilityBounds:
     """Refine Unknown cubes breadth-first under a query budget.
 
     The frontier is a priority queue keyed by (depth, index), so the
     largest remaining cube is always split next and the traversal order
     is deterministic.  Splitting costs 2^d queries (one per child); the
     loop stops when the remaining budget cannot split another cube, when
-    the frontier is empty, or when only cubes at ``max_depth`` remain.
+    the frontier is empty, or when only cubes at ``max_depth`` remain;
+    by default that is :func:`default_max_depth` of the constant.
 
     Inside and unknown mass are counted exactly, as integers in units of
-    the smallest cube, 2^-(d max_depth); the bounds round that exact sum
-    outward once, at the end: p_lower down, p_upper up.
+    the smallest cube, 2^-(d max_depth); the bounds, which carry the
+    queries spent, round that exact sum outward once: p_lower down,
+    p_upper up.
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
     d = f.dimension
     if max_depth is None:
-        max_depth = default_max_depth(lipschitz, eps_target)
+        max_depth = default_max_depth(lipschitz)
     frontier: List[Tuple[int, Tuple[int, ...]]] = []
     queries = 0
     inside_units = 0
@@ -169,5 +161,4 @@ def refine(f: BlackBoxFunction, lipschitz: float, budget: int,
     shift = d * max_depth
     lower = _outward(inside_units, shift, up=False)
     upper = min(1.0, _outward(inside_units + unknown_units, shift, up=True))
-    return DyadicRun(ProbabilityBounds(lower, upper, queries_used=queries),
-                     queries)
+    return ProbabilityBounds(lower, upper, queries_used=queries)

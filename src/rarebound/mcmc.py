@@ -25,7 +25,6 @@ import warnings
 
 import numpy as np
 
-from .core import RandomStream
 from .monotone import RejectionSampler
 from .special import normal_cdf, normal_quantile
 
@@ -147,11 +146,11 @@ class RegionWalkSampler:
     ----------
     region : StaircaseRegion
         Initial region; may be the whole cube.
-    rng : RandomStream or numpy.random.Generator
+    gen : numpy.random.Generator
     """
 
-    def __init__(self, region, rng):
-        self._gen = rng.generator() if isinstance(rng, RandomStream) else rng
+    def __init__(self, region, gen):
+        self._gen = gen
         self.region = region
         self._dim = region.dimension
         self._cov = np.eye(self._dim)

@@ -548,8 +548,6 @@ def bounds_from_design(design: LabeledDesign,
 class RejectionSampler:
     """Uniform sampling on the undecided region by chunked rejection."""
 
-    name = "rejection"
-
     def __init__(self, chunk: int = 4096, max_attempts: int = 20_000_000):
         self.chunk = int(chunk)
         self.max_attempts = int(max_attempts)
@@ -667,13 +665,12 @@ def _boundary_query(fail: _Staircase2, safe: _Staircase2, grid: np.ndarray,
 
 @dataclass
 class SequentialRun:
-    """Result of a sequential bounding run."""
+    """Result of a sequential bounding run, one design point per query."""
 
     design: LabeledDesign
     region: StaircaseRegion
     bounds: ProbabilityBounds
     sampler_name: str
-    queries_used: int
 
 
 def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
@@ -694,7 +691,8 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
     contribution).
 
     - d = 1: the midpoint of the undecided interval (max F, min S), where
-      the product of the two exact gains peaks.
+      the product of the two exact gains peaks.  The run stops early once
+      the midpoint rounds to a labelled end: no float is left between.
     - d = 2: a point on an estimate of the fail/safe boundary: in log-log
       coordinates, the midpoints of the brackets the two staircases
       leave at log-spaced abscissae (at a random offset per run), and of
@@ -725,8 +723,8 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         :class:`MonotonicityViolation` is never raised; a non-monotone
         ``f`` gives bounds without a guarantee.
     budget : int
-        Total oracle queries.  An oracle value that is not finite raises
-        ``ValueError`` before the point is labelled.
+        Oracle queries, fewer only at d = 1 as above.  An oracle value
+        that is not finite raises ``ValueError`` before it labels a point.
     rng : RandomStream
     sampler : str
         Where pool points come from: "rejection"
@@ -810,8 +808,10 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
 
     for _ in range(budget):
         if d == 1:
-            x = np.array([0.5 * (region.fail_generators.max(initial=0.0)
-                                 + region.safe_generators.min(initial=1.0))])
+            lo, hi = region.fail_generators, region.safe_generators
+            x = np.array([0.5 * (lo.max(initial=0.0) + hi.min(initial=1.0))])
+            if (lo == x).any() or (hi == x).any():
+                break           # x is a labelled end: no float lies between
         elif d == 2:
             # an update replaces one generator array and keeps the other
             if region.fail_generators is not F:
@@ -837,4 +837,4 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
     design = LabeledDesign(np.array(pts), np.array(labels), np.array(vals))
     return SequentialRun(design=design, region=region,
                          bounds=bounds_from_design(design, rng=rng.derive(7)),
-                         sampler_name=name, queries_used=budget)
+                         sampler_name=name)

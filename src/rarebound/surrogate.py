@@ -33,9 +33,6 @@ import numpy as np
 from .core import RandomStream
 from .special import NonConvergence
 
-CONSERVATIVE_LOW = "conservative-low"
-CONSERVATIVE_HIGH = "conservative-high"
-
 DEFAULT_BERNSTEIN_C = 6.0
 
 
@@ -194,9 +191,6 @@ class RegressionSurrogate:
                 f"expected dimension {self.family.dimension}, got {X.shape[1]}")
         value, _ = self.family.value_and_grad(self.eta, X)
         return value
-
-    def __call__(self, X) -> np.ndarray:
-        return self.predict(X)
 
 
 # ---------------------------------------------------------------------------
@@ -380,12 +374,18 @@ def q2(model: RegressionSurrogate, X, y) -> float:
 # ---------------------------------------------------------------------------
 # additive conservative shift
 
+def _check_constant(C: float) -> None:
+    if not 0.0 < C < math.inf:      # also rejects nan
+        raise ValueError(f"C must be finite and > 0, got {C}")
+
+
 def bernstein_bound(n: int, alpha: float, C: float = DEFAULT_BERNSTEIN_C) -> float:
     """Certificate level B(n, alpha) = (C/n) log(n/alpha)."""
     if n < 2:
         raise ValueError("need n >= 2 test points")
-    if alpha <= 0.0:
-        raise ValueError("alpha must be positive")
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must be in (0, 1), got {alpha}")
+    _check_constant(C)
     return (C / n) * math.log(n / alpha)
 
 
@@ -395,6 +395,7 @@ def lambda_risk(n: int, p: float, C: float = DEFAULT_BERNSTEIN_C) -> float:
         raise ValueError("need n >= 1")
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
+    _check_constant(C)
     return min(1.0, n * math.exp(-n * p / C))
 
 
@@ -407,6 +408,7 @@ def lambda_crossing(p: float, C: float = DEFAULT_BERNSTEIN_C,
     """
     if not 0.0 < p < 1.0:
         raise ValueError("p must be in (0, 1)")
+    _check_constant(C)
     lo = C / p                      # mode of n exp(-n p / C)
     hi = lo
     while lambda_risk(max(1, int(hi)), p, C) > p:
@@ -446,9 +448,6 @@ class ShiftedSurrogate:
     def predict(self, X) -> np.ndarray:
         return self.base.predict(X) + self.theta
 
-    def __call__(self, X) -> np.ndarray:
-        return self.predict(X)
-
 
 def conservative_shift(model: RegressionSurrogate, X_test, y_test,
                        alpha: float = 0.1,
@@ -478,23 +477,21 @@ def conservative_shift(model: RegressionSurrogate, X_test, y_test,
 # ---------------------------------------------------------------------------
 # first-order stochastic dominance machinery
 
-def check_fsd(sample_a, sample_b, direction: str = CONSERVATIVE_LOW) -> float:
+def check_fsd(sample_a, sample_b) -> float:
     """Largest signed dominance violation between two equal-size samples.
 
-    Under ``conservative-low`` the first sample must be stochastically
-    smaller: its empirical CDF must sit on or above the second's at every
-    anchor (the union of both samples' values), which holds exactly when
-    its sorted values are at or below the second's, rank by rank.  The
-    return value is the worst CDF gap, counted exactly; nonpositive means
-    dominance holds.
+    The first sample must be stochastically smaller: its empirical CDF
+    must sit on or above the second's at every anchor (the union of both
+    samples' values), which holds exactly when its sorted values are at
+    or below the second's, rank by rank.  The return value is the worst
+    CDF gap, counted exactly; nonpositive means dominance holds.  Swap the
+    samples for the other direction.
     """
     a = np.asarray(sample_a, dtype=float).ravel()
     b = np.asarray(sample_b, dtype=float).ravel()
     if a.size != b.size:
         raise ValueError("samples must have equal length")
-    if direction not in (CONSERVATIVE_LOW, CONSERVATIVE_HIGH):
-        raise ValueError(f"unknown direction {direction!r}")
-    return float(_exact_violations(a, b, np.sort(b), direction).max())
+    return float(_exact_violations(a, b, np.sort(b)).max())
 
 
 @dataclass
@@ -509,42 +506,35 @@ class FSDFitResult:
     surrogate: RegressionSurrogate
     theta_star: float
     violations: np.ndarray
-    direction: str = CONSERVATIVE_LOW
 
     def predict(self, X) -> np.ndarray:
         return self.surrogate.predict(X) + self.theta_star
 
 
 def _exact_violations(pred_shifted: np.ndarray, y: np.ndarray,
-                      ys: np.ndarray, direction: str) -> np.ndarray:
+                      ys: np.ndarray) -> np.ndarray:
     # anchors: the union of both jump sets (ys is y sorted); dominance
     # there implies it everywhere for step CDFs.  Counts make the sign exact.
     anchors = np.concatenate([pred_shifted, y])
     Fs = np.searchsorted(np.sort(pred_shifted), anchors, "right")
     Fy = np.searchsorted(ys, anchors, "right")
-    gap = (Fy - Fs) if direction == CONSERVATIVE_LOW else (Fs - Fy)
-    return gap / y.size
+    return (Fy - Fs) / y.size
 
 
-def _shift_limit(pred: np.ndarray, ys: np.ndarray, bounds: np.ndarray,
-                 direction: str) -> float:
-    """Extreme feasible shift for fixed surrogate values, in closed form.
+def _shift_limit(pred: np.ndarray, ys: np.ndarray) -> float:
+    """Largest feasible shift for fixed surrogate values, in closed form.
 
-    Under ``conservative-low`` every theta up to the smallest gap between
-    the sorted data and the sorted predictions is feasible;
-    ``conservative-high`` negates both, so ``bounds`` is the stable sort
-    of sign * y.  The result passes the exact check.
+    Every theta up to the smallest gap between the sorted data ``ys`` and
+    the sorted predictions is feasible.  The result passes the exact check.
     """
-    low = direction == CONSERVATIVE_LOW
-    theta = np.min(bounds - np.sort(pred if low else -pred, kind="stable"))
-    theta = theta if low else -theta
+    theta = np.min(ys - np.sort(pred, kind="stable"))
     # theta carries the rounding of the gap, and pred + theta rounds again;
     # one ulp toward the feasible side absorbs both; only the worst gap
     # is read, so the data's anchors may come sorted
     for _ in range(2):
-        if _exact_violations(pred + theta, ys, ys, direction).max() <= 0.0:
+        if _exact_violations(pred + theta, ys, ys).max() <= 0.0:
             return float(theta)
-        theta = np.nextafter(theta, -np.inf if low else np.inf)
+        theta = np.nextafter(theta, -np.inf)
     raise NonConvergence(f"shift {theta!r} fails the exact dominance check")
 
 
@@ -552,17 +542,14 @@ class _Profile:
     """eta -> (objective, theta) on one fit's data at eta's optimal feasible
     shift: the least-squares shift clipped to the feasible side.  What
     depends on the data alone, a polynomial's feature matrix ``Phi`` and
-    the sorted data, is built once, so a trial is one prediction pass, one
-    sort of the predictions and the exact count."""
+    the stable sort ``ys`` of the data, is built once, so a trial is one
+    prediction pass, one sort of the predictions and the exact count."""
 
-    def __init__(self, family: Family, X: np.ndarray, y: np.ndarray,
-                 direction: str):
-        self.family, self.X, self.y, self.direction = family, X, y, direction
-        self.sign = 1.0 if direction == CONSERVATIVE_LOW else -1.0
+    def __init__(self, family: Family, X: np.ndarray, y: np.ndarray):
+        self.family, self.X, self.y = family, X, y
         self.Phi = (family.features(X) if isinstance(family, PolynomialFamily)
                     else None)
-        self.ys = np.sort(y)
-        self.bounds = np.sort(self.sign * y, kind="stable")
+        self.ys = np.sort(y, kind="stable")
 
     def predict(self, eta: np.ndarray) -> np.ndarray:
         if self.Phi is None:
@@ -574,8 +561,7 @@ class _Profile:
         w = 1.0 / self.y.size
         # add.reduce is np.sum without its Python wrapper
         t_ls = float(np.add.reduce(w * (self.y - pred)))
-        limit = _shift_limit(pred, self.ys, self.bounds, self.direction)
-        t = min(t_ls, limit) if self.sign > 0.0 else max(t_ls, limit)
+        t = min(t_ls, _shift_limit(pred, self.ys))
         r = self.y - pred - t
         return float(np.add.reduce(w * r * r)), t
 
@@ -678,43 +664,39 @@ def _linear_head(profile: _Profile, eta: np.ndarray) -> np.ndarray:
     return np.column_stack([h, np.ones(h.shape[0])])
 
 
-def fsd_fit(family: Family, X, y, direction: str = CONSERVATIVE_LOW,
-            restarts: int = 2, epochs: int = 600, lr: float = 0.02,
+def fsd_fit(family: Family, X, y, restarts: int = 2, epochs: int = 600,
+            lr: float = 0.02,
             rng: Optional[RandomStream] = None) -> FSDFitResult:
     """Least squares under first-order stochastic dominance constraints.
 
     Minimizes ``mean_i (y_i - g_eta(x_i) - theta)^2`` subject to the
-    shifted surrogate values being dominated by (or dominating) the data
-    in the first-order sense.  With equal weights that is: the k-th
-    smallest shifted prediction at most the k-th smallest datum, for every
-    rank k.  Each start alternates, while the exact objective falls,
-    between sorting the predictions and refitting the linear head (all
-    polynomial coefficients, or a network's readout) by least squares
-    under those order-statistic inequalities.  A pattern search on the
-    exact problem then polishes the result, with every trial's shift
-    solved in closed form and confirmed by exact counts, so feasibility
-    never rests on the least-squares solves.
+    shifted surrogate values sitting stochastically below the data in the
+    first-order sense (for a fit from above, fit -y and negate the
+    predictions).  With equal weights that is: the k-th smallest shifted
+    prediction at most the k-th smallest datum, for every rank k.  Each
+    start alternates, while the exact objective falls, between sorting the
+    predictions and refitting the linear head (all polynomial
+    coefficients, or a network's readout) by least squares under those
+    order-statistic inequalities.  A pattern search on the exact problem
+    then polishes the result, with every trial's shift solved in closed
+    form and confirmed by exact counts, so feasibility never rests on the
+    least-squares solves.
 
     Parameters
     ----------
     family : PolynomialFamily or FeedforwardFamily
     X, y : array_like
         Training data.
-    direction : str
-        "conservative-low" (surrogate stochastically below the data) or
-        "conservative-high".
     restarts : int
         Extra starts: the unconstrained fit plus Gaussian jitter.
     epochs, lr : int, float
         Training of the unconstrained network fit; unused for polynomials.
     rng : RandomStream, optional
     """
-    if direction not in (CONSERVATIVE_LOW, CONSERVATIVE_HIGH):
-        raise ValueError(f"unknown direction {direction!r}")
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
     gen = (rng or RandomStream(0, 0)).generator()
-    profile = _Profile(family, X, y, direction)
+    profile = _Profile(family, X, y)
     start = (_least_squares(family, profile.Phi, y) if profile.Phi is not None
              else fit(family, X, y, rng=rng, epochs=epochs, lr=lr).eta)
 
@@ -729,8 +711,8 @@ def fsd_fit(family: Family, X, y, direction: str = CONSERVATIVE_LOW,
             # satisfies them, and the head's ones column absorbs the shift
             H = _linear_head(profile, eta)
             n = H.shape[1]
-            po = np.argsort(profile.sign * (H @ eta[-n:]), kind="stable")
-            z = _lsi(H * sw, y * sw, profile.sign * H[po], profile.bounds)
+            po = np.argsort(H @ eta[-n:], kind="stable")
+            z = _lsi(H * sw, y * sw, H[po], profile.ys)
             if z is None:
                 break
             trial = eta.copy()
@@ -745,8 +727,7 @@ def fsd_fit(family: Family, X, y, direction: str = CONSERVATIVE_LOW,
     starts = [start] + [start + gen.normal(0.0, 0.2 * scale, start.size)
                         for _ in range(restarts)]
     eta, theta, _ = min((one_start(s0) for s0 in starts), key=lambda c: c[2])
-    viol = _exact_violations(profile.predict(eta) + theta, y, profile.ys,
-                             direction)
+    viol = _exact_violations(profile.predict(eta) + theta, y, profile.ys)
     surrogate = RegressionSurrogate(family=family, eta=eta)
     return FSDFitResult(surrogate=surrogate, theta_star=float(theta),
-                        violations=viol, direction=direction)
+                        violations=viol)

@@ -25,10 +25,9 @@ from rarebound.bench import (
     make_example1,
     make_lipschitz_toy_1d,
     make_linear_toy,
-    self_validate,
 )
 from rarebound.cli import parse_config_text, run_experiment
-from rarebound.core import BlackBoxFunction, RandomStream
+from rarebound.core import BlackBoxFunction, RandomStream, mc_estimate
 from rarebound.dyadic import refine
 from rarebound.mcmc import RegionWalkSampler, psi, psi_inv
 from rarebound.monotone import (
@@ -109,15 +108,15 @@ def test_criterion_02_relative_precision(monotone_study, d, p):
 
 def test_criterion_03_dyadic_exactness_and_gap_rate():
     # exhaustive depth-3 labeling of the 2-D axis slab is exact
-    run = refine(slab(2), lipschitz=1.0, budget=64, max_depth=3)
-    assert run.bounds.lower == 0.125, f"p_lower {run.bounds.lower} != 0.125"
-    assert run.bounds.upper == 0.375, f"p_upper {run.bounds.upper} != 0.375"
+    b = refine(slab(2), lipschitz=1.0, budget=64, max_depth=3)
+    assert b.lower == 0.125, f"p_lower {b.lower} != 0.125"
+    assert b.upper == 0.375, f"p_upper {b.upper} != 0.375"
 
     # 32 queries bracket a small 1-D probability within a factor of two
     prob = make_lipschitz_toy_1d(2.1e-3)
-    run1 = refine(prob.function, prob.lipschitz, budget=32)
-    assert prob.p_exact <= run1.bounds.upper <= 2.0 * prob.p_exact, (
-        f"p_upper {run1.bounds.upper:.5f} outside [p, 2p] for p=2.1e-3")
+    b1 = refine(prob.function, prob.lipschitz, budget=32)
+    assert prob.p_exact <= b1.upper <= 2.0 * prob.p_exact, (
+        f"p_upper {b1.upper:.5f} outside [p, 2p] for p=2.1e-3")
 
     # gap decays like n^(-1/(d-1)): log-log slope within +0.15 of the rate
     slopes = {}
@@ -126,14 +125,14 @@ def test_criterion_03_dyadic_exactness_and_gap_rate():
         for budget in (64, 128, 256, 512, 1024, 2048, 4096):
             f = slab(d)
             r = refine(f, lipschitz=1.0, budget=budget, max_depth=14)
-            gaps.append(r.bounds.width)
+            gaps.append(r.width)
             ns.append(f.query_count)
         slope = float(np.polyfit(np.log(ns), np.log(gaps), 1)[0])
         limit = -1.0 / (d - 1) + 0.15
         assert slope <= limit, f"d={d}: slope {slope:.3f} > {limit:.3f}"
         slopes[d] = slope
     print(f"\n[criterion 03] PASS: depth-3 bounds exact, 1-D p_upper "
-          f"{run1.bounds.upper:.5f} in [p, 2p], slopes d2 {slopes[2]:.3f} "
+          f"{b1.upper:.5f} in [p, 2p], slopes d2 {slopes[2]:.3f} "
           f"d3 {slopes[3]:.3f}")
 
 
@@ -287,7 +286,7 @@ def test_criterion_09_walk_sampler_distribution():
         np.array([True, True, False, False])))
     ref = RejectionSampler(chunk=65536).draw_batch(
         region, RandomStream(99, 0).generator(), 200_000)
-    sampler = RegionWalkSampler(region, RandomStream(99, 1))
+    sampler = RegionWalkSampler(region, RandomStream(99, 1).generator())
     walk = sampler.draw(100_000)
 
     def hist(pts):
@@ -312,7 +311,7 @@ def test_criterion_10_benchmark_self_consistency():
     worst_z = 0.0
     for i, name in enumerate(names):
         prob = get_benchmark(name)
-        est = self_validate(prob, n=1_000_000, rng=RandomStream(777, i))
+        est = mc_estimate(prob.function, 1_000_000, RandomStream(777, i))
         se = max(np.sqrt(prob.p_exact * (1.0 - prob.p_exact) / 1e6), 1e-12)
         z = abs(est.p_hat - prob.p_exact) / se
         assert z <= 4.0, f"{name}: p_hat {est.p_hat:.6g} is {z:.1f} standard "\

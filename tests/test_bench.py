@@ -14,9 +14,8 @@ from rarebound.bench import (
     make_example1,
     make_lipschitz_toy_1d,
     make_linear_toy,
-    self_validate,
 )
-from rarebound.core import RandomStream
+from rarebound.core import RandomStream, mc_estimate
 
 
 class TestBetaShape:
@@ -112,5 +111,5 @@ class TestRegistry:
 class TestSelfValidate:
     def test_smoke_linear(self):
         prob = make_linear_toy(2, 0.5)
-        est = self_validate(prob, n=100_000, rng=RandomStream(3, 0))
+        est = mc_estimate(prob.function, 100_000, RandomStream(3, 0))
         assert abs(est.p_hat - prob.p_exact) < 4 * est.std_err

@@ -2,12 +2,14 @@
 
 The scripts and the benchmark's span recorder look rarebound names up by
 attribute, so a deleted or renamed name fails only when they run.  These
-tests load them the way they are used, without running them.
+tests load them the way they are used, without running them.  The
+README's Python examples are run as written.
 """
 
 import dataclasses
 import importlib.util
 import pathlib
+import re
 import sys
 
 import pytest
@@ -72,3 +74,18 @@ def test_digest_match_lists_differing_replications(monkeypatch):
     change = [{"fingerprints": ["a", "x", "c", "e", "f"]}]
     assert bench_pairs.digest_match({"parent": parent, "change": change}) == {
         "shared_replications": 4, "matching": 2, "differing": [1, 3]}
+
+
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+# each block padded with blank lines, so tracebacks give README line numbers
+README_BLOCKS = ["\n" * README.count("\n", 0, m.start(1)) + m.group(1)
+                 for m in re.finditer(r"^```python\n(.*?)^```", README,
+                                      re.M | re.S)]
+
+
+@pytest.mark.parametrize("block", README_BLOCKS,
+                         ids=[f"block{i}" for i in range(len(README_BLOCKS))])
+def test_readme_python_runs(block):
+    # the README's examples call the public API by name and read the
+    # fields of what it returns; run them as written
+    exec(compile(block, "README.md", "exec"), {})

@@ -219,7 +219,6 @@ class TestOptionFields:
             ("experiment", "replications"), ("experiment", "seed"),
             ("experiment", "workers"),
             ("fsd", "family"), ("fsd", "restarts"), ("fsd", "train_size"),
-            ("monotone", "sampler"),
             ("shift", "alpha"), ("shift", "theta_source")]
 
     def test_choice_keys_name_one_field_with_a_valid_default(self):
@@ -237,14 +236,13 @@ class TestOptionFields:
         assert readme_keys() == documented
 
     @pytest.mark.parametrize("section, key, error", [
-        pytest.param("monotone", "rule = auto",
-                     r":10: unknown key 'rule' in section \[monotone\]",
-                     id="monotone"),
+        pytest.param("monotone", "sampler = auto",
+                     r":9: unknown section \[monotone\]", id="monotone"),
         pytest.param("mcmc", "chains = 32", r":9: unknown section \[mcmc\]",
                      id="mcmc")])
     def test_monotone_tuning_keys_are_rejected(self, section, key, error):
         # the sequential bounder fixes its candidate rule by dimension and
-        # the walk's tuning; [monotone] picks only the sampler
+        # the walk's tuning, and the method names the sampler
         text = MINIMAL + f"\n[{section}]\n{key}\n"
         with pytest.raises(ConfigError, match=error):
             parse_config_text(text)
@@ -257,14 +255,11 @@ class TestRunExperiment:
         return outdir, read_csv(os.path.join(outdir, "rows.csv")), \
             read_csv(os.path.join(outdir, "summary.csv"))
 
-    @pytest.mark.parametrize("method, key, sampler", [
-        ("monotone-exact", "", "rejection"),
-        ("monotone-mcmc", "", "mcmc"),
-        ("monotone-exact", "sampler = method", "rejection"),
-        ("monotone-exact", "sampler = mcmc", "mcmc"),
-        ("monotone-mcmc", "sampler = auto", "auto")])
-    def test_sampler_key_picks_the_sampler(self, tmp_path, monkeypatch,
-                                           method, key, sampler):
+    @pytest.mark.parametrize("method, sampler", [
+        ("monotone-exact", "rejection"), ("monotone-mcmc", "mcmc"),
+        ("monotone-auto", "auto")])
+    def test_method_picks_the_sampler(self, tmp_path, monkeypatch, method,
+                                      sampler):
         seen = []
 
         def recording(*args, sampler):
@@ -272,18 +267,31 @@ class TestRunExperiment:
             return sequential_bounder(*args, sampler=sampler)
 
         monkeypatch.setattr(cli, "sequential_bounder", recording)
-        text = MINIMAL.replace("monotone-exact", method)
-        cfg = parse_config_text(text + f"\n[monotone]\n{key}\n")
-        run_experiment(cfg, output_dir=str(tmp_path / "picked"))
+        # at d=3 every query comes from the sampler's pool
+        text = MINIMAL.replace("monotone-exact", method).replace(
+            "linear:d=2:y=0.5", "linear:d=3:y=0.5")
+        cfg = parse_config_text(text)
+        outdir = run_experiment(cfg, output_dir=str(tmp_path / "picked"))
         assert seen == [sampler, sampler]
+        rows = [dict(zip(ROW_FIELDS, r)) for r in
+                read_csv(os.path.join(outdir, "rows.csv"))[1:]]
+        problem = get_benchmark("linear:d=3:y=0.5")
+        for r, row in enumerate(rows):
+            b = sequential_bounder(problem.function, cfg.budget,
+                                   RandomStream(cfg.seed, r),
+                                   sampler=sampler).bounds
+            assert row["method"] == method
+            assert (int(row["queries"]), float(row["p_lower"]),
+                    float(row["p_upper"])) == (b.queries_used, b.lower,
+                                               b.upper)
 
     def test_auto_sampler_matches_direct_call(self, tmp_path):
         # at d=3, p=5e-4, seed 202 the auto sampler hands over to the walk
         # in replication 3
         budget, seed, reps = 200, 202, 4
-        text = (f"method = monotone-exact\nbenchmark = example1:d=3:p=5e-4\n"
+        text = (f"method = monotone-auto\nbenchmark = example1:d=3:p=5e-4\n"
                 f"budget = {budget}\nreplications = {reps}\nseed = {seed}\n"
-                "workers = 1\n[monotone]\nsampler = auto\n")
+                "workers = 1\n")
         outdir = run_experiment(parse_config_text(text),
                                 output_dir=str(tmp_path / "auto"))
         rows = [dict(zip(ROW_FIELDS, r)) for r in
@@ -294,6 +302,7 @@ class TestRunExperiment:
             run = sequential_bounder(problem.function, budget,
                                      RandomStream(seed, r), sampler="auto")
             names.append(run.sampler_name)
+            assert row["method"] == "monotone-auto"
             assert float(row["p_lower"]) == run.bounds.lower
             assert float(row["p_upper"]) == run.bounds.upper
         assert "auto(rejection->mcmc)" in names
@@ -426,6 +435,13 @@ class TestMain:
         assert err.startswith("config error:")
         assert "exp.cfg:2" in err
 
+    def test_monotone_section_exit_2(self, tmp_path, capsys):
+        # the sampler is part of the method name; the section is gone
+        cfg = self.write_cfg(tmp_path,
+                             MINIMAL + "[monotone]\nsampler = mcmc\n")
+        assert main(["run", cfg]) == 2
+        assert "unknown section [monotone]" in capsys.readouterr().err
+
     def test_method_error_exit_3(self, tmp_path, capsys):
         # three training points cannot support six polynomial parameters
         text = ("[experiment]\nmethod = fsd\n"
@@ -502,7 +518,8 @@ class TestMain:
         pytest.param(["run"], "\n[shift]\nalpha = 0\n", id="alpha-0"),
         pytest.param(["run"], "\n[shift]\nalpha = 5\n", id="alpha-5"),
         pytest.param(["lambda-table", "--points", "0"], None, id="points"),
-        pytest.param(["lambda-table", "--c", "0"], None, id="c")])
+        pytest.param(["lambda-table", "--c", "0"], None, id="c"),
+        pytest.param(["lambda-table", "--c", "inf"], None, id="c-inf")])
     def test_out_of_range_value_exit_2(self, tmp_path, capsys, argv,
                                        cfg_text):
         if cfg_text is not None:

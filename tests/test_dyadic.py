@@ -129,24 +129,24 @@ class TestSlabExactness:
         # column of cells with centers x1 = 1/16 and leaves exactly the
         # two columns straddling the boundary unknown
         f, L = slab(2, 0.25)
-        run = refine(f, L, budget=64, max_depth=3)
-        assert run.bounds.lower == 0.125
-        assert run.bounds.upper == 0.375
+        bounds = refine(f, L, budget=64, max_depth=3)
+        assert bounds.lower == 0.125
+        assert bounds.upper == 0.375
 
     def test_1d_32_queries(self):
         prob = make_lipschitz_toy_1d(2.1e-3)
-        run = refine(prob.function, prob.lipschitz, budget=32)
+        bounds = refine(prob.function, prob.lipschitz, budget=32)
         p = prob.p_exact
-        assert run.queries_used <= 32
-        assert run.bounds.lower <= p <= run.bounds.upper
-        assert p <= run.bounds.upper <= 2 * p
+        assert bounds.queries_used <= 32
+        assert bounds.lower <= p <= bounds.upper
+        assert p <= bounds.upper <= 2 * p
 
     def test_gap_shrinks_with_budget(self):
         f, L = slab(2, 0.3)
         gaps = []
         for budget in (40, 160, 640):
             r = refine(f, L, budget=budget, max_depth=12)
-            gaps.append(r.bounds.width)
+            gaps.append(r.width)
         assert gaps[0] > gaps[1] > gaps[2]
 
 
@@ -155,43 +155,43 @@ class TestRefine:
         # the traversal is deterministic, so a smaller budget runs a prefix
         # of a larger one; budgets 1 + 4k end right after the k-th split
         prob = make_linear_toy(2, 0.5)
-        runs = [refine(prob.function, prob.lipschitz, budget=budget)
-                for budget in range(1, 301, 4)]
-        lows = [run.bounds.lower for run in runs]
-        highs = [run.bounds.upper for run in runs]
-        qs = [run.queries_used for run in runs]
+        all_bounds = [refine(prob.function, prob.lipschitz, budget=budget)
+                      for budget in range(1, 301, 4)]
+        lows = [bounds.lower for bounds in all_bounds]
+        highs = [bounds.upper for bounds in all_bounds]
+        qs = [bounds.queries_used for bounds in all_bounds]
         assert all(b >= a for a, b in zip(lows, lows[1:]))
         assert all(b <= a for a, b in zip(highs, highs[1:]))
         assert all(b > a for a, b in zip(qs, qs[1:]))
-        for run in runs:
-            assert run.bounds.lower <= prob.p_exact <= run.bounds.upper
-            assert run.bounds.kind == "deterministic"
+        for bounds in all_bounds:
+            assert bounds.lower <= prob.p_exact <= bounds.upper
+            assert bounds.kind == "deterministic"
 
     def test_budget_respected(self):
         prob = make_linear_toy(3, 1.0)
         for budget in (1, 9, 50, 333):
-            run = refine(prob.function, prob.lipschitz, budget=budget)
-            assert run.queries_used <= budget
+            bounds = refine(prob.function, prob.lipschitz, budget=budget)
+            assert bounds.queries_used <= budget
         with pytest.raises(ValueError):
             refine(prob.function, prob.lipschitz, budget=0)
 
     def test_partition_is_complete(self):
         f, L = slab(2, 0.25)
-        run = refine(f, L, budget=200, max_depth=4)
+        bounds = refine(f, L, budget=200, max_depth=4)
         mass, queries = replay(f, L, budget=200, max_depth=4)
         assert sum(mass.values()) == 1
         # masses on a depth-4 grid are exact floats
-        assert run.bounds.lower == mass[LABEL_INSIDE]
-        assert run.bounds.upper == mass[LABEL_INSIDE] + mass[LABEL_UNKNOWN]
-        assert run.queries_used == queries
+        assert bounds.lower == mass[LABEL_INSIDE]
+        assert bounds.upper == mass[LABEL_INSIDE] + mass[LABEL_UNKNOWN]
+        assert bounds.queries_used == queries
 
     def test_deterministic_replay(self):
         prob = make_linear_toy(2, 0.7)
         a = refine(prob.function, prob.lipschitz, budget=150)
         prob2 = make_linear_toy(2, 0.7)
         b = refine(prob2.function, prob2.lipschitz, budget=150)
-        assert (a.bounds.lower, a.bounds.upper, a.queries_used) == (
-            b.bounds.lower, b.bounds.upper, b.queries_used)
+        assert (a.lower, a.upper, a.queries_used) == (
+            b.lower, b.upper, b.queries_used)
 
     @pytest.mark.parametrize("name, budget, max_depth", [
         ("lipschitz1d:p=0.3", 400, 60),
@@ -204,8 +204,8 @@ class TestRefine:
         # a float running sum of 2^-(d depth) measures loses bits once
         # d max_depth > 53; the bounds must be the exact sums rounded out
         prob = get_benchmark(name)
-        run = refine(prob.function, prob.lipschitz, budget=budget,
-                     max_depth=max_depth)
+        bounds = refine(prob.function, prob.lipschitz, budget=budget,
+                        max_depth=max_depth)
         mass, queries = replay(prob.function, prob.lipschitz, budget,
                                max_depth)
 
@@ -218,15 +218,15 @@ class TestRefine:
             return math.nextafter(v, math.inf) if v < x else v
 
         inside, unknown = mass[LABEL_INSIDE], mass[LABEL_UNKNOWN]
-        assert run.bounds.lower == down(inside)
-        assert run.bounds.upper == min(1.0, up(inside + unknown))
-        assert run.queries_used == queries
+        assert bounds.lower == down(inside)
+        assert bounds.upper == min(1.0, up(inside + unknown))
+        assert bounds.queries_used == queries
 
     def test_loose_constant_still_contains(self):
         # overestimating L keeps correctness, just widens the gap
         prob = make_linear_toy(2, 0.5)
-        run = refine(prob.function, 3 * prob.lipschitz, budget=300)
-        assert run.bounds.lower <= prob.p_exact <= run.bounds.upper
+        bounds = refine(prob.function, 3 * prob.lipschitz, budget=300)
+        assert bounds.lower <= prob.p_exact <= bounds.upper
 
 
 class TestHelpers:

@@ -90,7 +90,7 @@ class TestDecorrelation:
 class TestMHStep:
     def test_stays_in_region(self):
         region = box_region()
-        s = RegionWalkSampler(region, RandomStream(3, 0))
+        s = RegionWalkSampler(region, RandomStream(3, 0).generator())
         X = s._states.copy()
         moved = 0
         for _ in range(200):
@@ -104,7 +104,7 @@ class TestMHStep:
         # a huge proposal scale makes the Jacobian ratio reject every move
         monkeypatch.setattr(mcmc, "_SCALE", 1e12)
         region = box_region()
-        s = RegionWalkSampler(region, RandomStream(4, 0))
+        s = RegionWalkSampler(region, RandomStream(4, 0).generator())
         X = s._states.copy()
         new = s.step(20)
         assert np.array_equal(new, X)
@@ -114,7 +114,7 @@ class TestMHStep:
 class TestRegionWalkSampler:
     def test_draws_in_region(self):
         region = box_region()
-        s = RegionWalkSampler(region, RandomStream(6, 0))
+        s = RegionWalkSampler(region, RandomStream(6, 0).generator())
         X = s.draw(100)
         assert X.shape == (100, 2)
         assert region.contains_batch(X).all()
@@ -124,7 +124,7 @@ class TestRegionWalkSampler:
         # a thin region, so the 32 seeds span more than one rejection chunk
         region = StaircaseRegion.from_design(LabeledDesign(
             np.array([[0.998, 0.999]]), np.array([True])))
-        s = RegionWalkSampler(region, RandomStream(8, 0))
+        s = RegionWalkSampler(region, RandomStream(8, 0).generator())
         X = RandomStream(8, 0).generator().random((40_000, 2))
         inside = np.flatnonzero(region.contains_batch(X))
         assert inside[31] >= 8192
@@ -132,7 +132,7 @@ class TestRegionWalkSampler:
 
     def test_update_region_reseeds(self):
         region = StaircaseRegion.empty(2)
-        s = RegionWalkSampler(region, RandomStream(7, 0))
+        s = RegionWalkSampler(region, RandomStream(7, 0).generator())
         s.draw(16)
         shrunk = box_region()
         s.update_region(shrunk)

@@ -718,7 +718,7 @@ class TestSequentialBounder:
         highs = [b.upper for b in trace]
         assert all(b >= a for a, b in zip(lows, lows[1:]))
         assert all(b <= a for a, b in zip(highs, highs[1:]))
-        assert run.queries_used == 80
+        assert run.bounds.queries_used == 80
         assert prob.function.query_count == 80
         assert run.design.points.shape == (80, 2)
 
@@ -816,6 +816,25 @@ class TestSequentialBounder:
                                  RandomStream(20260823, 0), sampler=sampler)
         assert run.sampler_name == "boundary"
         assert run.bounds.lower <= prob.p_exact <= run.bounds.upper
+
+    @pytest.mark.parametrize("name, queries", [
+        ("lipschitz1d:p=2.1e-3", 61), ("lipschitz1d:p=0.3", 54),
+        ("linear:d=1:y=0.7", 53)])
+    def test_one_dimension_stops_when_no_float_is_left(self, name, queries):
+        # once the labelled ends are adjacent floats, the midpoint rounds
+        # to one of them; asking it again would change nothing, so the run
+        # stops there with the bounds a run of that many queries gives
+        prob = get_benchmark(name)
+        run = sequential_bounder(prob.function, 200, RandomStream(20260823, 0))
+        x = run.design.points[:, 0]
+        assert run.bounds.queries_used == x.size == np.unique(x).size == queries
+        assert prob.function.query_count == queries
+        fail = run.region.fail_generators[0, 0]
+        assert np.nextafter(fail, 1.0) == run.region.safe_generators[0, 0]
+        cut = sequential_bounder(get_benchmark(name).function, queries,
+                                 RandomStream(20260823, 0))
+        assert (cut.bounds.lower, cut.bounds.upper) == (run.bounds.lower,
+                                                        run.bounds.upper)
 
     def test_deterministic_replay(self):
         a = sequential_bounder(make_linear_toy(2, 0.5).function, 40,

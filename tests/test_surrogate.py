@@ -12,8 +12,6 @@ from rarebound import surrogate
 from rarebound.bench import make_example1
 from rarebound.core import RandomStream
 from rarebound.surrogate import (
-    CONSERVATIVE_HIGH,
-    CONSERVATIVE_LOW,
     FeedforwardFamily,
     PolynomialFamily,
     RegressionSurrogate,
@@ -37,6 +35,10 @@ from rarebound.surrogate import (
     _Profile,
     _shift_limit,
 )
+
+
+# fsd_fit fits from below; a fit from above is the fit of -y, negated
+LOW, HIGH = "conservative-low", "conservative-high"
 
 
 def quad_data(n=40, seed=0):
@@ -268,6 +270,24 @@ class TestCertificateLevels:
             assert n > 6.0 / p            # beyond the mode
             assert n * np.exp(-n * p / 6.0) == pytest.approx(p, rel=1e-6)
 
+    @pytest.mark.parametrize("call, key, bad", [
+        *[(call, "C", bad)
+          for call in (lambda C: bernstein_bound(100, 0.1, C),
+                       lambda C: lambda_risk(100, 0.1, C),
+                       lambda C: lambda_crossing(0.1, C))
+          for bad in (-1.0, 0.0, np.inf, np.nan)],
+        *[(lambda a: bernstein_bound(100, a), "alpha", bad)
+          for bad in (-1.0, 0.0, 1.0, 2.0, np.inf, np.nan)]],
+        ids=[f"{name}-C={bad}" for name in ("bernstein", "risk", "crossing")
+             for bad in (-1.0, 0.0, np.inf, np.nan)]
+        + [f"bernstein-alpha={bad}" for bad in (-1.0, 0.0, 1.0, 2.0, np.inf,
+                                                np.nan)])
+    def test_bad_constants_are_rejected(self, call, key, bad):
+        # a negative C gave a negative certificate level and a risk of 1,
+        # nan passed through, and C = 0 divided by zero
+        with pytest.raises(ValueError, match=rf"^{key} must be"):
+            call(bad)
+
 
 class TestConservativeShift:
     def test_exact_model_needs_no_shift(self):
@@ -317,9 +337,8 @@ class TestCheckFSD:
     def test_shifted_down_dominates(self):
         b = np.random.default_rng(9).random(50)
         a = b - 1.0
-        assert check_fsd(a, b, direction=CONSERVATIVE_LOW) <= 0.0
-        assert check_fsd(b, a, direction=CONSERVATIVE_LOW) > 0.0
-        assert check_fsd(b, a, direction=CONSERVATIVE_HIGH) <= 0.0
+        assert check_fsd(a, b) <= 0.0
+        assert check_fsd(b, a) > 0.0
 
     def test_violation_magnitude(self):
         # half the a-sample sits above all of b: worst CDF gap is 0.5
@@ -335,7 +354,7 @@ class TestCheckFSD:
             k = gen.integers(1, 6, 30)
             b = np.repeat(gen.random(30), k)
             assert check_fsd(-1.0 - b, b) <= 0.0
-            assert check_fsd(b, -1.0 - b, direction=CONSERVATIVE_HIGH) <= 0.0
+            assert check_fsd(b, -1.0 - b) > 0.0
 
     @given(st.lists(st.tuples(st.floats(-4.0, 4.0), st.floats(-4.0, 4.0)),
                     min_size=1, max_size=40),
@@ -349,15 +368,14 @@ class TestCheckFSD:
             a, b = np.round(a, decimals), np.round(b, decimals)
         below = bool(np.all(np.sort(a) <= np.sort(b)))
         assert (check_fsd(a, b) <= 0.0) == below
-        assert (check_fsd(b, a, direction=CONSERVATIVE_HIGH) <= 0.0) == below
         above = bool(np.all(np.sort(a) >= np.sort(b)))
-        assert (check_fsd(a, b, direction=CONSERVATIVE_HIGH) <= 0.0) == above
+        assert (check_fsd(b, a) <= 0.0) == above
+        # b above a is -b below -a
+        assert (check_fsd(-a, -b) <= 0.0) == above
 
     def test_errors(self):
         with pytest.raises(ValueError):
             check_fsd([0.1], [0.1, 0.2])
-        with pytest.raises(ValueError):
-            check_fsd([0.1], [0.2], direction="sideways")
 
 
 class TestFSDFit:
@@ -383,17 +401,19 @@ class TestFSDFit:
                       rng=RandomStream(12, 0))
         assert res.violations.max() <= 1e-9
         pred = res.predict(X)
-        assert check_fsd(pred, y, direction=CONSERVATIVE_LOW) <= 1e-9
+        assert check_fsd(pred, y) <= 1e-9
 
     def test_conservative_high_direction(self):
+        # the fit from above: fit -y from below and negate the predictions
         gen = np.random.default_rng(13)
         X = gen.random((30, 1))
         y = X[:, 0] ** 2
-        res = fsd_fit(PolynomialFamily(1, 0), X, y, restarts=1,
-                      direction=CONSERVATIVE_HIGH, rng=RandomStream(14, 0))
+        res = fsd_fit(PolynomialFamily(1, 0), X, -y, restarts=1,
+                      rng=RandomStream(14, 0))
         assert res.violations.max() <= 1e-9
-        assert check_fsd(res.predict(X), y,
-                         direction=CONSERVATIVE_HIGH) <= 1e-9
+        assert check_fsd(y, -res.predict(X)) <= 1e-9
+        # a constant must sit at or above the largest datum
+        assert np.all(-res.predict(X) >= y.max())
 
     def test_constrained_objective_not_better_than_free(self):
         gen = np.random.default_rng(15)
@@ -406,20 +426,20 @@ class TestFSDFit:
         sse_con = float(np.sum((res.predict(X) - y) ** 2))
         assert sse_con >= sse_free - 1e-9
 
-    def test_direction_error(self):
-        X, y = quad_data(10)
-        with pytest.raises(ValueError):
-            fsd_fit(PolynomialFamily(2, 1), X, y, direction="down")
-
-    @pytest.mark.parametrize("direction", [CONSERVATIVE_LOW, CONSERVATIVE_HIGH])
+    @pytest.mark.parametrize("direction", [LOW, HIGH])
     def test_network_fit_is_feasible(self, direction):
         # the rank-matched solve refits the readout of a network on its
         # last hidden activations
         X, y = quad_data(30)
-        res = fsd_fit(FeedforwardFamily(2, (3,)), X, y, direction=direction,
+        sign = 1.0 if direction == LOW else -1.0
+        res = fsd_fit(FeedforwardFamily(2, (3,)), X, sign * y,
                       restarts=0, epochs=100, rng=RandomStream(17, 0))
         assert res.violations.max() <= 0.0
-        assert check_fsd(res.predict(X), y, direction=direction) <= 0.0
+        pred = sign * res.predict(X)
+        if direction == LOW:
+            assert check_fsd(pred, y) <= 0.0
+        else:
+            assert check_fsd(y, pred) <= 0.0
 
     @pytest.mark.parametrize("seed", range(900, 905))
     def test_no_worse_than_polishing_the_start(self, seed):
@@ -434,37 +454,35 @@ class TestFSDFit:
         res = fsd_fit(fam, X, y, restarts=0, rng=rng.derive(1))
         w = np.full(y.size, 1.0 / y.size)
         _, _, polished = _pattern_polish(
-            _Profile(fam, X, y, CONSERVATIVE_LOW), fit(fam, X, y).eta)
+            _Profile(fam, X, y), fit(fam, X, y).eta)
         assert res.violations.max() <= 0.0
         assert np.sum(w * (y - res.predict(X)) ** 2) <= polished
 
     @staticmethod
-    def reference_fsd_fit(family, X, y, direction, restarts, epochs, rng):
+    def reference_fsd_fit(family, X, y, restarts, epochs, rng):
         """The fit with every trial computed from scratch: predictions from
         value_and_grad, np.sum, and fresh sorts of y for the closed-form
         shift and the exact count.  Returns (eta, theta, violations)."""
-        low = direction == CONSERVATIVE_LOW
 
         def violations(pred_shifted):
             anchors = np.concatenate([pred_shifted, y])
             Fs = np.searchsorted(np.sort(pred_shifted), anchors, "right")
             Fy = np.searchsorted(np.sort(y), anchors, "right")
-            return ((Fy - Fs) if low else (Fs - Fy)) / y.size
+            return (Fy - Fs) / y.size
 
         def profiled(eta):
             pred, _ = family.value_and_grad(eta, X)
-            p, v = (pred, y) if low else (-pred, -y)
-            limit = np.min(np.sort(v, kind="stable") - np.sort(p, kind="stable"))
-            limit = limit if low else -limit
+            limit = np.min(np.sort(y, kind="stable")
+                           - np.sort(pred, kind="stable"))
             for _ in range(2):
                 if violations(pred + limit).max() <= 0.0:
                     break
-                limit = np.nextafter(limit, -np.inf if low else np.inf)
+                limit = np.nextafter(limit, -np.inf)
             else:
                 raise AssertionError("no feasible shift")
             w = 1.0 / y.size
             t_ls = float(np.sum(w * (y - pred)))
-            t = min(t_ls, float(limit)) if low else max(t_ls, float(limit))
+            t = min(t_ls, float(limit))
             r = y - pred - t
             return float(np.sum(w * r * r)), t
 
@@ -503,8 +521,8 @@ class TestFSDFit:
             for _ in range(100):
                 H = linear_head(eta)
                 n = H.shape[1]
-                po = np.argsort(sign * (H @ eta[-n:]), kind="stable")
-                z = _lsi(H * sw, y * sw, sign * H[po], bounds)
+                po = np.argsort(H @ eta[-n:], kind="stable")
+                z = _lsi(H * sw, y * sw, H[po], np.sort(y, kind="stable"))
                 if z is None:
                     break
                 trial = eta.copy()
@@ -517,9 +535,7 @@ class TestFSDFit:
 
         gen = rng.generator()
         start = fit(family, X, y, rng=rng, epochs=epochs).eta
-        sign = 1.0 if low else -1.0
         sw = np.sqrt(1.0 / y.size)
-        bounds = np.sort(sign * y, kind="stable")
         scale = float(np.std(start)) or 1.0
         starts = [start] + [start + gen.normal(0.0, 0.2 * scale, start.size)
                             for _ in range(restarts)]
@@ -528,14 +544,15 @@ class TestFSDFit:
         pred, _ = family.value_and_grad(eta, X)
         return eta, theta, violations(pred + theta)
 
-    @pytest.mark.parametrize("direction", [CONSERVATIVE_LOW, CONSERVATIVE_HIGH])
+    @pytest.mark.parametrize("direction", [LOW, HIGH])
     @pytest.mark.parametrize("case", ["polynomial", "network"])
     def test_matches_reference_bits(self, case, direction):
         # the fixed-data work is built once per fit, and every trial keeps
         # the reference's products, sums and sort kinds, so predictions
         # formed any other way (say, updated one coordinate at a time)
         # show up in the last bits.  With Cauchy noise the pattern search
-        # moves the winning polynomial start; on smooth data it rarely does
+        # moves the winning polynomial start; on smooth data it rarely does.
+        # The fit from above is the fit of -y, negated
         if case == "polynomial":
             gen = np.random.default_rng(10)
             X = gen.random((60, 3))
@@ -544,15 +561,18 @@ class TestFSDFit:
         else:
             X, y = quad_data(30)
             fam, restarts = FeedforwardFamily(2, (3,)), 0
-        ref = self.reference_fsd_fit(fam, X, y, direction, restarts, 100,
+        sign = 1.0 if direction == LOW else -1.0
+        ref = self.reference_fsd_fit(fam, X, sign * y, restarts, 100,
                                      RandomStream(10, 1))
-        res = fsd_fit(fam, X, y, direction=direction, restarts=restarts,
+        res = fsd_fit(fam, X, sign * y, restarts=restarts,
                       epochs=100, rng=RandomStream(10, 1))
         assert np.array_equal(res.surrogate.eta.view(np.int64),
                               ref[0].view(np.int64))
         assert np.float64(res.theta_star).view(np.int64) == \
             np.float64(ref[1]).view(np.int64)
         assert np.array_equal(res.violations, ref[2])
+        pred = sign * res.predict(X)
+        assert check_fsd(*((pred, y) if direction == LOW else (y, pred))) <= 0.0
 
     def test_features_built_once(self, monkeypatch):
         # the training feature matrix is built once per fit, however many
@@ -604,25 +624,21 @@ class TestLSI:
         assert _lsi(np.ones((3, 2)), np.zeros(3), np.eye(2), np.ones(2)) is None
 
 
-def _feasible(pred, y, theta, direction):
-    return _exact_violations(pred + theta, y, np.sort(y),
-                             direction).max() <= 0.0
+def _feasible(pred, y, theta):
+    return _exact_violations(pred + theta, y, np.sort(y)).max() <= 0.0
 
 
-def _bisected_shift(pred, y, direction):
+def _bisected_shift(pred, y):
     """Reference for the closed form: bisection on the exact check."""
     span = 1.0 + np.ptp(np.concatenate([pred, y]))
-    if direction == CONSERVATIVE_LOW:
-        ok, bad = y.min() - pred.max() - span, y.max() - pred.min() + span
-    else:
-        ok, bad = y.max() - pred.min() + span, y.min() - pred.max() - span
-    assert _feasible(pred, y, ok, direction)
-    assert not _feasible(pred, y, bad, direction)
+    ok, bad = y.min() - pred.max() - span, y.max() - pred.min() + span
+    assert _feasible(pred, y, ok)
+    assert not _feasible(pred, y, bad)
     for _ in range(200):
         mid = 0.5 * (ok + bad)
         if mid in (ok, bad):
             break
-        if _feasible(pred, y, mid, direction):
+        if _feasible(pred, y, mid):
             ok = mid
         else:
             bad = mid
@@ -630,7 +646,7 @@ def _bisected_shift(pred, y, direction):
 
 
 class TestShiftLimit:
-    @pytest.mark.parametrize("direction", [CONSERVATIVE_LOW, CONSERVATIVE_HIGH])
+    @pytest.mark.parametrize("direction", [LOW, HIGH])
     @pytest.mark.parametrize("ties", [False, True])
     @pytest.mark.parametrize("weighting", ["uniform", "random", "decimal"])
     def test_extreme_feasible_shift(self, weighting, ties, direction):
@@ -649,14 +665,13 @@ class TestShiftLimit:
                     else gen.integers(0, 4, m)
                 k[0] = max(k[0], 1)
                 y, pred = np.repeat(y, k), np.repeat(pred, k)
-            sign = 1.0 if direction == CONSERVATIVE_LOW else -1.0
-            theta = _shift_limit(pred, np.sort(y),
-                                 np.sort(sign * y, kind="stable"), direction)
-            assert _feasible(pred, y, theta, direction)
-            step = 1e-12 * max(1.0, abs(theta))
-            beyond = theta + step if direction == CONSERVATIVE_LOW else theta - step
-            assert not _feasible(pred, y, beyond, direction)
-            ref = _bisected_shift(pred, y, direction)
+            # the shift from above is the shift of the negated values
+            if direction == HIGH:
+                y, pred = -y, -pred
+            theta = _shift_limit(pred, np.sort(y, kind="stable"))
+            assert _feasible(pred, y, theta)
+            assert not _feasible(pred, y, theta + 1e-12 * max(1.0, abs(theta)))
+            ref = _bisected_shift(pred, y)
             assert abs(theta - ref) <= 1e-12 * max(1.0, abs(ref))
 
     def test_weighted_fit_returns_feasible(self):
@@ -696,9 +711,9 @@ class TestPatternPolish:
         w = np.full(y.size, 1.0 / y.size)
         eta0 = np.random.default_rng(19).normal(0.0, 0.5, family.n_parameters)
         eta, theta, best = _pattern_polish(
-            _Profile(family, X, y, CONSERVATIVE_LOW), eta0)
+            _Profile(family, X, y), eta0)
         assert eta[offset] == eta0[offset]
         assert not np.array_equal(eta, eta0)
         pred, _ = family.value_and_grad(eta, X)
-        assert _feasible(pred, y, theta, CONSERVATIVE_LOW)
+        assert _feasible(pred, y, theta)
         assert best == pytest.approx(np.sum(w * (y - pred - theta) ** 2))
