@@ -10,7 +10,6 @@ shifts (additive bias and stochastic dominance constraints).
 from .bench import (
     ToyProblem,
     get_benchmark,
-    list_benchmark_names,
     make_example1,
     make_linear_toy,
     make_lipschitz_toy_1d,
@@ -112,7 +111,6 @@ __all__ = [
     "label_cube",
     "lambda_crossing",
     "lambda_risk",
-    "list_benchmark_names",
     "lower_orthant_volume",
     "make_example1",
     "make_linear_toy",

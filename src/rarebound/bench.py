@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 import numpy as np
 
@@ -27,7 +27,6 @@ __all__ = [
     "make_linear_toy",
     "make_lipschitz_toy_1d",
     "get_benchmark",
-    "list_benchmark_names",
 ]
 
 
@@ -155,10 +154,6 @@ _PATTERNS = [
 ]
 
 
-def list_benchmark_names() -> List[str]:
-    return [pat for pat, _ in _PATTERNS]
-
-
 def benchmark_descriptions() -> Dict[str, str]:
     return dict(_PATTERNS)
 
@@ -179,4 +174,4 @@ def get_benchmark(name: str) -> ToyProblem:
     if m:
         return make_lipschitz_toy_1d(float(m.group(1)))
     raise ValueError(
-        f"unknown benchmark {name!r}; known patterns: {list_benchmark_names()}")
+        f"unknown benchmark {name!r}; known patterns: {list(benchmark_descriptions())}")

@@ -39,7 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .bench import benchmark_descriptions, get_benchmark, list_benchmark_names
+from .bench import benchmark_descriptions, get_benchmark
 from .core import RandomStream, check_finite, surrogate_mc_estimate
 from .dyadic import refine
 from .monotone import sequential_bounder
@@ -486,8 +486,8 @@ def run_lambda_table(p_values: Sequence[float], n_min: int = 1,
 def _list_benchmarks() -> None:
     descriptions = benchmark_descriptions()
     width = max(len(name) for name in descriptions)
-    for name in list_benchmark_names():
-        print(f"{name:<{width}}  {descriptions[name]}")
+    for name, text in descriptions.items():
+        print(f"{name:<{width}}  {text}")
     print()
     print("Concrete instances substitute values, e.g. example1:d=3:p=5e-3")
 

@@ -11,9 +11,9 @@ with the gap carried by the staircase-shaped undecided region in between.
 This module provides the dominance primitives, union volumes with an a
 priori rounding-error bound (and a Monte Carlo fallback in high
 dimension), the undecided-region type, and a sequential bounder that
-spends a query budget on points of the undecided region: drawn by a
-sampler, in two dimensions placed on an estimate of the fail/safe
-boundary, and in one dimension at the midpoint of the undecided interval.
+spends a query budget on points of the undecided region: at the interval
+midpoint in one dimension, on a boundary estimate or a strip midpoint in
+two, and drawn by a sampler from three on.
 """
 
 from __future__ import annotations
@@ -663,6 +663,28 @@ def _boundary_query(fail: _Staircase2, safe: _Staircase2, grid: np.ndarray,
     return x
 
 
+def _strip_query(region: StaircaseRegion, fail: _Staircase2,
+                 safe: _Staircase2) -> Optional[np.ndarray]:
+    """Next 2-D query when :func:`_boundary_query` has none, or None.
+
+    Both staircases are flat between consecutive generator abscissae, so
+    the region is a union of vertical strips.  Of their midpoints, those
+    the exact ``contains_batch`` keeps (a rounded bracket can drop one,
+    never admit one outside) are scored by the product of exact gains.
+    """
+    F, S = region.fail_generators, region.safe_generators
+    b = np.unique(np.concatenate(([0.0, 1.0], F[:, 0], S[:, 0])))
+    t = 0.5 * (b[:-1] + b[1:])
+    phi = fail._y0[np.searchsorted(fail.x, t)]
+    psi = 1.0 - safe._y0[np.searchsorted(safe.x, 1.0 - t)]
+    P = np.column_stack((t, 0.5 * (phi + psi)))
+    P = P[region.contains_batch(P)]
+    if not P.shape[0]:
+        return None
+    score = _delta_lower_volume(fail, P) * _delta_lower_volume(safe, 1.0 - P)
+    return P[int(np.argmax(score))]
+
+
 @dataclass
 class SequentialRun:
     """Result of a sequential bounding run, one design point per query."""
@@ -702,17 +724,17 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
       through the fail and through the safe generators, kept inside the
       middle of the bracket.  Gains and region membership come from one
       binary search per staircase and candidate set, and from running
-      sums, exact up to a candidate's reach.  Only when no such candidate
-      lies in the region does the step fall back to the pool below,
-      scored by the product of exact gains.
+      sums, exact up to a candidate's reach.  With no such candidate in
+      the region the best strip midpoint (``_strip_query``) is queried,
+      and once none is left the run stops.
     - d >= 3: a pool of ``_POOL_SIZE`` region points drawn by the sampler
       is kept on hand; each step scores a random subsample of
       ``_SCORE_SUBSAMPLE`` of them by the sum of their pool domination
       counts (a cheap Monte Carlo proxy for the two gains) and queries
       the best.
 
-    At d <= 2 ``sampler`` acts only on the pool fallback, and the run's
-    ``sampler_name`` is "boundary".
+    No sampler runs at d <= 2: ``sampler`` has no effect there, and the
+    run's ``sampler_name`` is "boundary".
 
     Parameters
     ----------
@@ -723,11 +745,11 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         :class:`MonotonicityViolation` is never raised; a non-monotone
         ``f`` gives bounds without a guarantee.
     budget : int
-        Oracle queries, fewer only at d = 1 as above.  An oracle value
+        Oracle queries, fewer only at d <= 2 as above.  An oracle value
         that is not finite raises ``ValueError`` before it labels a point.
     rng : RandomStream
     sampler : str
-        Where pool points come from: "rejection"
+        Where pool points come from at d >= 3: "rejection"
         (:class:`RejectionSampler`), "mcmc"
         (:class:`rarebound.mcmc.RegionWalkSampler`, whose tuning is
         fixed), or "auto" (rejection that hands over to the walk sampler
@@ -749,7 +771,7 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
     pts: List[np.ndarray] = []
     labels: List[bool] = []
     vals: List[float] = []
-    name = sampler
+    name = "boundary" if d <= 2 else sampler    # no sampler runs at d <= 2
     region = StaircaseRegion.empty(d)
     pool = np.empty((0, d))
     pool_region = region          # the region every pool point lies in
@@ -763,9 +785,7 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         grid = 10.0 ** ((np.arange(_GRID_DECADES * _GRID_PER_DECADE)
                          + gen.random()) / _GRID_PER_DECADE - _GRID_DECADES)
         flip, F, S = 1.0 - grid, None, None
-    if d <= 2:
-        name = "boundary"
-    elif sampler == "mcmc":
+    elif d >= 3 and sampler == "mcmc":
         walker = make_walker()
 
     def refill(pool: np.ndarray, n: int) -> np.ndarray:
@@ -796,12 +816,8 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         else:
             sel = np.arange(pool.shape[0])
         P = pool[sel]
-        if d == 2:
-            score = (_delta_lower_volume(fail_stair, P)
-                     * _delta_lower_volume(safe_stair, 1.0 - P))
-        else:
-            geq = np.all(P[:, None, :] >= P[None, :, :], axis=2)
-            score = geq.sum(axis=0) + geq.sum(axis=1)
+        geq = np.all(P[:, None, :] >= P[None, :, :], axis=2)
+        score = geq.sum(axis=0) + geq.sum(axis=1)
         pick = int(np.argmax(score))
         pool = np.delete(pool, sel[pick], axis=0)
         return P[pick]
@@ -821,9 +837,11 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
                 S = region.safe_generators
                 safe_stair = _Staircase2(1.0 - S)
             x = _boundary_query(fail_stair, safe_stair, grid, flip)
+            if x is None:
+                x = _strip_query(region, fail_stair, safe_stair)
+            if x is None:
+                break           # no strip midpoint lies in the region
         else:
-            x = None
-        if x is None:
             x = pool_query()
 
         value = f(x)

@@ -536,5 +536,9 @@ class TestMain:
 
     def test_list_benchmarks(self, capsys):
         assert main(["list-benchmarks"]) == 0
-        out = capsys.readouterr().out
-        assert "example1" in out and "lipschitz1d" in out
+        assert capsys.readouterr().out == (
+            "example1:d=<int>:p=<float>  Gamma-ratio family with exact Beta failure law\n"
+            "linear:d=<int>:y=<float>    coordinate sum with Irwin-Hall failure law\n"
+            "lipschitz1d:p=<float>       identity on [0,1], failure set [0,p)\n"
+            "\n"
+            "Concrete instances substitute values, e.g. example1:d=3:p=5e-3\n")

@@ -28,6 +28,7 @@ from rarebound.monotone import (
     sequential_bounder,
     upper_orthant_volume,
 )
+import rarebound.mcmc as mcmc
 import rarebound.monotone as monotone
 from rarebound.monotone import (_MID_BAND, _TWO_PASS_ROWS, _boundary_query, _log,
                                 _rounding_terms, _Staircase2)
@@ -236,6 +237,29 @@ def reference_boundary_query(fail, safe, grid):
     if inside(x[:1], np.array([y]))[0]:
         x = np.array([x[0], y])
     return x
+
+
+def reference_strip_query(region):
+    """Reference for ``_strip_query``: a plain loop over the sorted
+    abscissae, membership by ``contains_batch`` one point at a time, and
+    each candidate scored by fresh staircases."""
+    F, S = region.fail_generators, region.safe_generators
+    fail, safe = _Staircase2(F), _Staircase2(1.0 - S)
+    b = sorted({0.0, 1.0, *F[:, 0], *S[:, 0]})
+    best, pick = -1.0, None
+    for left, right in zip(b, b[1:]):
+        t = 0.5 * (left + right)
+        phi = max((y for x, y in zip(fail.x, fail.y) if x >= t), default=0.0)
+        psi = 1.0 - max((y for x, y in zip(safe.x, safe.y) if x >= 1.0 - t),
+                        default=0.0)
+        x = np.array([t, 0.5 * (phi + psi)])
+        if not region.contains_batch(x[None, :])[0]:
+            continue
+        score = (_Staircase2(F).gain(x[:1], x[1:])[0]
+                 * _Staircase2(1.0 - S).gain(1.0 - x[:1], 1.0 - x[1:])[0])
+        if score > best:
+            best, pick = score, x
+    return pick
 
 
 def same_query(a, b):
@@ -768,41 +792,79 @@ class TestSequentialBounder:
         assert not np.array_equal(runs[0].design.points,
                                   runs[2].design.points)
 
-    def test_two_dimensional_pool_fallback_scores_like_one_candidate(
+    def test_two_dimensional_strip_fallback_matches_a_plain_loop(
             self, monkeypatch):
         # x1 + x2 < 1.99 fails in every grid column at this seed (the last
         # abscissa lies below 0.99), so once those columns have narrowed
         # to the float resolution below 1 the boundary rule has no
-        # candidate left and the fallback scores the pool for the region
-        # right of the grid
-        def run():
-            f = get_benchmark("linear:d=2:y=1.99").function
-            return sequential_bounder(f, 440, RandomStream(1, 0),
-                                      sampler="rejection")
+        # candidate left and the strip rule picks the queries right of
+        # the grid
+        query, calls = monotone._strip_query, []
 
-        batched = []
+        def both(region, fail, safe):
+            x = query(region, fail, safe)
+            calls.append(same_query(x, reference_strip_query(region)))
+            return x
 
-        def one_at_a_time(stair, P):
-            # the per-candidate formula: a fresh staircase per candidate
-            batched.append(P.shape[0])
-            G = np.column_stack((stair.x, stair.y))
-            return np.array([float(_Staircase2(G).gain(x[:1], x[1:])[0])
-                             for x in P])
-
-        fast = run()
-        monkeypatch.setattr(monotone, "_delta_lower_volume", one_at_a_time)
-        slow = run()
-        assert len(batched) == 2 * (440 - 406)
-        for a, b in ((fast.design.points, slow.design.points),
-                     (fast.design.fail, slow.design.fail),
-                     (fast.design.values, slow.design.values)):
-            assert np.array_equal(a, b)
-        assert (fast.bounds.lower, fast.bounds.upper) == (slow.bounds.lower,
-                                                          slow.bounds.upper)
+        monkeypatch.setattr(monotone, "_strip_query", both)
+        run = sequential_bounder(get_benchmark("linear:d=2:y=1.99").function,
+                                 440, RandomStream(1, 0))
+        assert len(calls) == 440 - 406 and all(calls)
         # the fallback queries lie right of the grid, where the boundary
         # is, and some are safe, so both staircases score non-empty
-        assert np.all(fast.design.points[406:, 0] > 0.99)
-        assert not fast.design.fail[406:].all()
+        assert np.all(run.design.points[406:, 0] > 0.99)
+        assert not run.design.fail[406:].all()
+
+    def test_two_dimensional_strip_rule_stops_when_no_midpoint_is_left(
+            self, monkeypatch):
+        # with the boundary rule off, the strip rule alone bisects the
+        # fail set [0, 2^-60)^2 until no strip midpoint lies in the region
+        # (flipped safe heights at most 2^-54 read as 0, so the last queries
+        # split the bottom edge down to adjacent floats); the run stops
+        # there with the bounds a run of that many queries gives
+        monkeypatch.setattr(monotone, "_boundary_query", lambda *args: None)
+        f = BlackBoxFunction(lambda X: np.maximum(X[:, 0], X[:, 1]),
+                             dimension=2, threshold=2.0 ** -60, vectorized=True)
+        run = sequential_bounder(f, 4000, RandomStream(0, 0))
+        m = run.design.points.shape[0]
+        assert run.bounds.queries_used == m == f.query_count < 4000
+        assert 0 < run.design.fail.sum() < m
+        assert reference_strip_query(run.region) is None
+        assert run.bounds.lower <= 2.0 ** -120 <= run.bounds.upper
+
+    def test_two_dimensional_runs_reach_no_sampler(self, monkeypatch):
+        # this run's last 34 queries come from the strip fallback, which
+        # draws nothing, so the sampler choice cannot change a query
+        def refuse(*args, **kwargs):
+            raise AssertionError("a sampler ran at d = 2")
+
+        monkeypatch.setattr(RejectionSampler, "draw_batch", refuse)
+        monkeypatch.setattr(mcmc.RegionWalkSampler, "__init__", refuse)
+        runs = [sequential_bounder(get_benchmark("linear:d=2:y=1.99").function,
+                                   440, RandomStream(1, 0), sampler=s)
+                for s in ("auto", "rejection", "mcmc")]
+        for run in runs:
+            assert run.sampler_name == "boundary"
+            assert run.bounds.queries_used == 440
+            for a, b in ((run.design.points, runs[0].design.points),
+                         (run.design.fail, runs[0].design.fail),
+                         (run.design.values, runs[0].design.values)):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("case", ["linear", "min"])
+    def test_two_dimensional_runs_finish_where_the_region_is_tiny(self, case):
+        # the undecided region left right of the grid is far too small for
+        # rejection sampling to hit; the strip fallback does not sample it
+        if case == "linear":
+            prob = get_benchmark("linear:d=2:y=1.999")
+            f, p, budget, stream = prob.function, Fraction(prob.p_exact), 480, 3
+        else:
+            f = BlackBoxFunction(lambda X: np.minimum(X[:, 0], X[:, 1]),
+                                 dimension=2, threshold=0.999, vectorized=True)
+            p, budget, stream = 1 - (1 - Fraction(0.999)) ** 2, 2500, 1
+        run = sequential_bounder(f, budget, RandomStream(stream, 0))
+        assert run.bounds.queries_used == budget
+        assert Fraction(run.bounds.lower) <= p <= Fraction(run.bounds.upper)
 
     @pytest.mark.parametrize("name, sampler, budget", [
         ("lipschitz1d:p=2.1e-3", "rejection", 200),
