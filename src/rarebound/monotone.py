@@ -663,22 +663,43 @@ def _boundary_query(fail: _Staircase2, safe: _Staircase2, grid: np.ndarray,
     return x
 
 
-def _strip_query(region: StaircaseRegion, fail: _Staircase2,
-                 safe: _Staircase2) -> Optional[np.ndarray]:
-    """Next 2-D query when :func:`_boundary_query` has none, or None.
+def _strip_midpoints(region: StaircaseRegion, fail: _Staircase2,
+                     safe: _Staircase2) -> Tuple[np.ndarray, np.ndarray]:
+    """Every strip midpoint of a 2-D region, and the mask of those in it.
 
     Both staircases are flat between consecutive generator abscissae, so
-    the region is a union of vertical strips.  Of their midpoints, those
-    the exact ``contains_batch`` keeps (a rounded bracket can drop one,
-    never admit one outside) are scored by the product of exact gains.
+    the region is a union of vertical strips; a midpoint's height is the
+    middle of its strip's bracket.  Membership is the mask
+    ``contains_batch`` gives, from one binary search per staircase: (t, h)
+    lies below a fail generator iff the first one at or right of t
+    reaches h, and above a safe generator iff the last one at or left of
+    t, the lowest there, lies at or below h.  The safe side reads the
+    generators themselves, never the flipped 1 - S, whose rounding could
+    move the comparison.  With the test exact, a rounded bracket height
+    can drop a midpoint but never admit one outside the region.
     """
     F, S = region.fail_generators, region.safe_generators
     b = np.unique(np.concatenate(([0.0, 1.0], F[:, 0], S[:, 0])))
     t = 0.5 * (b[:-1] + b[1:])
-    phi = fail._y0[np.searchsorted(fail.x, t)]
+    jf = np.searchsorted(fail.x, t)
+    phi = fail._y0[jf]
     psi = 1.0 - safe._y0[np.searchsorted(safe.x, 1.0 - t)]
-    P = np.column_stack((t, 0.5 * (phi + psi)))
-    P = P[region.contains_batch(P)]
+    h = 0.5 * (phi + psi)
+    S = S[np.argsort(S[:, 0])]
+    # height of the last safe generator at or left of t, inf if none
+    low = np.concatenate(([np.inf], S[:, 1]))[
+        np.searchsorted(S[:, 0], t, side="right")]
+    inside = ~(((jf < fail.x.size) & (h <= phi)) | (low <= h))
+    return np.column_stack((t, h)), inside
+
+
+def _strip_query(region: StaircaseRegion, fail: _Staircase2,
+                 safe: _Staircase2) -> Optional[np.ndarray]:
+    """Next 2-D query when :func:`_boundary_query` has none, or None: of
+    the strip midpoints in the region, the one with the largest product
+    of exact gains."""
+    P, inside = _strip_midpoints(region, fail, safe)
+    P = P[inside]
     if not P.shape[0]:
         return None
     score = _delta_lower_volume(fail, P) * _delta_lower_volume(safe, 1.0 - P)

@@ -78,7 +78,15 @@ class PolynomialFamily:
     def features(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
         E = self.exponents
-        return np.prod(X[:, None, :] ** E[None, :, :], axis=2)
+        # one table of every coordinate's powers 0..degree, its columns
+        # multiplied coordinate by coordinate as np.prod over the exponent
+        # rows did, to the bit.  The power axis must keep its full length:
+        # NumPy rounds some powers differently on a length-1 axis
+        powers = X[:, :, None] ** np.arange(self.degree + 1)[None, None, :]
+        Phi = powers[:, 0, E[:, 0]]
+        for k in range(1, E.shape[1]):
+            Phi = Phi * powers[:, k, E[:, k]]
+        return Phi
 
     def init_parameters(self, gen: np.random.Generator) -> np.ndarray:
         return np.zeros(self.n_parameters)
@@ -525,14 +533,18 @@ def _shift_limit(pred: np.ndarray, ys: np.ndarray) -> float:
     """Largest feasible shift for fixed surrogate values, in closed form.
 
     Every theta up to the smallest gap between the sorted data ``ys`` and
-    the sorted predictions is feasible.  The result passes the exact check.
+    the sorted predictions is feasible.  The result passes the exact test:
+    with equal weights, dominance is the shifted predictions at or below
+    the data rank by rank (Dentcheva & Ruszczynski 2003), the condition
+    :func:`check_fsd` decides by counting.
     """
-    theta = np.min(ys - np.sort(pred, kind="stable"))
+    sp = np.sort(pred, kind="stable")
+    theta = np.min(ys - sp)
     # theta carries the rounding of the gap, and pred + theta rounds again;
-    # one ulp toward the feasible side absorbs both; only the worst gap
-    # is read, so the data's anchors may come sorted
+    # one ulp toward the feasible side absorbs both.  Rounding is monotone,
+    # so sp + theta is the sort of pred + theta, bit for bit
     for _ in range(2):
-        if _exact_violations(pred + theta, ys, ys).max() <= 0.0:
+        if (sp + theta <= ys).all():
             return float(theta)
         theta = np.nextafter(theta, -np.inf)
     raise NonConvergence(f"shift {theta!r} fails the exact dominance check")
@@ -543,7 +555,8 @@ class _Profile:
     shift: the least-squares shift clipped to the feasible side.  What
     depends on the data alone, a polynomial's feature matrix ``Phi`` and
     the stable sort ``ys`` of the data, is built once, so a trial is one
-    prediction pass, one sort of the predictions and the exact count."""
+    prediction pass, one sort of the predictions and the rank-by-rank
+    test of :func:`_shift_limit`."""
 
     def __init__(self, family: Family, X: np.ndarray, y: np.ndarray):
         self.family, self.X, self.y = family, X, y
@@ -560,9 +573,10 @@ class _Profile:
         pred = self.predict(eta)
         w = 1.0 / self.y.size
         # add.reduce is np.sum without its Python wrapper
-        t_ls = float(np.add.reduce(w * (self.y - pred)))
+        gap = self.y - pred
+        t_ls = float(np.add.reduce(w * gap))
         t = min(t_ls, _shift_limit(pred, self.ys))
-        r = self.y - pred - t
+        r = gap - t
         return float(np.add.reduce(w * r * r)), t
 
 
@@ -679,8 +693,9 @@ def fsd_fit(family: Family, X, y, restarts: int = 2, epochs: int = 600,
     coefficients, or a network's readout) by least squares under those
     order-statistic inequalities.  A pattern search on the exact problem
     then polishes the result, with every trial's shift solved in closed
-    form and confirmed by exact counts, so feasibility never rests on the
-    least-squares solves.
+    form and confirmed exactly, sorted shifted predictions against sorted
+    data rank by rank, so feasibility never rests on the least-squares
+    solves.  The returned ``violations`` are exact counts.
 
     Parameters
     ----------

@@ -262,6 +262,31 @@ def reference_strip_query(region):
     return pick
 
 
+# coordinates that make shared abscissae, zero and unit heights and
+# floats next to the cube's edges common
+_EDGE_COORDS = st.one_of(
+    st.sampled_from([0.0, 1.0, 0.5, 0.25, 0.75, 2.0 ** -60, 1.0 - U]),
+    st.floats(0.0, 1.0))
+
+
+@given(st.lists(st.tuples(_EDGE_COORDS, _EDGE_COORDS, st.booleans()),
+                max_size=30))
+@settings(max_examples=500, deadline=None)
+def test_strip_midpoint_mask_is_contains_batch(labelled):
+    # any valid 2-D region: maximal fail points, and the minimal safe
+    # points that no fail generator dominates; either side may be empty
+    P = np.array([(a, b) for a, b, _ in labelled]).reshape(-1, 2)
+    fail = np.array([f for _, _, f in labelled], dtype=bool)
+    F = maximal_points(P[fail]).reshape(-1, 2)
+    S = P[~fail]
+    S = S[~np.array([np.all(s <= F, axis=1).any() for s in S], dtype=bool)]
+    S = minimal_points(S).reshape(-1, 2)
+    region = StaircaseRegion(F, S, 2)
+    M, inside = monotone._strip_midpoints(region, _Staircase2(F),
+                                          _Staircase2(1.0 - S))
+    assert np.array_equal(inside, region.contains_batch(M))
+
+
 def same_query(a, b):
     if a is None or b is None:
         return a is None and b is None

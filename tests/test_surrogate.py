@@ -70,6 +70,26 @@ class TestPolynomialFamily:
             assert np.array_equal(pullback(v), v @ Phi)
         assert np.allclose(pred, Phi @ eta)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_features_match_the_product_of_powers(self, d):
+        # the reference is the n x P x d power array reduced by np.prod,
+        # taken in row blocks to bound its memory; the per-coordinate
+        # table must give its bits, underflow at the 1e-200 scale included
+        gen = np.random.default_rng(40 + d)
+        for degree in range(6):
+            fam = PolynomialFamily(d, degree)
+            E = fam.exponents
+            for n in (1, 2, 17, 60, 150, 20_000):
+                for scale in (1.0, 1e-200):
+                    X = scale * gen.random((n, d))
+                    ref = np.concatenate([
+                        np.prod(B[:, None, :] ** E[None], axis=2)
+                        for B in np.array_split(X, -(-n // 2_000))])
+                    got = fam.features(X)
+                    assert got.shape == (n, fam.n_parameters)
+                    assert np.array_equal(got.view(np.int64),
+                                          ref.view(np.int64)), (degree, n, scale)
+
     def test_singular_design(self):
         # ten copies of two distinct points: rank 2 < 6 parameters
         X = np.tile(np.array([[0.2, 0.2], [0.8, 0.8]]), (5, 1))
@@ -673,6 +693,32 @@ class TestShiftLimit:
             assert not _feasible(pred, y, theta + 1e-12 * max(1.0, abs(theta)))
             ref = _bisected_shift(pred, y)
             assert abs(theta - ref) <= 1e-12 * max(1.0, abs(ref))
+
+    @given(st.lists(st.one_of(
+               st.sampled_from([0.0, -0.0]),
+               st.builds(lambda sign, m: sign * m, st.sampled_from([-1.0, 1.0]),
+                         st.floats(1e-8, 1e8))), min_size=1, max_size=8),
+           st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                    min_size=1, max_size=40))
+    @settings(max_examples=1000, deadline=None)
+    def test_rank_by_rank_test_is_the_exact_count(self, values, picks):
+        # pred and y drawn from a few shared values, so ties are common.
+        # At the limit shift and one ulp either side, the rank-by-rank test
+        # _shift_limit uses decides what the exact count decides, and
+        # sorting commutes with the shift to the bit
+        pred = np.array([values[i % len(values)] for i, _ in picks])
+        y = np.array([values[j % len(values)] for _, j in picks])
+        ys = np.sort(y, kind="stable")
+        limit = np.min(ys - np.sort(pred, kind="stable"))
+        for theta in (np.nextafter(limit, -np.inf), limit,
+                      np.nextafter(limit, np.inf)):
+            counted = _exact_violations(pred + theta, ys, ys).max() <= 0.0
+            for kind in ("stable", "quicksort"):
+                sp = np.sort(pred, kind=kind)
+                assert bool((sp + theta <= ys).all()) == counted
+                assert np.array_equal(np.sort(pred + theta, kind=kind)
+                                      .view(np.int64),
+                                      (sp + theta).view(np.int64))
 
     def test_weighted_fit_returns_feasible(self):
         # integer weights as repeated points: every rank-matched inequality
