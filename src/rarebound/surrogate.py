@@ -13,8 +13,9 @@ at or below sorted data, rank by rank (Dentcheva & Ruszczynski 2003).  With
 the prediction ranks fixed that is a set of linear inequalities on the
 model's linear head, so each step is least squares under inequalities
 (Lawson & Hanson's LDP/NNLS reduction); the feasible shift is the smallest
-gap between the order statistics, confirmed by counting each sample below
-every anchor.
+gap between the order statistics, confirmed by comparing the shifted
+predictions with the data rank by rank.  A coordinate pattern search then
+polishes each start, scoring the trials of a sweep as one batch.
 
 Both routes yield estimates that err on the pessimistic side for failure
 events of the form g < y.
@@ -127,12 +128,14 @@ class FeedforwardFamily:
         return sum(m * n + n for m, n in self.layer_shapes)
 
     def _unpack(self, eta: np.ndarray):
+        """Views (W, b) of each layer; a leading axis of ``eta`` stacks
+        parameter rows, giving W of shape (k, m, n) and b of (k, n)."""
         out = []
         k = 0
         for m, n in self.layer_shapes:
-            W = eta[k:k + m * n].reshape(m, n)
+            W = eta[..., k:k + m * n].reshape(eta.shape[:-1] + (m, n))
             k += m * n
-            b = eta[k:k + n]
+            b = eta[..., k:k + n]
             k += n
             out.append((W, b))
         return out
@@ -529,34 +532,39 @@ def _exact_violations(pred_shifted: np.ndarray, y: np.ndarray,
     return (Fy - Fs) / y.size
 
 
-def _shift_limit(pred: np.ndarray, ys: np.ndarray) -> float:
+def _shift_limit(pred: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """Largest feasible shift for fixed surrogate values, in closed form.
 
-    Every theta up to the smallest gap between the sorted data ``ys`` and
-    the sorted predictions is feasible.  The result passes the exact test:
-    with equal weights, dominance is the shifted predictions at or below
-    the data rank by rank (Dentcheva & Ruszczynski 2003), the condition
-    :func:`check_fsd` decides by counting.
+    ``pred`` holds one row of predictions per trial (any leading shape,
+    the data axis last).  Every theta up to the smallest gap between the
+    sorted data ``ys`` and a row's sorted predictions is feasible.  Each
+    row's result passes the exact test: with equal weights, dominance is
+    the shifted predictions at or below the data rank by rank (Dentcheva &
+    Ruszczynski 2003), the condition :func:`check_fsd` decides by counting.
+    A row that still fails after two one-ulp steps gets nan.
     """
-    sp = np.sort(pred, kind="stable")
-    theta = np.min(ys - sp)
+    sp = np.sort(pred, axis=-1, kind="stable")
+    theta = np.min(ys - sp, axis=-1)
     # theta carries the rounding of the gap, and pred + theta rounds again;
     # one ulp toward the feasible side absorbs both.  Rounding is monotone,
     # so sp + theta is the sort of pred + theta, bit for bit
     for _ in range(2):
-        if (sp + theta <= ys).all():
-            return float(theta)
-        theta = np.nextafter(theta, -np.inf)
-    raise NonConvergence(f"shift {theta!r} fails the exact dominance check")
+        failed = ~(sp + theta[..., None] <= ys).all(axis=-1)
+        if not failed.any():
+            return theta
+        theta = np.where(failed, np.nextafter(theta, -np.inf), theta)
+    return np.where(failed, np.nan, theta)
 
 
 class _Profile:
-    """eta -> (objective, theta) on one fit's data at eta's optimal feasible
-    shift: the least-squares shift clipped to the feasible side.  What
-    depends on the data alone, a polynomial's feature matrix ``Phi`` and
-    the stable sort ``ys`` of the data, is built once, so a trial is one
-    prediction pass, one sort of the predictions and the rank-by-rank
-    test of :func:`_shift_limit`."""
+    """Trials -> (objective, theta) on one fit's data, each trial at its
+    optimal feasible shift: the least-squares shift clipped to the feasible
+    side.  What depends on the data alone, a polynomial's feature matrix
+    ``Phi`` and the stable sort ``ys`` of the data, is built once.
+    :meth:`rows` scores a batch of parameter rows at once, and a call on
+    one parameter vector is the batch of one.  Every row is computed with
+    the products, sums and sorts a lone trial would use, so a row's bits
+    do not depend on its batch."""
 
     def __init__(self, family: Family, X: np.ndarray, y: np.ndarray):
         self.family, self.X, self.y = family, X, y
@@ -564,32 +572,57 @@ class _Profile:
                     else None)
         self.ys = np.sort(y, kind="stable")
 
-    def predict(self, eta: np.ndarray) -> np.ndarray:
-        if self.Phi is None:
-            return self.family.value_and_grad(eta, self.X)[0]
-        return self.Phi @ eta
+    def predict(self, T: np.ndarray) -> np.ndarray:
+        """Predictions of each parameter row of ``T`` (k x P), k x m."""
+        if self.Phi is not None:
+            # one matrix-vector product per row, the one Phi @ eta makes
+            return np.matmul(self.Phi, T[:, :, None])[:, :, 0]
+        # value_and_grad's forward pass, stacked: one product per row
+        layers = self.family._unpack(T)
+        h = self.X
+        for idx, (W, b) in enumerate(layers):
+            z = np.matmul(h, W) + b[:, None, :]
+            h = z if idx == len(layers) - 1 else 1.0 / (1.0 + np.exp(-z))
+        return h[:, :, 0]
 
-    def __call__(self, eta: np.ndarray) -> Tuple[float, float]:
-        pred = self.predict(eta)
+    def rows(self, T: np.ndarray):
+        """Objective, shift and infeasibility of each parameter row of
+        ``T`` (k x P), as three length-k arrays; an infeasible row is one
+        that no shift passes the exact test for."""
+        pred = self.predict(T)
         w = 1.0 / self.y.size
         # add.reduce is np.sum without its Python wrapper
         gap = self.y - pred
-        t_ls = float(np.add.reduce(w * gap))
-        t = min(t_ls, _shift_limit(pred, self.ys))
-        r = gap - t
-        return float(np.add.reduce(w * r * r)), t
+        t_ls = np.add.reduce(w * gap, axis=1)
+        limit = _shift_limit(pred, self.ys)
+        # Python's min(t_ls, limit): limit only where strictly lower
+        t = np.where(limit < t_ls, limit, t_ls)
+        r = gap - t[:, None]
+        return np.add.reduce(w * r * r, axis=1), t, np.isnan(limit)
+
+    def __call__(self, eta: np.ndarray) -> Tuple[float, float]:
+        vals, t, failed = self.rows(eta[None])
+        if failed[0]:
+            raise NonConvergence("no shift passes the exact dominance check")
+        return float(vals[0]), float(t[0])
 
 
 def _pattern_polish(profile: _Profile, eta: np.ndarray,
                     rounds: int = 80) -> Tuple[np.ndarray, float, float]:
-    """Coordinate pattern search on the exact constrained objective.
+    """Coordinate pattern search on the exact constrained objective
+    (Hooke & Jeeves 1961).
 
-    Moves one parameter at a time and solves the shift of each trial
-    exactly, so every trial is feasible; steps halve when a sweep makes no
-    progress.  Cheap because each trial is one prediction pass plus one
-    closed-form shift.  The offset parameter (the constant monomial, or
-    the network's readout bias) adds a constant to every prediction, which
-    the profiled shift cancels exactly, so it is never moved.
+    Moves one parameter at a time, +step before -step, coordinates in
+    order, and takes the first trial that lowers the objective, then goes
+    on from the next coordinate; steps halve when a sweep makes no
+    progress.  Every trial's shift is solved exactly, so every trial is
+    feasible.  Until a trial is taken all remaining trials of a sweep start
+    from the same point, so they are scored as one batch of
+    :meth:`_Profile.rows`; the rows after the first improving one are
+    dropped, and a row without a feasible shift raises only if it comes
+    before that one.  The offset parameter (the constant monomial, or the
+    network's readout bias) adds a constant to every prediction, which the
+    profiled shift cancels exactly, so it is never moved.
     """
     best, theta = profile(eta)
     offset = 0 if profile.Phi is not None else eta.size - 1
@@ -597,15 +630,26 @@ def _pattern_polish(profile: _Profile, eta: np.ndarray,
     steps[offset] = 0.0
     for _ in range(rounds):
         improved = False
-        for j in np.flatnonzero(steps):
-            for s in (steps[j], -steps[j]):
-                trial = eta.copy()
-                trial[j] += s
-                val, t = profile(trial)
-                if val < best:
-                    eta, best, theta = trial, val, t
-                    improved = True
-                    break
+        coords = np.flatnonzero(steps)
+        c = 0
+        while c < coords.size:
+            # rows 2i and 2i + 1 move coordinate rest[i] by +step and -step
+            rest = coords[c:]
+            T = np.repeat(eta[None], 2 * rest.size, axis=0)
+            T[np.arange(len(T)), rest.repeat(2)] += np.stack(
+                [steps[rest], -steps[rest]], axis=1).ravel()
+            vals, t, failed = profile.rows(T)
+            lower = vals < best
+            first = int(lower.argmax()) if lower.any() else len(T)
+            if failed[:first + 1].any():
+                raise NonConvergence(
+                    "no shift passes the exact dominance check")
+            if first == len(T):
+                break
+            eta = T[first].copy()
+            best, theta = float(vals[first]), float(t[first])
+            improved = True
+            c += first // 2 + 1
         if not improved:
             steps *= 0.5
             if steps.max() < 1e-10:
@@ -691,11 +735,13 @@ def fsd_fit(family: Family, X, y, restarts: int = 2, epochs: int = 600,
     start alternates, while the exact objective falls, between sorting the
     predictions and refitting the linear head (all polynomial
     coefficients, or a network's readout) by least squares under those
-    order-statistic inequalities.  A pattern search on the exact problem
-    then polishes the result, with every trial's shift solved in closed
-    form and confirmed exactly, sorted shifted predictions against sorted
-    data rank by rank, so feasibility never rests on the least-squares
-    solves.  The returned ``violations`` are exact counts.
+    order-statistic inequalities.  A coordinate pattern search on the
+    exact problem then polishes the result.  It scores the remaining trials
+    of each sweep as one batch, every trial's shift solved in closed form
+    and confirmed exactly, sorted shifted predictions against sorted data
+    rank by rank, so feasibility never rests on the least-squares solves;
+    it takes the trials in the order a one-at-a-time search would, with
+    the same bits.  The returned ``violations`` are exact counts.
 
     Parameters
     ----------
@@ -742,7 +788,8 @@ def fsd_fit(family: Family, X, y, restarts: int = 2, epochs: int = 600,
     starts = [start] + [start + gen.normal(0.0, 0.2 * scale, start.size)
                         for _ in range(restarts)]
     eta, theta, _ = min((one_start(s0) for s0 in starts), key=lambda c: c[2])
-    viol = _exact_violations(profile.predict(eta) + theta, y, profile.ys)
+    viol = _exact_violations(profile.predict(eta[None])[0] + theta, y,
+                             profile.ys)
     surrogate = RegressionSurrogate(family=family, eta=eta)
     return FSDFitResult(surrogate=surrogate, theta_star=float(theta),
                         violations=viol)

@@ -14,6 +14,7 @@ from rarebound.bench import (
     make_lipschitz_toy_1d,
     make_linear_toy,
 )
+from rarebound.bench import _example1_level
 from rarebound.core import RandomStream, mc_estimate
 
 
@@ -50,6 +51,21 @@ class TestExample1:
         lo = prob.function.evaluator(X)
         hi = prob.function.evaluator(np.clip(X + step, 0.0, 1.0))
         assert np.all(hi >= lo - 1e-12)
+
+    def test_rebuilt_problems_share_the_level_not_the_counter(self):
+        # the Beta level is computed once per (d, p), but every build gets
+        # its own black box, so one run's queries never count in another's
+        _example1_level.cache_clear()
+        fresh = make_example1(3, 5e-3)
+        cached = make_example1(3, 5e-3)
+        assert _example1_level.cache_info().hits == 1
+        assert fresh.function is not cached.function
+        fresh.function.evaluate_batch(np.full((4, 3), 0.5))
+        assert (fresh.function.query_count, cached.function.query_count) \
+            == (4, 0)
+        X = RandomStream(6, 0).generator().random((1_000, 3))
+        assert np.array_equal(fresh.function.evaluator(X).view(np.int64),
+                              cached.function.evaluator(X).view(np.int64))
 
     def test_bad_p(self):
         with pytest.raises(ValueError):

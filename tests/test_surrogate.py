@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from rarebound import surrogate
 from rarebound.bench import make_example1
 from rarebound.core import RandomStream
+from rarebound.special import NonConvergence
 from rarebound.surrogate import (
     FeedforwardFamily,
     PolynomialFamily,
@@ -596,19 +597,20 @@ class TestFSDFit:
 
     def test_features_built_once(self, monkeypatch):
         # the training feature matrix is built once per fit, however many
-        # trials the pattern search runs
-        built, trials = [], []
-        features, shift_limit = PolynomialFamily.features, _shift_limit
+        # trial rows the pattern search scores
+        built, scored = [], []
+        features, rows = PolynomialFamily.features, _Profile.rows
         monkeypatch.setattr(PolynomialFamily, "features",
                             lambda fam, X: built.append(1) or features(fam, X))
-        monkeypatch.setattr(surrogate, "_shift_limit",
-                            lambda *a: trials.append(1) or shift_limit(*a))
+        monkeypatch.setattr(_Profile, "rows",
+                            lambda self, T: scored.append(len(T))
+                            or rows(self, T))
         X = RandomStream(33, 0).generator().random((60, 3))
         y = np.asarray(make_example1(3, 5e-2).function.evaluator(X), float)
         fsd_fit(PolynomialFamily(3, 2), X, y, restarts=2,
                 rng=RandomStream(34, 0))
         assert len(built) == 1
-        assert len(trials) > 300
+        assert sum(scored) > 300
 
 
 class TestLSI:
@@ -763,3 +765,109 @@ class TestPatternPolish:
         pred, _ = family.value_and_grad(eta, X)
         assert _feasible(pred, y, theta)
         assert best == pytest.approx(np.sum(w * (y - pred - theta) ** 2))
+
+    @pytest.mark.parametrize("start, failing, raises", [
+        (0.9, 1, False), (0.9, 3, False), (0.9, 0, True),
+        (1.1, 0, True), (1.1, 1, True), (1.1, 2, False),
+    ])
+    def test_only_reached_rows_can_fail(self, monkeypatch, start, failing,
+                                        raises):
+        # against y = x0 + x1 the first sweep from (0, start, 1) tries the
+        # x0 coefficient +-0.11 or +-0.1, then x1's +-0.1, as one batch of
+        # four rows; the first improving row is row 0 (start 0.9) or row 1
+        # (start 1.1).  A row without a feasible shift stops the search
+        # only if a one-trial-at-a-time search would have scored it: at or
+        # before that row
+        gen = np.random.default_rng(5)
+        X = gen.random((40, 2))
+        y = X[:, 0] + X[:, 1]
+        eta0 = np.array([0.0, start, 1.0])
+        profile = _Profile(PolynomialFamily(2, 1), X, y)
+        best, _ = profile(eta0)
+        step = 0.1 * max(start, 1.0)
+        T = np.repeat(eta0[None], 4, axis=0)
+        T[[0, 1, 2, 3], [1, 1, 2, 2]] += [step, -step, 0.1, -0.1]
+        vals, _, _ = profile.rows(T)
+        assert np.flatnonzero(vals < best)[0] == (0 if start < 1.0 else 1)
+        expected = _pattern_polish(profile, eta0)
+
+        shift_limit, batches = _shift_limit, []
+
+        def fail_once(pred, ys):
+            theta = shift_limit(pred, ys)
+            if len(pred) == 4 and not batches:
+                batches.append(1)
+                theta[failing] = np.nan
+            return theta
+
+        monkeypatch.setattr(surrogate, "_shift_limit", fail_once)
+        if raises:
+            with pytest.raises(NonConvergence):
+                _pattern_polish(profile, eta0)
+        else:
+            eta, theta, best = _pattern_polish(profile, eta0)
+            assert np.array_equal(eta.view(np.int64),
+                                  expected[0].view(np.int64))
+            assert (theta, best) == expected[1:]
+        assert batches
+
+
+def _single_trial(family, X, y, eta):
+    """One trial scored alone, the way the search scored trials before it
+    batched them: the family's own predictions, sorts and sums over one
+    sample, and Python's min.  None when no shift passes the exact test."""
+    if isinstance(family, PolynomialFamily):
+        pred = family.features(X) @ eta
+    else:
+        pred, _ = family.value_and_grad(eta, X)
+    ys, sp = np.sort(y, kind="stable"), np.sort(pred, kind="stable")
+    limit = np.min(ys - sp)
+    for _ in range(2):
+        if (sp + limit <= ys).all():
+            break
+        limit = np.nextafter(limit, -np.inf)
+    else:
+        return None
+    w = 1.0 / y.size
+    gap = y - pred
+    t = min(float(np.add.reduce(w * gap)), float(limit))
+    r = gap - t
+    return float(np.add.reduce(w * r * r)), t
+
+
+class TestProfileRows:
+    @given(st.sampled_from([PolynomialFamily(2, 2), FeedforwardFamily(2, (3,)),
+                            FeedforwardFamily(3, (4, 3))]),
+           st.lists(st.one_of(
+               st.sampled_from([0.0, -0.0]),
+               st.builds(lambda sign, m: sign * m, st.sampled_from([-1.0, 1.0]),
+                         st.floats(1e-8, 1e8))), min_size=1, max_size=8),
+           st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7)),
+                    min_size=1, max_size=40),
+           st.lists(st.integers(0, 7), min_size=1, max_size=40),
+           st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_batch_rows_are_single_trials(self, family, values, picks,
+                                          trials, seed):
+        # data drawn from a few shared values and inputs from a few shared
+        # rows, so data and predictions tie often; the batch repeats rows
+        # too.  Every row must be the lone trial of its parameters, bit for
+        # bit, in objective and shift, whatever the batch around it
+        gen = np.random.default_rng(seed)
+        X = gen.random((8, family.dimension))[[i for i, _ in picks]]
+        y = np.array([values[j % len(values)] for _, j in picks])
+        T = gen.normal(0.0, 1.0, (8, family.n_parameters))[trials]
+        profile = _Profile(family, X, y)
+        vals, thetas, failed = profile.rows(T)
+        for eta, val, theta, bad in zip(T, vals, thetas, failed):
+            single = _single_trial(family, X, y, eta)
+            assert bad == (single is None)
+            if single is None:
+                continue
+            assert np.float64(val).view(np.int64) == \
+                np.float64(single[0]).view(np.int64)
+            assert np.float64(theta).view(np.int64) == \
+                np.float64(single[1]).view(np.int64)
+            one = profile(eta)
+            assert np.array_equal(np.array(one).view(np.int64),
+                                  np.array(single).view(np.int64))
