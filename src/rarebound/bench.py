@@ -90,14 +90,13 @@ def make_example1(d: int, p: float) -> ToyProblem:
     shapes = [float(i + 1) for i in range(1, d + 1)]
 
     def evaluate(X: np.ndarray) -> np.ndarray:
-        U = np.array(X, dtype=float)
-        U[:, 1:] = 1.0 - U[:, 1:]
-        # keep quantile arguments strictly inside (0, 1)
-        np.clip(U, 1e-16, 1.0 - 1e-16, out=U)
+        # quantile arguments strictly inside (0, 1); a flipped coordinate
+        # is the upper-tail probability of its Gamma variable, which keeps
+        # its relative accuracy where the rounded 1 - x would not
+        U = np.clip(np.asarray(X, dtype=float), 1e-16, 1.0 - 1e-16)
         z1 = gamma_quantile(U[:, 0], shapes[0])
-        rest = np.zeros_like(z1)
-        for j in range(1, d):
-            rest += gamma_quantile(U[:, j], shapes[j])
+        rest = sum(gamma_quantile(U[:, j], shapes[j], upper=True)
+                   for j in range(1, d))
         return z1 / (z1 + rest) - q
 
     fn = BlackBoxFunction(evaluate, dimension=d, threshold=0.0,

@@ -3,8 +3,11 @@ functions, their inverses, and the standard normal CDF/quantile.
 
 Everything here is double precision and accepts scalars or numpy arrays
 (shape parameters are scalar floats; only the main argument is vectorized).
-Series and continued fractions follow the classical formulations, with
-masked iteration so large arrays converge element by element.
+Series and continued fractions follow the classical formulations.  The
+Gamma quantile at an integer shape, which example1 uses, inverts the
+closed-form tails (DiDonato & Morris 1986) to a few ulp in both tails, and
+gives each point the same bits in any batch; the other iterations stop
+when the whole batch has converged, so their last bits depend on it.
 """
 
 from __future__ import annotations
@@ -117,45 +120,40 @@ def gamma_cdf(x, shape: float):
     return _ret(np.clip(out, 0.0, 1.0), scalar)
 
 
-def gamma_quantile(u, shape: float):
-    """Inverse of ``gamma_cdf`` in its first argument.
+def gamma_quantile(u, shape: float, upper: bool = False):
+    """Inverse of ``gamma_cdf`` in its first argument, or with ``upper``
+    the inverse of the survival function Q = 1 - P.
 
-    u=0 maps to 0 and u=1 to inf; interior values are solved by a
+    P = 0 maps to x = 0 and P = 1 to inf, so with ``upper`` u=0 maps to
+    inf and u=1 to 0.  An integer shape from 1 to 100 goes to
+    ``_integer_gamma_inverse``, which is accurate to a few ulp in both
+    tails and gives each point the same bits alone or in any batch.  Other
+    shapes are solved from P = u, or P = 1 - u rounded if ``upper``, by a
     Wilson-Hilferty start refined with damped Newton steps, which stop
-    once |P(shape, x) - u| <= 1e-13 u.  That residual is absolute in
-    P = 1 - Q, so in the upper tail the survival function Q = 1 - u is
-    matched only to about 1e-13 / (1 - u) relative: against an
-    independent inverse survival function, at shape 2 the quantile is
-    off by about 0.6% at 1 - u = 4e-13 and by about 9e-8 at
-    1 - u = 1e-10.  The error was monotone in u wherever it was measured.
-
-    A single point (a 0-d or one-element input) takes the same steps on
-    Python floats, which agrees with the array path to a few 1e-15
-    relative; the array path's stopping rules act on the whole batch, so
-    its last bits depend on the batch either way.
+    once |P(shape, x) - u| <= 1e-13 u.  That residual is absolute in P, so
+    the upper tail keeps little relative accuracy (at shape 2.5 the
+    quantile is off by 5e-6 at 1 - u = 1e-10 and by 0.25% at 1e-12), and
+    since its stopping rules act on the whole batch, a point's last bits
+    depend on its batch.
     """
     if shape <= 0.0:
         raise ValueError("shape must be positive")
     arr, scalar = _as_array(u)
-    if arr.size == 1:
-        v = float(arr.flat[0])
-        if v < 0.0 or v > 1.0:
-            raise ValueError("u must lie in [0, 1]")
-        if 0.0 < v < 1.0:
-            x = _gamma_quantile_one(v, shape)
-        elif v == 0.0:
-            x = 0.0
-        else:
-            x = math.inf if v == 1.0 else math.nan
-        return x if scalar else np.full(arr.shape, x)
+    inner = (arr > 0.0) & (arr < 1.0)
+    integer = shape == round(shape) and shape <= _INT_SHAPE_MAX
+    if integer and inner.all():
+        return _ret(_integer_gamma_inverse(arr, shape, upper), scalar)
     if np.any((arr < 0.0) | (arr > 1.0)):
         raise ValueError("u must lie in [0, 1]")
     out = np.full_like(arr, np.nan)
-    out[arr == 0.0] = 0.0
-    out[arr == 1.0] = np.inf
-    inner = (arr > 0.0) & (arr < 1.0)
+    out[arr == 0.0] = np.inf if upper else 0.0
+    out[arr == 1.0] = 0.0 if upper else np.inf
     if inner.any():
-        out[inner] = _gamma_quantile_inner(arr[inner], shape)
+        if integer:
+            out[inner] = _integer_gamma_inverse(arr[inner], shape, upper)
+        else:
+            v = arr[inner]
+            out[inner] = _gamma_quantile_inner(1.0 - v if upper else v, shape)
     return _ret(out, scalar)
 
 
@@ -188,80 +186,93 @@ def _gamma_quantile_inner(u: np.ndarray, a: float) -> np.ndarray:
     return x
 
 
-# one-point path: the steps above and in gamma_cdf, on Python floats
+# integer shapes.  With a = shape, pdf f = x^(a-1) e^-x / (a-1)! and
+#   Q(a, x) = e^-x sum_{k<a} x^k/k!,  so  Q/f = R = sum_{j<a} (a-1)!/(a-1-j)! / x^j,
+#   P(a, x) = e^-x x^a/a! T,  T = sum_{j>=0} x^j a!/(a+j)!,  so  P/f = x T / a.
+# Both sums are positive, so Newton on log Q = log R + (a-1) log x - x - log (a-1)!
+# and on log P = log T + a log x - x - log a! loses no accuracy in either tail.
 
-def _exp(t: float) -> float:
-    """``math.exp`` that overflows to inf, as ``np.exp`` does."""
-    try:
-        return math.exp(t)
-    except OverflowError:
-        return math.inf
-
-
-def _gamma_p_one(x: float, a: float) -> float:
-    """``gamma_cdf`` at one point."""
-    if x <= 0.0:
-        return 0.0
-    if x < a + 1.0:
-        ap = a
-        term = total = 1.0 / a
-        for _ in range(_MAX_ITER):
-            ap += 1.0
-            term *= x / ap
-            total += term
-            if abs(term) <= abs(total) * _EPS:
-                break
-        else:
-            raise NonConvergence("incomplete gamma series stalled")
-        p = total * _exp(-x + a * math.log(x) - math.lgamma(a))
-    elif a == round(a) and a <= 40:
-        term = total = 1.0
-        for k in range(1, int(round(a))):
-            term *= x / k
-            total += term
-        p = 1.0 - _exp(-x) * total
-    else:
-        b = x + 1.0 - a
-        c = 1.0 / _TINY
-        d = 1.0 / b
-        h = d
-        for i in range(1, _MAX_ITER):
-            an = -i * (i - a)
-            b = b + 2.0
-            d = an * d + b
-            if abs(d) < _TINY:
-                d = _TINY
-            c = b + an / c
-            if abs(c) < _TINY:
-                c = _TINY
-            d = 1.0 / d
-            delta = d * c
-            h *= delta
-            if abs(delta - 1.0) < _EPS:
-                break
-        else:
-            raise NonConvergence("incomplete gamma continued fraction stalled")
-        p = 1.0 - h * _exp(-x + a * math.log(x) - math.lgamma(a))
-    return min(max(p, 0.0), 1.0)
+_INT_SHAPE_MAX = 100
+_NEWTON_STEPS = 4        # from the start below, a 5th step moves no point beyond rounding
+_HALF_ULP = 2.0 ** -54   # a term at most T * 2^-54 cannot change the sum T
 
 
-def _gamma_quantile_one(u: float, a: float) -> float:
-    """``_gamma_quantile_inner`` at one point 0 < u < 1."""
-    z = _normal_quantile_one(u)
-    wh = a * (1.0 - 1.0 / (9.0 * a) + z / (3.0 * math.sqrt(a))) ** 3
-    x = wh if wh > 1e-8 * a else \
-        _exp((math.log(u) + math.lgamma(a + 1.0)) / a)
-    x = max(x, 1e-300)
-    loggam = math.lgamma(a)
-    for _ in range(60):
-        f = _gamma_p_one(x, a) - u
-        logpdf = (a - 1.0) * math.log(x) - x - loggam
-        step = f * _exp(-logpdf)
-        xn = min(max(x - step, 0.1 * x), 10.0 * x)
-        if abs(f) <= 1e-13 * max(u, 1e-12) or abs(xn - x) <= 1e-13 * x:
-            return x
-        x = xn
-    raise NonConvergence("gamma quantile Newton iteration stalled")
+def _integer_gamma_inverse(v: np.ndarray, a: float, upper: bool) -> np.ndarray:
+    """x with P(a, x) = v, or Q(a, x) = v if ``upper``, elementwise.
+
+    ``a`` is an integer from 1 to 100 and every v lies in (0, 1).  Newton
+    runs a fixed number of steps on log P where P <= 1/2 and on log Q
+    where Q < 1/2; the other of P and Q is taken as 1 - v, which is exact
+    there.  The series T runs until no element's next term can change its
+    sum, so every point's bits are those it has alone: a one-element input
+    takes the same steps on Python floats, which is faster.
+    """
+    if v.size == 1:
+        return np.full(v.shape, _integer_gamma_inverse_one(v.item(), a, upper))
+    flip = v > 0.5
+    w = np.where(flip, 1.0 - v, v)
+    on_q = flip != upper
+    lw = np.log(w)
+    # Wilson-Hilferty from a rough normal quantile of w; in the lower tail
+    # also (w a!)^(1/a), which lies below the root since P <= x^a/a!
+    z = _acklam_tail(np.sqrt(-2.0 * lw))
+    c = 1.0 - 1.0 / (9.0 * a) + np.where(on_q, -z, z) / (3.0 * math.sqrt(a))
+    x = a * (c * c * c)
+    x = np.where(on_q, x, np.maximum(x, np.exp((lw + math.lgamma(a + 1.0)) / a)))
+    if on_q.any():
+        xq, lq = x[on_q], lw[on_q]
+        for _ in range(_NEWTON_STEPS):
+            r = np.ones_like(xq)
+            for k in range(1, int(a)):
+                r = 1.0 + r * k / xq
+            xq = xq + (np.log(r) + (a - 1.0) * np.log(xq) - xq
+                       - math.lgamma(a) - lq) * r
+        x[on_q] = xq
+    if not on_q.all():
+        xp, lp = x[~on_q], lw[~on_q]
+        for _ in range(_NEWTON_STEPS):
+            term = np.ones_like(xp)
+            t = np.ones_like(xp)
+            j = a
+            while (term > t * _HALF_ULP).any():
+                j += 1.0
+                term = term * xp / j
+                t = t + term
+            xp = xp - (np.log(t) + a * np.log(xp) - xp
+                       - math.lgamma(a + 1.0) - lp) * xp * t / a
+        x[~on_q] = xp
+    return x
+
+
+def _integer_gamma_inverse_one(v: float, a: float, upper: bool) -> float:
+    """``_integer_gamma_inverse`` at one point; NumPy's scalar log and exp
+    give the bits of its array loops, where ``math``'s sometimes differ."""
+    flip = v > 0.5
+    w = 1.0 - v if flip else v
+    on_q = flip != upper
+    lw = float(np.log(w))
+    z = _acklam_tail(math.sqrt(-2.0 * lw))
+    c = 1.0 - 1.0 / (9.0 * a) + (-z if on_q else z) / (3.0 * math.sqrt(a))
+    x = a * (c * c * c)
+    if on_q:
+        for _ in range(_NEWTON_STEPS):
+            r = 1.0
+            for k in range(1, int(a)):
+                r = 1.0 + r * k / x
+            x = x + (float(np.log(r)) + (a - 1.0) * float(np.log(x)) - x
+                     - math.lgamma(a) - lw) * r
+        return x
+    x = max(x, float(np.exp((lw + math.lgamma(a + 1.0)) / a)))
+    for _ in range(_NEWTON_STEPS):
+        term = t = 1.0
+        j = a
+        while term > t * _HALF_ULP:
+            j += 1.0
+            term = term * x / j
+            t = t + term
+        x = x - (float(np.log(t)) + a * float(np.log(x)) - x
+                 - math.lgamma(a + 1.0) - lw) * x * t / a
+    return x
 
 
 # ---------------------------------------------------------------------------
@@ -433,20 +444,5 @@ def _normal_quantile_inner(p: np.ndarray) -> np.ndarray:
     for _ in range(2):
         e = normal_cdf(x) - p
         un = e * _SQRT_2PI * np.exp(0.5 * x * x)
-        x = x - un / (1.0 + 0.5 * x * un)
-    return x
-
-
-def _normal_quantile_one(p: float) -> float:
-    """``_normal_quantile_inner`` at one point 0 < p < 1."""
-    if p < _P_LOW:
-        x = _acklam_tail(math.sqrt(-2.0 * math.log(p)))
-    elif p > 1.0 - _P_LOW:
-        x = -_acklam_tail(math.sqrt(-2.0 * math.log(1.0 - p)))
-    else:
-        x = _acklam_central(p - 0.5)
-    for _ in range(2):
-        e = 0.5 * math.erfc(-x / _SQRT2) - p
-        un = e * _SQRT_2PI * _exp(0.5 * x * x)
         x = x - un / (1.0 + 0.5 * x * un)
     return x

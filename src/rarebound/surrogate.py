@@ -60,15 +60,15 @@ class PolynomialFamily:
             raise ValueError("dimension must be >= 1 and degree >= 0")
 
     @cached_property
+    def _monomials(self) -> list:
+        """Each monomial's coordinates in ascending order, lowest degree first."""
+        return [c for k in range(self.degree + 1) for c in
+                itertools.combinations_with_replacement(range(self.dimension), k)]
+
+    @cached_property
     def exponents(self) -> np.ndarray:
-        combos = []
-        for k in range(self.degree + 1):
-            for c in itertools.combinations_with_replacement(range(self.dimension), k):
-                e = np.zeros(self.dimension, dtype=int)
-                for j in c:
-                    e[j] += 1
-                combos.append(e)
-        E = np.array(combos, dtype=int)
+        E = np.array([[c.count(j) for j in range(self.dimension)]
+                      for c in self._monomials], dtype=int)
         E.setflags(write=False)         # one cached table serves every caller
         return E
 
@@ -78,15 +78,15 @@ class PolynomialFamily:
 
     def features(self, X: np.ndarray) -> np.ndarray:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        E = self.exponents
-        # one table of every coordinate's powers 0..degree, its columns
-        # multiplied coordinate by coordinate as np.prod over the exponent
-        # rows did, to the bit.  The power axis must keep its full length:
-        # NumPy rounds some powers differently on a length-1 axis
-        powers = X[:, :, None] ** np.arange(self.degree + 1)[None, None, :]
-        Phi = powers[:, 0, E[:, 0]]
-        for k in range(1, E.shape[1]):
-            Phi = Phi * powers[:, k, E[:, k]]
+        # a monomial's column is the column without its last coordinate
+        # times that coordinate, so each column is its coordinates
+        # multiplied left to right, every step correctly rounded (a square
+        # is x * x) and the same on every CPU
+        column = {c: i for i, c in enumerate(self._monomials)}
+        Phi = np.empty((X.shape[0], len(column)))
+        Phi[:, 0] = 1.0
+        for c, i in list(column.items())[1:]:
+            np.multiply(Phi[:, column[c[:-1]]], X[:, c[-1]], out=Phi[:, i])
         return Phi
 
     def init_parameters(self, gen: np.random.Generator) -> np.ndarray:

@@ -67,6 +67,42 @@ class TestExample1:
         assert np.array_equal(fresh.function.evaluator(X).view(np.int64),
                               cached.function.evaluator(X).view(np.int64))
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_one_row_gives_the_batch_value(self, d):
+        # single-point oracle calls must see the values a batch sees,
+        # down to the clipped ends of both tails
+        evaluate = make_example1(d, 5e-4).function.evaluator
+        gen = RandomStream(12, d).generator()
+        X = np.concatenate([
+            gen.random((300, d)),
+            10.0 ** -gen.uniform(0.0, 18.0, (100, d)),
+            1.0 - 10.0 ** -gen.uniform(0.0, 18.0, (100, d)),
+            np.array([[0.0] * d, [1.0] * d, [0.5] * d])])
+        batch = evaluate(X)
+        rows = np.array([evaluate(X[i:i + 1])[0] for i in range(len(X))])
+        assert np.all(np.abs(rows - batch) <= 4e-15 * np.abs(batch))
+
+    @pytest.mark.parametrize("t", [1e-12, 1e-14, 1e-16])
+    def test_far_tail_matches_mpmath(self, t):
+        # a flipped coordinate t is an upper-tail probability: Z_j solves
+        # Q(j + 1, Z_j) = t, which the rounded 1 - t would not resolve
+        mp = pytest.importorskip("mpmath")
+
+        def inverse(shape, w, upper):
+            tail = (lambda x: mp.gammainc(shape, x, mp.inf, regularized=True)) \
+                if upper else (lambda x: mp.gammainc(shape, 0, x, regularized=True))
+            start = mp.mpf(shape) - mp.log(w) if upper else mp.mpf(1)
+            return mp.findroot(lambda x: mp.log(tail(x)) - mp.log(w), start)
+
+        for d, x in ((2, [0.3, t]), (3, [0.3, t, 0.6]), (3, [0.7, 0.2, t])):
+            got = make_example1(d, 5e-4).function.evaluator(np.array([x]))[0]
+            with mp.workdps(40):
+                z = [inverse(2, mp.mpf(x[0]), False)]
+                z += [inverse(j + 2, mp.mpf(x[j]), True) for j in range(1, d)]
+                ratio = z[0] / mp.fsum(z)
+                exact = ratio - _example1_level(d, 5e-4)
+                assert abs(got - exact) <= 1e-14 * ratio, (d, x)
+
     def test_bad_p(self):
         with pytest.raises(ValueError):
             make_example1(3, 0.0)

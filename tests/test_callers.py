@@ -67,6 +67,21 @@ def test_benchmark_overrides_name_config_keys(monkeypatch):
     assert checked
 
 
+def test_benchmark_workloads_pass_their_checks(monkeypatch):
+    # one replication of each workload, checked as the benchmark checks
+    # every record, so a change that trips the benchmark's correctness
+    # gate fails here first
+    workloads = load(ROOT / "perfbench" / "workloads.py", monkeypatch)
+    # the fsd set-up wraps cli.fsd_fit; monkeypatch puts the original back
+    monkeypatch.setattr(rarebound.cli, "fsd_fit", rarebound.cli.fsd_fit)
+    for name, workload in sorted(workloads.WORKLOADS.items()):
+        state = workload.setup(rarebound, str(ROOT))
+        records = workload.op(rarebound, state, 202, 0)
+        assert records, name
+        for record in records:
+            assert workload.check(rarebound, record) is None, (name, record)
+
+
 def test_digest_match_lists_differing_replications(monkeypatch):
     bench_pairs = load(ROOT / "scripts" / "bench_pairs.py", monkeypatch)
     parent = [{"fingerprints": ["a", "b", "c"]},

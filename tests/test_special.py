@@ -191,3 +191,58 @@ class TestGammaQuantileOnePoint:
                   1.0 - np.geomspace(1e-6, 1e-9, 2000)):
             x = [gamma_quantile(float(v), shape) for v in u]
             assert np.all(np.diff(x) >= 0.0)
+
+
+def _mp_gamma_inverse(mp, shape, w, upper, x):
+    """The x with P(shape, x) = w, or Q(shape, x) = w if ``upper``, to 40
+    digits: Newton on log P or log Q, which are concave in x, from the
+    float x under test."""
+    with mp.workdps(40):
+        a, w, x = mp.mpf(shape), mp.mpf(w), mp.mpf(x)
+        for _ in range(30):
+            tail = mp.gammainc(a, x, mp.inf, regularized=True) if upper \
+                else mp.gammainc(a, 0, x, regularized=True)
+            pdf = mp.exp((a - 1) * mp.log(x) - x - mp.loggamma(a))
+            step = (mp.log(tail) - mp.log(w)) * tail / pdf
+            x = x + step if upper else x - step
+            if abs(step) < mp.mpf(10) ** -35 * x:
+                return x
+    raise AssertionError(("no convergence", shape, w, upper))
+
+
+class TestIntegerShapes:
+    """Integer shapes take closed-form tails: accurate to a few ulp in both
+    tails, with bits that do not depend on the batch."""
+
+    SHAPES = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 10.0, 20.0, 45.0)
+    TAILS = np.geomspace(1e-16, 0.5, 16)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_both_tails_match_mpmath(self, shape):
+        mp = pytest.importorskip("mpmath")
+        worst = 0.0
+        for w in self.TAILS:
+            # each tail two ways: from w itself, and from u = 1 - w
+            # rounded, whose other tail 1 - u is exact in floats
+            u = 1.0 - w
+            for x, target, upper in (
+                    (gamma_quantile(w, shape), w, False),
+                    (gamma_quantile(w, shape, upper=True), w, True),
+                    (gamma_quantile(u, shape), 1.0 - u, True),
+                    (gamma_quantile(u, shape, upper=True), 1.0 - u, False)):
+                ref = _mp_gamma_inverse(mp, shape, target, upper, x)
+                worst = max(worst, float(abs(x - ref) / ref))
+        assert worst <= 1e-14
+
+    @pytest.mark.parametrize("shape", (2.0, 3.0, 4.0, 5.0))
+    def test_a_point_has_the_same_bits_in_any_batch(self, shape):
+        gen = np.random.default_rng(int(shape))
+        batch = np.concatenate([gen.random(500), np.geomspace(1e-16, 0.5, 250),
+                                1.0 - np.geomspace(1e-12, 0.5, 250)])
+        gen.shuffle(batch)
+        for upper in (False, True):
+            whole = gamma_quantile(batch, shape, upper=upper)
+            for i, u in enumerate(batch):
+                alone = gamma_quantile(float(u), shape, upper=upper)
+                pair = gamma_quantile(batch[[i, i - 1]], shape, upper=upper)
+                assert alone == pair[0] == whole[i], (u, upper)
