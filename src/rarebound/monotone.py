@@ -64,18 +64,21 @@ class SamplerStalled(RuntimeError):
 # ---------------------------------------------------------------------------
 # dominance primitives
 
-def _covered(X: np.ndarray, G: np.ndarray, cmp=np.less_equal) -> np.ndarray:
-    """Rows x of X with ``cmp(x_k, g_k)`` in every coordinate k for some row g
-    of G: with ``np.less_equal``, the rows inside the union of the lower
-    orthants of G; with ``np.greater_equal``, of the upper orthants.
-
-    The (n, m) mask is built one coordinate at a time, never the
-    (n, m, d) tensor.
-    """
+def _dominated(X: np.ndarray, G: np.ndarray, cmp=np.less_equal) -> np.ndarray:
+    """The (n, m) mask of ``cmp(x_k, g_k)`` in every coordinate k, for rows x
+    of X and g of G: the one dominance test of this module.  It is built a
+    coordinate at a time; NumPy reduces the (n, m, d) tensor over its short
+    last axis several times slower."""
     hit = cmp(X[:, 0, None], G[None, :, 0])
     for k in range(1, X.shape[1]):
         hit &= cmp(X[:, k, None], G[None, :, k])
-    return hit.any(axis=1)
+    return hit
+
+
+def _covered(X: np.ndarray, G: np.ndarray, cmp=np.less_equal) -> np.ndarray:
+    """Rows of X in the orthant of some row of G, by the ``_dominated``
+    mask: lower for ``np.less_equal``, upper for ``np.greater_equal``."""
+    return _dominated(X, G, cmp).any(axis=1)
 
 
 def _clear_covered(out: np.ndarray, X: np.ndarray, G: np.ndarray,
@@ -101,13 +104,14 @@ def _check_cube(P: np.ndarray, tol: float) -> None:
 
 
 def maximal_points(P) -> np.ndarray:
-    """Antichain of maximal points: same union of lower orthants.  Exact
-    duplicates collapse; rows come out in lexicographic order."""
+    """Antichain of maximal points, by the ``_dominated`` mask: same union
+    of lower orthants.  Exact duplicates collapse; rows come out in
+    lexicographic order."""
     P = np.atleast_2d(np.asarray(P, dtype=float))
     if P.shape[0] <= 1:
         return P.copy()
     P = np.unique(P, axis=0)
-    leq = np.all(P[:, None, :] <= P[None, :, :], axis=2)
+    leq = _dominated(P, P)
     np.fill_diagonal(leq, False)
     return P[~leq.any(axis=1)]
 
@@ -255,13 +259,14 @@ def _delta_lower_volume(stair: _Staircase2, P: np.ndarray) -> np.ndarray:
     return stair.gain(P[:, 0], P[:, 1])
 
 
-def _insert_maximal(pruned: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Add x to a maximal antichain, keeping it maximal."""
-    if pruned.shape[0] and np.any(np.all(pruned >= x[None, :], axis=1)):
+def _insert_maximal(pruned: np.ndarray, x: np.ndarray,
+                    cmp=np.less_equal) -> np.ndarray:
+    """Add x to a maximal antichain, keeping it maximal; with
+    ``np.greater_equal``, to a minimal antichain, keeping it minimal."""
+    x = x[None, :]
+    if _covered(x, pruned, cmp)[0]:
         return pruned
-    if pruned.shape[0]:
-        pruned = pruned[~np.all(pruned <= x[None, :], axis=1)]
-    return np.vstack([pruned, x[None, :]])
+    return np.concatenate([pruned[~_dominated(pruned, x, cmp)[:, 0]], x])
 
 
 class _Staircase2:
@@ -319,15 +324,12 @@ def orthant_volume_mc(P, upper: bool = False, n: int = _MC_VOLUME_N,
     rng = rng or RandomStream(880, 0)
     gen = rng.generator()
     d = P.shape[1]
-    hits = 0
+    cmp = np.greater_equal if upper else np.less_equal
     chunk = max(1, min(n, 4_000_000 // max(1, P.shape[0] * d)))
-    left = n
-    while left > 0:
-        m = min(chunk, left)
-        X = gen.random((m, d))
-        inside = _covered(X, P, np.greater_equal if upper else np.less_equal)
-        hits += int(np.count_nonzero(inside))
-        left -= m
+    hits = 0
+    for start in range(0, n, chunk):
+        X = gen.random((min(chunk, n - start), d))
+        hits += int(np.count_nonzero(_covered(X, P, cmp)))
     p = hits / n
     return p, float(np.sqrt(p * (1.0 - p) / n))
 
@@ -479,10 +481,8 @@ class StaircaseRegion:
     def with_safe(self, x) -> "StaircaseRegion":
         x = np.asarray(x, dtype=float)
         _check_disjoint(x[None, :], self.fail_generators)
-        # negation is exact, so the stored generator is the observed point
-        return self._updated(self.fail_generators,
-                             -_insert_maximal(-self.safe_generators, -x),
-                             x, upper=True)
+        safe = _insert_maximal(self.safe_generators, x, np.greater_equal)
+        return self._updated(self.fail_generators, safe, x, upper=True)
 
     def _updated(self, fail_generators, safe_generators, x,
                  upper: bool) -> "StaircaseRegion":
@@ -566,24 +566,24 @@ class RejectionSampler:
         if self._buffer.shape[0]:
             self._buffer = self._buffer[region.retain(self._buffer, self._since)]
         self._since = region
-        out: List[np.ndarray] = list(self._buffer[:n])
-        self._buffer = self._buffer[n:]
-        self.draws += len(out)
+        # an unused sampler's buffer is (0, 0)
+        parts = [self._buffer[:n].reshape(-1, region.dimension)]
+        got = parts[0].shape[0]
+        self._buffer = self._buffer[got:]
         spent = 0
-        while len(out) < n and spent < self.max_attempts:
+        while got < n and spent < self.max_attempts:
             X = gen.random((self.chunk, region.dimension))
             spent += self.chunk
             self.attempts += self.chunk
             keep = X[region.contains_batch(X)]
-            take = keep[:n - len(out)]
-            out.extend(take)
-            self.draws += take.shape[0]
-            if len(out) >= n:
-                self._buffer = keep[take.shape[0]:]
-        if len(out) < n:
+            parts.append(keep[:n - got])
+            self._buffer = keep[n - got:]
+            got += parts[-1].shape[0]
+        self.draws += got
+        if got < n:
             raise SamplerStalled(
-                f"collected {len(out)}/{n} region points in {spent} uniform draws")
-        return np.array(out)
+                f"collected {got}/{n} region points in {spent} uniform draws")
+        return np.concatenate(parts)
 
     @property
     def acceptance_rate(self) -> float:
@@ -837,7 +837,7 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         else:
             sel = np.arange(pool.shape[0])
         P = pool[sel]
-        geq = np.all(P[:, None, :] >= P[None, :, :], axis=2)
+        geq = _dominated(P, P, np.greater_equal)
         score = geq.sum(axis=0) + geq.sum(axis=1)
         pick = int(np.argmax(score))
         pool = np.delete(pool, sel[pick], axis=0)

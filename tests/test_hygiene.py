@@ -1,6 +1,7 @@
 """Every module-level import and definition in the package is used,
-every config key reaches a method runner, and every command-line option
-is passed by some test.
+every config key reaches a method runner, every command-line option
+is passed by some test, and the monotone module builds each dominance
+mask through its one primitive.
 
 The package has no linter in its build, so these scans are its lint gate.
 ``__init__.py`` is skipped by the import scan because its imports are
@@ -110,6 +111,44 @@ def test_scan_finds_unreferenced_definitions():
 def test_every_definition_is_referenced():
     sources = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
     assert unreferenced_definitions(sources) == []
+
+
+def _broadcast_index(node):
+    """True for a subscript that inserts an axis, as in ``P[:, None, :]``."""
+    if not isinstance(node, ast.Subscript):
+        return False
+    index = node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+    return any((isinstance(e, ast.Constant) and e.value is None)
+               or getattr(e, "attr", None) == "newaxis" for e in index)
+
+
+def broadcast_reductions(source, allowed="_dominated"):
+    """Lines of ``np.all`` or ``.all`` calls over an operand with an inserted
+    axis, a broadcast dominance tensor, outside the function ``allowed``."""
+    tree = ast.parse(source)
+    inside = {id(n) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == allowed
+              for n in ast.walk(f)}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in inside
+                  and getattr(node.func, "attr", None) == "all"
+                  and any(_broadcast_index(n) for n in ast.walk(node)))
+
+
+def test_scan_finds_broadcast_reductions():
+    source = ("import numpy as np\n"
+              "def _dominated(X, G):\n"
+              "    return np.all(X[:, None, :] <= G[None], axis=2)\n"
+              "def f(P, x):\n"
+              "    a = np.all(P[:, None, :] <= P[None, :, :], axis=2)\n"
+              "    b = (P >= x[np.newaxis, :]).all(axis=1)\n"
+              "    c = np.all((P >= 0.0) & (P <= 1.0))\n"
+              "    return np.any(P[:, None] <= x) and P[0].all()\n")
+    assert broadcast_reductions(source) == [5, 6]
+
+
+def test_dominance_masks_go_through_one_primitive():
+    assert broadcast_reductions((PACKAGE / "monotone.py").read_text()) == []
 
 
 def unread_option_fields(source):

@@ -93,6 +93,76 @@ def contains(region, x):
     return bool(region.contains_batch(np.atleast_2d(x))[0])
 
 
+def dominated_reference(X, G, cmp=np.less_equal):
+    """The dominance mask as the (n, m, d) tensor reduced over d; reference."""
+    return np.all(cmp(X[:, None, :], G[None, :, :]), axis=2)
+
+
+def maximal_reference(P):
+    """maximal_points on the tensor mask; reference."""
+    P = np.atleast_2d(np.asarray(P, dtype=float))
+    if P.shape[0] <= 1:
+        return P.copy()
+    P = np.unique(P, axis=0)
+    leq = dominated_reference(P, P)
+    np.fill_diagonal(leq, False)
+    return P[~leq.any(axis=1)]
+
+
+def insert_maximal_reference(pruned, x):
+    """_insert_maximal with a reduction over an (m, d) array; reference."""
+    if pruned.shape[0] and np.any(np.all(pruned >= x[None, :], axis=1)):
+        return pruned
+    if pruned.shape[0]:
+        pruned = pruned[~np.all(pruned <= x[None, :], axis=1)]
+    return np.vstack([pruned, x[None, :]])
+
+
+def draw_batch_reference(self, region, gen, n):
+    """RejectionSampler.draw_batch collecting a list of row views; reference."""
+    if self._buffer.shape[0]:
+        self._buffer = self._buffer[region.retain(self._buffer, self._since)]
+    self._since = region
+    out = list(self._buffer[:n])
+    self._buffer = self._buffer[n:]
+    self.draws += len(out)
+    spent = 0
+    while len(out) < n and spent < self.max_attempts:
+        X = gen.random((self.chunk, region.dimension))
+        spent += self.chunk
+        self.attempts += self.chunk
+        keep = X[region.contains_batch(X)]
+        take = keep[:n - len(out)]
+        out.extend(take)
+        self.draws += take.shape[0]
+        if len(out) >= n:
+            self._buffer = keep[take.shape[0]:]
+    if len(out) < n:
+        raise SamplerStalled(
+            f"collected {len(out)}/{n} region points in {spent} uniform draws")
+    return np.array(out)
+
+
+# signed zeros, ties, a tiny and the largest float below 1, mixed with
+# arbitrary floats of the unit interval
+EDGE_COORD = st.sampled_from(
+    [0.0, -0.0, 2.0 ** -60, 0.25, 0.5, 1.0 - 2.0 ** -53, 1.0]) | st.floats(0.0, 1.0)
+
+
+@st.composite
+def point_pairs(draw):
+    """(X, G) of d = 1-5 columns; G may be empty and repeats rows of X."""
+    d = draw(st.integers(1, 5))
+    row = st.lists(EDGE_COORD, min_size=d, max_size=d)
+    X = draw(st.lists(row, min_size=1, max_size=8))
+    G = draw(st.lists(row | st.sampled_from(X), max_size=8))
+    return np.array(X), np.array(G, dtype=float).reshape(-1, d)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 class TestDominance:
     def test_antichain(self):
         assert is_antichain(np.array([[0.2, 0.8], [0.8, 0.2]]))
@@ -113,6 +183,30 @@ class TestDominance:
         assert is_antichain(Q)
         assert lower_orthant_volume(Q) == pytest.approx(
             lower_orthant_volume(P), abs=1e-12)
+
+
+    @given(point_pairs())
+    @settings(max_examples=300, deadline=None)
+    def test_primitives_match_the_tensor_forms(self, pair):
+        X, G = pair
+        for cmp in (np.less_equal, np.greater_equal):
+            want = dominated_reference(X, G, cmp)
+            assert same_bits(monotone._dominated(X, G, cmp), want)
+            assert same_bits(monotone._covered(X, G, cmp), want.any(axis=1))
+        P = np.vstack([X, G])
+        assert same_bits(maximal_points(P), maximal_reference(P))
+        assert same_bits(minimal_points(P), -maximal_reference(-P))
+        # insert every row of X, one at a time, into the antichains of G;
+        # a minimal antichain is the negated maximal one of -G
+        got = want = maximal_reference(G) if G.shape[0] else G
+        low = flip = -maximal_reference(-G) if G.shape[0] else G
+        for x in X:
+            got = monotone._insert_maximal(got, x)
+            want = insert_maximal_reference(want, x)
+            assert same_bits(got, want)
+            low = monotone._insert_maximal(low, x, np.greater_equal)
+            flip = -insert_maximal_reference(-flip, -x)
+            assert same_bits(low, flip)
 
 
 class TestOrthantVolumes:
@@ -711,6 +805,36 @@ class TestRejectionSampler:
         assert np.array_equal(s.draw_batch(r, gen, 2), rest[4:6])
         assert s.attempts == 64 and s.draws == 9
 
+    def test_drained_buffer_keeps_its_columns(self):
+        # rows left over carry over; once a call uses them all, the buffer
+        # is an empty (0, d) array that the next call's draws extend
+        r = StaircaseRegion.empty(3)
+        s = RejectionSampler(chunk=16)
+        stream = RandomStream(8, 0).generator().random((32, 3))
+        gen = RandomStream(8, 0).generator()
+        assert np.array_equal(s.draw_batch(r, gen, 5), stream[:5])
+        assert np.array_equal(s.draw_batch(r, gen, 11), stream[5:16])
+        assert s._buffer.shape == (0, 3)
+        X = s.draw_batch(r, gen, 4)
+        assert X.shape == (4, 3) and np.array_equal(X, stream[16:20])
+        assert s._buffer.shape == (12, 3)
+        assert s.attempts == 32 and s.draws == 20
+
+    def test_stall_reports_the_rows_collected(self):
+        # a region of volume 1/16: 64 attempts collect a few rows, short
+        # of the request, and the message counts them
+        r = StaircaseRegion(np.empty((0, 2)),
+                            np.array([[0.25, 0.0], [0.0, 0.25]]), 2)
+        chunks = RandomStream(9, 0).generator().random((64, 2))
+        got = int(np.count_nonzero(r.contains_batch(chunks)))
+        assert 0 < got < 10
+        s = RejectionSampler(chunk=16, max_attempts=64)
+        with pytest.raises(SamplerStalled,
+                           match=f"collected {got}/{got + 5} region points "
+                                 "in 64 uniform draws"):
+            s.draw_batch(r, RandomStream(9, 0).generator(), got + 5)
+        assert s.attempts == 64 and s.draws == got
+
     def test_stalls_on_tiny_region(self):
         # undecided sliver of volume ~1e-4; cap attempts below 1/volume
         r = StaircaseRegion(np.array([[0.9999, 0.9999]]),
@@ -752,6 +876,35 @@ class TestSequentialBounder:
         assert repr((run.bounds.lower, run.bounds.upper)) == expected
         if name is not None:
             assert run.sampler_name == name
+
+    @pytest.mark.parametrize("name", ["example1:d=3:p=5e-4",
+                                      "example1:d=4:p=5e-4"])
+    @pytest.mark.parametrize("rep", [0, 3])
+    def test_dominance_bits_in_a_run(self, name, rep, monkeypatch):
+        # as shipped, then on the tensor dominance mask and list-of-rows
+        # draws; replication 3 of d = 3 hands over to the walk
+        samplers = []
+
+        class Recorded(RejectionSampler):
+            def __init__(self):
+                super().__init__()
+                samplers.append(self)
+
+        monkeypatch.setattr(monotone, "RejectionSampler", Recorded)
+        runs = [sequential_bounder(get_benchmark(name).function, 200,
+                                   RandomStream(202, rep), sampler="auto")]
+        monkeypatch.setattr(monotone, "_dominated", dominated_reference)
+        monkeypatch.setattr(Recorded, "draw_batch", draw_batch_reference)
+        runs.append(sequential_bounder(get_benchmark(name).function, 200,
+                                       RandomStream(202, rep), sampler="auto"))
+        a, b = runs
+        assert same_bits(a.design.points, b.design.points)
+        assert np.array_equal(a.design.fail, b.design.fail)
+        assert (a.bounds.lower, a.bounds.upper) == (b.bounds.lower, b.bounds.upper)
+        assert a.sampler_name == b.sampler_name
+        first, second = samplers
+        assert (first.attempts, first.draws) == (second.attempts, second.draws)
+        assert first.draws > 0
 
     def test_contains_truth_and_traces_nest(self):
         prob = make_linear_toy(2, 0.5)
