@@ -848,31 +848,38 @@ class TestRejectionSampler:
 
 
 class TestSequentialBounder:
-    @pytest.mark.parametrize("d, sampler, budget, rep, expected, name", [
-        pytest.param(3, "auto", 60, 0,
+    @pytest.mark.parametrize("d, sampler, budget, seed, rep, expected, name", [
+        pytest.param(3, "auto", 60, 202, 0,
                      "(4.156909750672099e-05, 0.0063627345058108195)", None,
                      id="d3"),
-        pytest.param(2, "auto", 60, 0,
+        pytest.param(2, "auto", 60, 202, 0,
                      "(0.0004190881990539619, 0.0006051014329112593)", None,
                      id="d2"),
-        pytest.param(3, "mcmc", 60, 0,
+        pytest.param(3, "mcmc", 60, 202, 0,
                      "(3.576791385105685e-05, 0.0027373693251272484)", None,
                      id="d3-mcmc"),
         # the two cells of the mono-hd benchmark protocol; replication 3
         # of d = 3 hands over to the walk, so its chain states are kept
         # across region updates
-        pytest.param(4, "auto", 200, 0,
+        pytest.param(4, "auto", 200, 202, 0,
                      "(3.4109665226175185e-05, 0.009260691466239425)", None,
                      id="d4-auto"),
-        pytest.param(3, "auto", 200, 3,
+        pytest.param(3, "auto", 200, 202, 3,
                      "(0.0002299270745673286, 0.0011785056834747734)",
                      "auto(rejection->mcmc)", id="d3-switch"),
+        # replication 13 of criterion 01's seed: a rejected walk step
+        # keeps its state, so the pool holds a point twice, and the pool
+        # score must count the two as dominating each other
+        pytest.param(3, "auto", 200, 20260823, 13,
+                     "(0.0002054820391325971, 0.0012826559827106012)",
+                     "auto(rejection->mcmc)", id="d3-pool-tie"),
     ])
-    def test_golden_bounds(self, d, sampler, budget, rep, expected, name):
+    def test_golden_bounds(self, d, sampler, budget, seed, rep, expected,
+                           name):
         # pinned to the last bit: a change to the oracle, to region
         # membership or to the walk that moves one label moves these
         run = sequential_bounder(make_example1(d, 5e-4).function, budget,
-                                 RandomStream(202, rep), sampler=sampler)
+                                 RandomStream(seed, rep), sampler=sampler)
         assert repr((run.bounds.lower, run.bounds.upper)) == expected
         if name is not None:
             assert run.sampler_name == name

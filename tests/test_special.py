@@ -49,7 +49,7 @@ class TestClosedForms:
 class TestScipyOracle:
     def test_gamma_cdf_matches(self):
         x = np.linspace(0.01, 25.0, 60)
-        for shape in (0.5, 1.0, 2.0, 3.0, 7.5, 15.0):
+        for shape in (1.0, 2.0, 3.0, 8.0, 15.0, 45.0):
             ref = scipy_stats.gamma.cdf(x, shape)
             assert np.allclose(gamma_cdf(x, shape), ref, atol=1e-12)
 
@@ -76,7 +76,7 @@ class TestScipyOracle:
 class TestRoundTrips:
     def test_gamma_roundtrip(self):
         u = np.linspace(1e-6, 1.0 - 1e-6, 200)
-        for shape in (0.7, 2.0, 3.0, 9.0):
+        for shape in (1.0, 2.0, 3.0, 9.0):
             assert np.allclose(gamma_cdf(gamma_quantile(u, shape), shape), u,
                                atol=1e-10)
 
@@ -99,13 +99,13 @@ class TestProperties:
         lo, hi = sorted((x1, x2))
         assert beta_cdf(lo, a, b) <= beta_cdf(hi, a, b) + 1e-12
 
-    @given(st.floats(0.01, 20.0), st.floats(0.01, 20.0), st.floats(0.3, 10.0))
+    @given(st.floats(0.01, 20.0), st.floats(0.01, 20.0), st.integers(1, 10))
     @settings(max_examples=60, deadline=None)
     def test_gamma_cdf_monotone(self, x1, x2, shape):
         lo, hi = sorted((x1, x2))
         assert gamma_cdf(lo, shape) <= gamma_cdf(hi, shape) + 1e-12
 
-    @given(st.floats(1e-4, 1.0 - 1e-4), st.floats(0.3, 8.0))
+    @given(st.floats(1e-4, 1.0 - 1e-4), st.integers(1, 8))
     @settings(max_examples=60, deadline=None)
     def test_gamma_quantile_positive(self, u, shape):
         assert gamma_quantile(u, shape) > 0.0
@@ -124,6 +124,21 @@ class TestErrors:
             beta_quantile(1.5, 2.0, 3.0)
         with pytest.raises(ValueError):
             normal_quantile(-0.1)
+
+    @pytest.mark.parametrize("shape", [0.5, 0, -1, 2.5])
+    def test_gamma_shape_must_be_a_positive_integer(self, shape):
+        for arg in (0.5, np.array([0.5, 2.0])):
+            with pytest.raises(ValueError):
+                gamma_cdf(arg, shape)
+            with pytest.raises(ValueError):
+                gamma_quantile(arg / 4.0, shape)
+
+    def test_gamma_cdf_is_one_at_large_x(self):
+        # Q's sum times e^-x must not turn into inf * 0
+        for x, shape in ((np.inf, 3.0), (1e300, 3.0), (1e10, 40.0),
+                         (1e10, 100.0), (np.inf, 1.0)):
+            assert gamma_cdf(x, shape) == 1.0
+            assert gamma_cdf(np.array([x, 0.0]), shape).tolist() == [1.0, 0.0]
 
     def test_quantile_endpoint_limits(self):
         assert normal_quantile(0.0) == -np.inf
@@ -144,11 +159,10 @@ class TestErrors:
 
 
 class TestGammaQuantileOnePoint:
-    """A single point takes a path on Python floats; it must track the
-    array path, which is compared on a two-element batch because the array
-    path's stopping rules act on the whole batch."""
+    """A single point takes a path on Python floats; it must give the bits
+    of the array path, here on a two-element batch."""
 
-    SHAPES = (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 0.5, 2.5, 45.0)
+    SHAPES = (2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 45.0, 101.0)
     U = np.concatenate([np.geomspace(1e-16, 0.5, 150),
                         1.0 - np.geomspace(1e-6, 0.5, 150)])
 
@@ -157,7 +171,7 @@ class TestGammaQuantileOnePoint:
         one = np.array([gamma_quantile(float(u), shape) for u in self.U])
         batch = np.array([gamma_quantile(np.array([u, u]), shape)[0]
                           for u in self.U])
-        assert np.all(np.abs(one - batch) <= 1e-13 * batch)
+        assert np.array_equal(one, batch)
 
     def test_endpoints_and_domain(self):
         for shape in self.SHAPES:
@@ -211,13 +225,15 @@ def _mp_gamma_inverse(mp, shape, w, upper, x):
 
 
 class TestIntegerShapes:
-    """Integer shapes take closed-form tails: accurate to a few ulp in both
-    tails, with bits that do not depend on the batch."""
+    """Integer shapes take closed-form tails: accurate in both tails to a
+    relative error that grows slowly with the shape, with bits that do not
+    depend on the batch."""
 
-    SHAPES = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 10.0, 20.0, 45.0)
+    SHAPES = (1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 10.0, 20.0, 45.0, 101.0,
+              150.0)
     TAILS = np.geomspace(1e-16, 0.5, 16)
 
-    @pytest.mark.parametrize("shape", SHAPES)
+    @pytest.mark.parametrize("shape", SHAPES + (300.0,))
     def test_both_tails_match_mpmath(self, shape):
         mp = pytest.importorskip("mpmath")
         worst = 0.0
@@ -232,7 +248,8 @@ class TestIntegerShapes:
                     (gamma_quantile(u, shape, upper=True), 1.0 - u, False)):
                 ref = _mp_gamma_inverse(mp, shape, target, upper, x)
                 worst = max(worst, float(abs(x - ref) / ref))
-        assert worst <= 1e-14
+        # the error grows with the shape: 2.8e-14 is measured at 300
+        assert worst <= (1e-14 if shape in self.SHAPES else 3e-14)
 
     @pytest.mark.parametrize("shape", (2.0, 3.0, 4.0, 5.0))
     def test_a_point_has_the_same_bits_in_any_batch(self, shape):
