@@ -43,7 +43,6 @@ from .monotone import (
     lower_orthant_volume,
     maximal_points,
     minimal_points,
-    orthant_volume_mc,
     sequential_bounder,
     upper_orthant_volume,
 )
@@ -120,7 +119,6 @@ __all__ = [
     "minimal_points",
     "normal_cdf",
     "normal_quantile",
-    "orthant_volume_mc",
     "psi",
     "psi_inv",
     "q2",

@@ -19,7 +19,7 @@ from typing import Dict, Optional
 import numpy as np
 
 from .core import BlackBoxFunction
-from .special import beta_quantile, gamma_quantile
+from .special import _integer_gamma_inverse_one, beta_quantile, gamma_quantile
 
 __all__ = [
     "ToyProblem",
@@ -93,9 +93,21 @@ def make_example1(d: int, p: float) -> ToyProblem:
         # quantile arguments strictly inside (0, 1); a flipped coordinate
         # is the upper-tail probability of its Gamma variable, which keeps
         # its relative accuracy where the rounded 1 - x would not
-        U = np.clip(np.asarray(X, dtype=float), 1e-16, 1.0 - 1e-16)
+        X = np.asarray(X, dtype=float)
+        if X.shape[0] == 1:
+            return np.array([evaluate_one(X[0].tolist())])
+        U = np.clip(X, 1e-16, 1.0 - 1e-16)
         z1 = gamma_quantile(U[:, 0], shapes[0])
         rest = sum(gamma_quantile(U[:, j], shapes[j], upper=True)
+                   for j in range(1, d))
+        return z1 / (z1 + rest) - q
+
+    def evaluate_one(x: list) -> float:
+        # a one-row batch on Python floats, bit for bit: the clip, the
+        # kernel gamma_quantile runs on one point, and the order of the sum
+        u = [min(max(v, 1e-16), 1.0 - 1e-16) for v in x]
+        z1 = _integer_gamma_inverse_one(u[0], shapes[0], False)
+        rest = sum(_integer_gamma_inverse_one(u[j], shapes[j], True)
                    for j in range(1, d))
         return z1 / (z1 + rest) - q
 

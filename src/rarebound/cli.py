@@ -42,7 +42,7 @@ import numpy as np
 from .bench import benchmark_descriptions, get_benchmark
 from .core import RandomStream, check_finite, surrogate_mc_estimate
 from .dyadic import refine
-from .monotone import sequential_bounder
+from .monotone import MAX_VOLUME_DIM, sequential_bounder
 from .surrogate import (
     DEFAULT_BERNSTEIN_C,
     FeedforwardFamily,
@@ -238,6 +238,11 @@ def _validate(cfg: ExperimentConfig, source: str) -> None:
     if not 0.0 < cfg.shift.alpha < 1.0:
         raise ConfigError(
             f"{source}: alpha must be in (0, 1), got {cfg.shift.alpha}")
+    if cfg.method in _SAMPLERS and problem.dimension > MAX_VOLUME_DIM:
+        raise ConfigError(
+            f"{source}: {cfg.method} computes exact volumes only up to "
+            f"d = {MAX_VOLUME_DIM}; benchmark {cfg.benchmark!r} has "
+            f"d = {problem.dimension}")
     if cfg.method == "dyadic" and cfg.dyadic.lipschitz <= 0.0 \
             and problem.lipschitz is None:
         raise ConfigError(

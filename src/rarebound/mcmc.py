@@ -15,7 +15,10 @@ draws its query pools from :class:`RegionWalkSampler` and computes the
 bounds from the labelled design, so they do not depend on how well the
 chains mix.  The tuning is therefore fixed: 32 chains, proposal scale
 2.38^2, a 200-step adaptation window, burn-in of a fifth of a window,
-and a thinning gap measured from the lag-1 autocorrelation.
+and a thinning gap measured from the lag-1 autocorrelation.  Every
+harvest of the 32 states is handed out whole: rows a draw does not need
+are kept, filtered like the chains when the region shrinks, and served
+before the chains step again.
 """
 
 from __future__ import annotations
@@ -160,6 +163,7 @@ class RegionWalkSampler:
         self._steps_since_adapt = 0
         self._recent = []
         self._states = self._initial_states()
+        self._spare = np.empty((0, self._dim))
         self._burned_in = False
 
     def _initial_states(self):
@@ -175,15 +179,18 @@ class RegionWalkSampler:
         return self._accepted / self._proposed if self._proposed else 0.0
 
     def update_region(self, region):
-        """Shrink to a nested region, re-seeding any chains left outside.
+        """Shrink to a nested region, re-seeding any chains left outside and
+        dropping the spare rows left outside.
 
-        Every chain state lies in the previous region, so after one label
-        only the orthant it removed is tested
+        Every chain state and spare row lies in the previous region, so
+        after one label only the orthant it removed is tested
         (:meth:`~rarebound.monotone.StaircaseRegion.retain`).
         """
         if region.dimension != self._dim:
             raise ValueError("region dimension changed")
         alive = region.retain(self._states, self.region)
+        if self._spare.shape[0]:
+            self._spare = self._spare[region.retain(self._spare, self.region)]
         self.region = region
         if not alive.any():
             self._states = self._initial_states()
@@ -236,20 +243,24 @@ class RegionWalkSampler:
     def draw(self, n):
         """Return ``n`` approximately uniform, approximately independent draws.
 
-        Chains are advanced a measured decorrelation gap between snapshot
-        harvests; the first call additionally burns in the chains.
+        Spare rows of earlier harvests come first.  Once they run out,
+        chains are advanced a measured decorrelation gap between snapshot
+        harvests, and each snapshot, shuffled, joins the spares; the first
+        call additionally burns in the chains.
         """
         if not self._burned_in:
             self.step(_BURN_IN)
             self._burned_in = True
-        out = []
-        got = 0
+        parts = [self._spare]
+        got = self._spare.shape[0]
         while got < n:
             traj = (np.stack([s[0] for s in self._recent])
                     if len(self._recent) >= 3 else self._states)
             self.step(decorrelation_gap(traj))
-            out.append(self._states.copy())
-            got += self._states.shape[0]
-        pool = np.vstack(out)[:n]
-        self._gen.shuffle(pool, axis=0)
-        return pool
+            snap = self._states.copy()
+            self._gen.shuffle(snap, axis=0)
+            parts.append(snap)
+            got += snap.shape[0]
+        rows = np.concatenate(parts)
+        self._spare = rows[n:]
+        return rows[:n]

@@ -9,11 +9,10 @@ yield deterministic probability bounds
 
 with the gap carried by the staircase-shaped undecided region in between.
 This module provides the dominance primitives, union volumes with an a
-priori rounding-error bound (and a Monte Carlo fallback in high
-dimension), the undecided-region type, and a sequential bounder that
-spends a query budget on points of the undecided region: at the interval
-midpoint in one dimension, on a boundary estimate or a strip midpoint in
-two, and drawn by a sampler from three on.
+priori rounding-error bound up to d = 6, the undecided-region type, and a
+sequential bounder that spends a query budget on points of the undecided
+region: at the interval midpoint in one dimension, on a boundary estimate
+or a strip midpoint in two, and drawn by a sampler from three on.
 """
 
 from __future__ import annotations
@@ -23,9 +22,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .core import (DETERMINISTIC, HIGH_PROBABILITY, BlackBoxFunction,
-                   DimensionMismatch, ProbabilityBounds, RandomStream,
-                   check_finite)
+from .core import (DETERMINISTIC, BlackBoxFunction, DimensionMismatch,
+                   ProbabilityBounds, RandomStream, check_finite)
 
 __all__ = [
     "MonotonicityViolation",
@@ -35,7 +33,6 @@ __all__ = [
     "minimal_points",
     "lower_orthant_volume",
     "upper_orthant_volume",
-    "orthant_volume_mc",
     "LabeledDesign",
     "StaircaseRegion",
     "bounds_from_design",
@@ -44,9 +41,7 @@ __all__ = [
     "sequential_bounder",
 ]
 
-MC_VOLUME_DIM = 6          # exact volumes up to here, Monte Carlo beyond
-_MC_VOLUME_N = 200_000
-_MC_ALPHA = 1e-6           # per-volume failure mass of the MC fallback bounds
+MAX_VOLUME_DIM = 6         # exact volumes up to here, no bounds beyond
 SWITCH_ACCEPTANCE = 5e-3   # sampler "auto" hands over to the walk below this
 _POOL_SIZE = 192           # sampled region points kept on hand ...
 _SCORE_SUBSAMPLE = 48      # ... of which each step scores this many
@@ -159,6 +154,30 @@ def _vol3(P: np.ndarray) -> float:
     return float(np.diff(xs, prepend=0.0) @ H @ np.diff(ys, prepend=0.0))
 
 
+def _vol4(P: np.ndarray) -> float:
+    """Volume of a union of lower orthants in [0,1]^4 by one sweep.
+
+    Downward in the last coordinate w, the union's cross-section between
+    consecutive heights is the 3-D union of the points reached so far.  It
+    is kept as one ``_vol3`` grid over every point's distinct x and y: each
+    point raises the z-maxima of the cells it covers, and each slab adds its
+    thickness times the grid's volume (Guerreiro, Fonseca & Emmerich 2012).
+    """
+    P = P[np.argsort(-P[:, 3], kind="stable")]
+    xs, ix = np.unique(P[:, 0], return_inverse=True)
+    ys, iy = np.unique(P[:, 1], return_inverse=True)
+    dx, dy = np.diff(xs, prepend=0.0), np.diff(ys, prepend=0.0)
+    dw = P[:, 3] - np.append(P[1:, 3], 0.0)
+    H = np.zeros((xs.size, ys.size))
+    vol = 0.0
+    for k in range(P.shape[0]):
+        cover = H[:ix[k] + 1, :iy[k] + 1]
+        np.maximum(cover, P[k, 2], out=cover)
+        if dw[k] > 0.0:
+            vol += dw[k] * float(dx @ H @ dy)
+    return vol
+
+
 def _vol_lower_union(P: np.ndarray) -> float:
     if P.shape[0] == 0:
         return 0.0
@@ -169,6 +188,8 @@ def _vol_lower_union(P: np.ndarray) -> float:
         return _vol2(P)
     if d == 3:
         return _vol3(P)
+    if d == 4:
+        return _vol4(P)
     # slab decomposition on the last coordinate: between consecutive
     # heights the cross-section is the union over points reaching that high
     order = np.argsort(-P[:, -1], kind="stable")
@@ -197,8 +218,11 @@ def _vol_lower_union(P: np.ndarray) -> float:
 # - d = 3: two grid-width differences, the two products of
 #   dx @ H @ dy and at most (nx - 1) + (ny - 1) additions with nx, ny <= m,
 #   in whatever order or fused form BLAS uses: N_3 = 2(m + 1);
-# - d >= 4: per slab a height difference and a product, at most m - 1
-#   additions over the slabs, on top of a slab volume of at most m
+# - d = 4: per slab a height difference and a product, at most m - 1
+#   additions over the slabs, on top of the slab's dx @ H @ dy on the one
+#   sweep grid; its lines are the distinct x and y of all m generators,
+#   so nx, ny <= m and the d = 3 count holds: N_4 = N_3 + m + 1;
+# - d >= 5: the same per slab, on top of a slab volume of at most m
 #   generators: N_d = N_{d-1} + m + 1;
 # so N_d = (d - 1)(m + 1) for every d >= 1.  The safe side flips its
 # generators first, c = fl(1 - s) <= (1 + u)(1 - s) in every coordinate,
@@ -240,9 +264,9 @@ def lower_orthant_volume(P) -> float:
     """Volume of union_i [0, P_i] inside the unit cube, within a relative
     gamma_N of the exact one (see ``_rounding_terms``).
 
-    A sweep at d = 2, a grid at d = 3, and slabs on the last coordinate
-    above that: cost grows quickly with dimension; intended for d <= 6.
-    Higher dimensions should use :func:`orthant_volume_mc`.
+    A sweep at d = 2, a grid at d = 3, a sweep of one such grid at d = 4,
+    and slabs on the last coordinate above that.  Cost grows quickly with
+    dimension; the bounds use it for d <= 6 only.
     """
     return _vol_lower_union(maximal_points(_check_points(P)))
 
@@ -313,25 +337,6 @@ class _Staircase2:
         t = np.minimum(X, self.reach(Y))
         covered = Y * t + self._area_below(X) - self._area_below(t)
         return np.maximum(X * Y - covered, 0.0)
-
-
-def orthant_volume_mc(P, upper: bool = False, n: int = _MC_VOLUME_N,
-                      rng: Optional[RandomStream] = None) -> Tuple[float, float]:
-    """Monte Carlo estimate (mean, std_err) of an orthant-union volume."""
-    P = _check_points(P)
-    if P.shape[0] == 0:
-        return 0.0, 0.0
-    rng = rng or RandomStream(880, 0)
-    gen = rng.generator()
-    d = P.shape[1]
-    cmp = np.greater_equal if upper else np.less_equal
-    chunk = max(1, min(n, 4_000_000 // max(1, P.shape[0] * d)))
-    hits = 0
-    for start in range(0, n, chunk):
-        X = gen.random((min(chunk, n - start), d))
-        hits += int(np.count_nonzero(_covered(X, P, cmp)))
-    p = hits / n
-    return p, float(np.sqrt(p * (1.0 - p) / n))
 
 
 # ---------------------------------------------------------------------------
@@ -513,33 +518,20 @@ class StaircaseRegion:
         return lower, min(1.0, float(np.nextafter(1.0 - safe, 2.0)))
 
 
-def bounds_from_design(design: LabeledDesign,
-                       rng: Optional[RandomStream] = None) -> ProbabilityBounds:
-    """Deterministic bounds on P(g < y) implied by a labeled design.
+def _check_volume_dim(d: int) -> None:
+    if d > MAX_VOLUME_DIM:
+        raise ValueError(f"exact volumes need d <= {MAX_VOLUME_DIM}, got d = {d}")
 
-    For d <= 6 the bounds are the outward-rounded volumes of the certified
-    sets (:meth:`StaircaseRegion.volume_bounds`); beyond that the volumes are
-    estimated by Monte Carlo and the interval is widened so that it holds
-    with probability at least 1 - 2e-6 (Hoeffding on each side), with the
-    bound kind downgraded accordingly.
+
+def bounds_from_design(design: LabeledDesign) -> ProbabilityBounds:
+    """Deterministic bounds on P(g < y) implied by a labeled design: the
+    outward-rounded volumes of the certified sets
+    (:meth:`StaircaseRegion.volume_bounds`).  ``ValueError`` above d = 6.
     """
-    region = StaircaseRegion.from_design(design)
-    d = design.dimension
-    m = design.points.shape[0]
-    if d <= MC_VOLUME_DIM:
-        lo, hi = region.volume_bounds()
-        return ProbabilityBounds(lo, hi, kind=DETERMINISTIC, queries_used=m)
-    rng = rng or RandomStream(424242, 0)
-    n = _MC_VOLUME_N
-    margin = float(np.sqrt(np.log(2.0 / _MC_ALPHA) / (2.0 * n)))
-    lo_hat, _ = orthant_volume_mc(region.fail_generators, upper=False, n=n,
-                                  rng=rng.derive(0))
-    hi_hat, _ = orthant_volume_mc(region.safe_generators, upper=True, n=n,
-                                  rng=rng.derive(1))
-    lower = max(0.0, lo_hat - margin)
-    upper = min(1.0, 1.0 - hi_hat + margin)
-    return ProbabilityBounds(lower, max(lower, upper), kind=HIGH_PROBABILITY,
-                             alpha=2.0 * _MC_ALPHA, queries_used=m)
+    _check_volume_dim(design.dimension)
+    lo, hi = StaircaseRegion.from_design(design).volume_bounds()
+    return ProbabilityBounds(lo, hi, kind=DETERMINISTIC,
+                             queries_used=design.points.shape[0])
 
 
 # ---------------------------------------------------------------------------
@@ -723,10 +715,10 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
     Each step picks one point of the current undecided region, labels it
     with one oracle call, and folds it into the certified fail/safe
     orthant unions.  The bounds are computed once, at the end of the run,
-    by :func:`bounds_from_design`: for d <= 6 they are the volumes of the
-    certified sets, rounded outward, so they are deterministic however
-    the points were picked; beyond that the volumes fall back to Monte
-    Carlo.
+    by :func:`bounds_from_design`: they are the volumes of the certified
+    sets, rounded outward, so they are deterministic however the points
+    were picked.  Above d = 6 the run raises ``ValueError`` before its
+    first query.
 
     How the point is picked depends only on the dimension.  A candidate's
     two gains are the unknown mass it would retire if it failed (its
@@ -785,6 +777,7 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
     if sampler not in ("auto", "rejection", "mcmc"):
         raise ValueError(f"unknown sampler {sampler!r}")
     d = f.dimension
+    _check_volume_dim(d)
     gen = rng.generator()
     rejection = RejectionSampler()
     walker = None
@@ -875,5 +868,5 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
 
     design = LabeledDesign(np.array(pts), np.array(labels), np.array(vals))
     return SequentialRun(design=design, region=region,
-                         bounds=bounds_from_design(design, rng=rng.derive(7)),
+                         bounds=bounds_from_design(design),
                          sampler_name=name)

@@ -91,10 +91,10 @@ def _sum_t(a: float, x: np.ndarray) -> np.ndarray:
 
 def gamma_cdf(x, shape: float):
     """P(shape, x): CDF of the Gamma(shape, 1) law at x, for a positive
-    integer shape."""
+    integer shape; NaN at NaN."""
     a = _integer_shape(shape)
     arr, scalar = _as_array(x)
-    out = np.zeros_like(arr)
+    out = np.where(np.isnan(arr), np.nan, 0.0)
     out[arr == np.inf] = 1.0
     lo = (arr > 0.0) & (arr < a + 1.0)
     hi = (arr >= a + 1.0) & (arr < np.inf)
@@ -241,11 +241,11 @@ def _beta_cf(a: float, b: float, x: np.ndarray) -> np.ndarray:
 
 
 def beta_cdf(x, a: float, b: float):
-    """I_x(a, b): CDF of the Beta(a, b) law at x."""
+    """I_x(a, b): CDF of the Beta(a, b) law at x; NaN at NaN."""
     if a <= 0.0 or b <= 0.0:
         raise ValueError("beta shapes must be positive")
     arr, scalar = _as_array(x)
-    out = np.zeros_like(arr)
+    out = np.where(np.isnan(arr), np.nan, 0.0)
     out[arr >= 1.0] = 1.0
     inner = (arr > 0.0) & (arr < 1.0)
     if inner.any():

@@ -191,6 +191,16 @@ class TestParseConfig:
         cfg = parse_config_text(base + "[dyadic]\nlipschitz = 40\n")
         assert cfg.dyadic.lipschitz == 40.0
 
+    @pytest.mark.parametrize("method", ["monotone-exact", "monotone-mcmc",
+                                        "monotone-auto"])
+    def test_monotone_needs_exact_volumes(self, method):
+        # the bounds are exact volumes, computed up to d = 6 only
+        base = f"[experiment]\nmethod = {method}\n"
+        with pytest.raises(ConfigError, match="only up to d = 6"):
+            parse_config_text(base + "benchmark = example1:d=7:p=5e-3\n")
+        cfg = parse_config_text(base + "benchmark = example1:d=6:p=5e-3\n")
+        assert cfg.method == method
+
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read config"):
             load_config(str(tmp_path / "absent.cfg"))

@@ -139,3 +139,36 @@ class TestRegionWalkSampler:
         assert shrunk.contains_batch(s._states).all()
         X = s.draw(30)
         assert shrunk.contains_batch(X).all()
+
+    def test_one_harvest_serves_its_32_rows(self):
+        # a harvest is handed out whole: after the first draw(1), 31 more
+        # come from its spare rows without a step, and the 32 rows are the
+        # chain states of that harvest
+        s = RegionWalkSampler(StaircaseRegion.empty(3),
+                              RandomStream(11, 0).generator())
+        first = s.draw(1)
+        states = s._states.copy()
+        steps = []
+        step = s.step
+        s.step = lambda n_steps=1: steps.append(n_steps) or step(n_steps)
+        rows = np.vstack([first] + [s.draw(1) for _ in range(31)])
+        assert steps == []
+        assert np.array_equal(np.unique(rows, axis=0), np.unique(states, axis=0))
+        s.draw(1)
+        assert len(steps) == 1
+
+    def test_spare_rows_follow_the_region(self):
+        # spare rows outside an updated region never come out; those inside
+        # come out first, in their order
+        region = StaircaseRegion.empty(2)
+        s = RegionWalkSampler(region, RandomStream(12, 0).generator())
+        s.draw(1)
+        spare = s._spare.copy()
+        shrunk = region.with_fail(np.array([0.6, 0.6])).with_safe(
+            np.array([0.7, 0.3]))
+        kept = spare[shrunk.contains_batch(spare)]
+        assert 0 < kept.shape[0] < spare.shape[0]
+        s.update_region(shrunk)
+        X = s.draw(40)
+        assert shrunk.contains_batch(X).all()
+        assert np.array_equal(X[:kept.shape[0]], kept)

@@ -11,8 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rarebound.bench import get_benchmark, make_example1, make_linear_toy
-from rarebound.core import (DETERMINISTIC, HIGH_PROBABILITY, BlackBoxFunction,
-                            RandomStream)
+from rarebound.core import DETERMINISTIC, BlackBoxFunction, RandomStream
 from rarebound.monotone import (
     LabeledDesign,
     MonotonicityViolation,
@@ -24,7 +23,6 @@ from rarebound.monotone import (
     lower_orthant_volume,
     maximal_points,
     minimal_points,
-    orthant_volume_mc,
     sequential_bounder,
     upper_orthant_volume,
 )
@@ -72,6 +70,46 @@ def exact_lower_volume(rows):
 def exact_upper_volume(rows):
     """Exact volume of the union of [r, 1], the flip 1 - r done exactly."""
     return exact_lower_volume([[1 - Fraction(v) for v in r] for r in rows])
+
+
+def exact_sweep_volume4(rows):
+    """Exact volume of the union of [0, r] over 4-D rows with dyadic
+    coordinates, by the dimension sweep in integers: every coordinate is
+    scaled by the largest denominator.  ``exact_lower_volume`` gives the
+    same value; this one takes a fraction of a second on 100 rows."""
+    rows = [tuple(Fraction(v) for v in r) for r in rows]
+    if not rows:
+        return Fraction(0)
+    scale = max(v.denominator for r in rows for v in r)
+    P = sorted((tuple(int(v * scale) for v in r) for r in rows),
+               key=lambda r: r[3], reverse=True)
+    xs, ys = sorted({r[0] for r in P}), sorted({r[1] for r in P})
+    dx = np.array([b - a for a, b in zip([0] + xs, xs)], dtype=object)
+    dy = np.array([b - a for a, b in zip([0] + ys, ys)], dtype=object)
+    H = np.zeros((len(xs), len(ys)), dtype=object)
+    vol = 0
+    for k, r in enumerate(P):
+        i, j = xs.index(r[0]) + 1, ys.index(r[1]) + 1
+        H[:i, :j] = np.maximum(H[:i, :j], r[2])
+        below = P[k + 1][3] if k + 1 < len(P) else 0
+        vol += (r[3] - below) * (dx @ H @ dy)
+    return Fraction(vol, scale ** 4)
+
+
+def slab_lower_volume(P):
+    """Union volume of a maximal antichain by slabs on the last coordinate
+    down to the d = 3 grid: the form the d = 4 sweep replaced; reference."""
+    if P.shape[1] == 3:
+        return monotone._vol3(P)
+    Ps = P[np.argsort(-P[:, -1], kind="stable")]
+    heights = np.append(Ps[:, -1], 0.0)
+    vol = 0.0
+    proj = np.empty((0, P.shape[1] - 1))
+    for k in range(Ps.shape[0]):
+        proj = monotone._insert_maximal(proj, Ps[k, :-1])
+        if heights[k] > heights[k + 1]:
+            vol += (heights[k] - heights[k + 1]) * slab_lower_volume(proj)
+    return vol
 
 
 def random_points(seed, m, d):
@@ -242,6 +280,36 @@ class TestOrthantVolumes:
         assert lower_orthant_volume(P) >= \
             lower_orthant_volume(P[:-1]) - 1e-12
 
+    @given(st.integers(4, 5), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_sweep_and_slabs_within_the_stated_bound(self, d, data):
+        # the d = 4 sweep (directly, and under the d = 5 slabs) and the
+        # slab form it replaced, on antichains with tied and repeated
+        # coordinates, the smallest and largest coordinates below 1, and
+        # exact volumes; both sides, the safe one flipped in floats
+        coord = st.sampled_from([0.0, 1.0, 0.5, 0.25, 2.0 ** -60,
+                                 1.0 - 2.0 ** -53]) | st.floats(0.0, 1.0)
+        P = np.array(data.draw(st.lists(
+            st.lists(coord, min_size=d, max_size=d), min_size=1, max_size=9)))
+        for A, exact in ((maximal_points(P), None),
+                         (maximal_points(1.0 - P), exact_upper_volume(
+                             minimal_points(P)))):
+            exact = exact_lower_volume(A) if exact is None else exact
+            bound = Fraction(gamma(_rounding_terms(d, A.shape[0]))) * exact
+            # below 2^-900 underflowing products may exceed the bound
+            if exact < Fraction(2.0 ** -900):
+                continue
+            for got in (monotone._vol_lower_union(A), slab_lower_volume(A)):
+                assert abs(Fraction(got) - exact) <= bound
+
+    def test_integer_sweep_is_the_exact_volume(self):
+        # the exact oracle of the d = 4 goldens against the slab oracle
+        gen = np.random.default_rng(4)
+        for m in (1, 5, 12):
+            P = np.vstack([gen.random((m, 4)), np.full((1, 4), 2.0 ** -60)])
+            P[:, 2] = np.round(P[:, 2], 1)     # tied heights
+            assert exact_sweep_volume4(P) == exact_lower_volume(P)
+
     @given(st.integers(3, 5), st.data())
     @settings(max_examples=60, deadline=None)
     def test_rounding_stays_within_the_stated_bound(self, d, data):
@@ -266,12 +334,6 @@ class TestOrthantVolumes:
         assert Fraction(lower) <= fail
         assert Fraction(upper) >= 1 - safe
 
-    def test_mc_estimate_agrees(self):
-        P = random_points(3, 5, 3)
-        exact = lower_orthant_volume(P)
-        est, se = orthant_volume_mc(P, upper=False, rng=RandomStream(12, 0))
-        assert abs(est - exact) < 5 * se + 1e-9
-
     def test_rejects_outside_cube(self):
         with pytest.raises(ValueError):
             lower_orthant_volume(np.array([[1.2, 0.5]]))
@@ -281,9 +343,8 @@ class TestOrthantVolumes:
                                 np.array([True, False])),
         lower_orthant_volume,
         upper_orthant_volume,
-        orthant_volume_mc,
         lambda P: StaircaseRegion(P, np.empty((0, 2)), 2),
-    ], ids=["design", "lower", "upper", "mc", "region"])
+    ], ids=["design", "lower", "upper", "region"])
     def test_nan_is_outside_the_cube(self, call):
         # NaN fails every comparison, so a check for coordinates below 0
         # or above 1 lets it through; each entry point must reject it
@@ -754,16 +815,22 @@ class TestBoundsFromDesign:
         assert b.kind == DETERMINISTIC
         assert b.queries_used == 2
 
-    def test_high_dimension_falls_back_to_mc(self):
+    def test_above_six_dimensions_raises(self):
+        # exact volumes only: a d = 7 design has no bounds, and a d = 7 run
+        # stops before its first query
         d = 7
         design = LabeledDesign(np.vstack([np.full((1, d), 0.4),
                                           np.full((1, d), 0.6)]),
                                np.array([True, False]))
-        b = bounds_from_design(design, rng=RandomStream(8, 0))
-        assert b.kind == HIGH_PROBABILITY
-        assert b.alpha is not None and b.alpha < 1e-4
-        # true values 0.4^7 and 1 - 0.4^7 are inside the widened interval
-        assert b.lower <= 0.4 ** 7 <= 1.0 - 0.4 ** 7 <= b.upper
+        with pytest.raises(ValueError, match="d <= 6, got d = 7"):
+            bounds_from_design(design)
+        f = make_example1(d, 5e-3).function
+        with pytest.raises(ValueError, match="d <= 6, got d = 7"):
+            sequential_bounder(f, 10, RandomStream(8, 0))
+        assert f.query_count == 0
+        b = bounds_from_design(LabeledDesign(design.points[:, :6], design.fail))
+        assert b.kind == DETERMINISTIC
+        assert b.lower <= 0.4 ** 6 <= 1.0 - 0.4 ** 6 <= b.upper
 
 
 class TestRejectionSampler:
@@ -856,22 +923,23 @@ class TestSequentialBounder:
                      "(0.0004190881990539619, 0.0006051014329112593)", None,
                      id="d2"),
         pytest.param(3, "mcmc", 60, 202, 0,
-                     "(3.576791385105685e-05, 0.0027373693251272484)", None,
+                     "(8.336465252974204e-05, 0.00310031320148807)", None,
                      id="d3-mcmc"),
         # the two cells of the mono-hd benchmark protocol; replication 3
         # of d = 3 hands over to the walk, so its chain states are kept
         # across region updates
         pytest.param(4, "auto", 200, 202, 0,
-                     "(3.4109665226175185e-05, 0.009260691466239425)", None,
+                     "(3.4109665226175185e-05, 0.009260691466239203)", None,
                      id="d4-auto"),
         pytest.param(3, "auto", 200, 202, 3,
-                     "(0.0002299270745673286, 0.0011785056834747734)",
+                     "(0.0002364517689049081, 0.0011809515072509493)",
                      "auto(rejection->mcmc)", id="d3-switch"),
-        # replication 13 of criterion 01's seed: a rejected walk step
-        # keeps its state, so the pool holds a point twice, and the pool
-        # score must count the two as dominating each other
-        pytest.param(3, "auto", 200, 20260823, 13,
-                     "(0.0002054820391325971, 0.0012826559827106012)",
+        # replication 4 of the same cell: a chain re-seeded from another,
+        # or one whose steps between harvests are all rejected, repeats a
+        # state, so the pool holds a point twice, and the pool score must
+        # count the two as dominating each other
+        pytest.param(3, "auto", 200, 202, 4,
+                     "(0.000230963274680309, 0.001108811494417661)",
                      "auto(rejection->mcmc)", id="d3-pool-tie"),
     ])
     def test_golden_bounds(self, d, sampler, budget, seed, rep, expected,
@@ -883,6 +951,20 @@ class TestSequentialBounder:
         assert repr((run.bounds.lower, run.bounds.upper)) == expected
         if name is not None:
             assert run.sampler_name == name
+
+    def test_d4_golden_holds_the_exact_volumes(self):
+        # the d4-auto golden's upper bound ended ...239425 under the slab
+        # volumes and ends ...239203 under the sweep; both hold the exact
+        # volumes of the certified sets, as does the lower bound
+        run = sequential_bounder(make_example1(4, 5e-4).function, 200,
+                                 RandomStream(202, 0), sampler="auto")
+        fail = exact_sweep_volume4(run.region.fail_generators)
+        safe = exact_sweep_volume4([[1 - Fraction(v) for v in r]
+                                    for r in run.region.safe_generators])
+        assert Fraction(3.4109665226175185e-05) <= fail
+        for upper in (0.009260691466239425, 0.009260691466239203):
+            assert Fraction(upper) >= 1 - safe
+        assert run.bounds.upper == 0.009260691466239203
 
     @pytest.mark.parametrize("name", ["example1:d=3:p=5e-4",
                                       "example1:d=4:p=5e-4"])

@@ -157,6 +157,17 @@ class TestErrors:
         assert np.isnan(out[0])
         assert out[1] == quantile(0.5, *args)
 
+    @pytest.mark.parametrize("cdf, args", [
+        (gamma_cdf, (3.0,)), (beta_cdf, (2.0, 3.0)), (normal_cdf, ()),
+    ], ids=["gamma", "beta", "normal"])
+    def test_cdf_of_nan_is_nan(self, cdf, args):
+        # NaN is no point of the support: reading it as probability 0
+        # would pass a bad input off as a certain event
+        assert np.isnan(cdf(np.nan, *args))
+        out = cdf(np.array([np.nan, 0.5, -np.inf, np.inf]), *args)
+        assert np.isnan(out[0])
+        assert out[1:].tolist() == [cdf(0.5, *args), 0.0, 1.0]
+
 
 class TestGammaQuantileOnePoint:
     """A single point takes a path on Python floats; it must give the bits
