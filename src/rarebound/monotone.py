@@ -301,36 +301,85 @@ class _Staircase2:
     phi(t) = max{y_j : x_j >= t} (0 past the last generator).  Running
     sums of phi give every candidate's exclusive area with two binary
     searches (Emmerich & Fonseca 2011) instead of a sweep per candidate.
+
+    The safe side is stored flipped, as the maximal antichain 1 - S.  A
+    d = 2 run builds both staircases from generators it keeps sorted
+    (:meth:`from_sorted`, no argsort): the fail ones as they are, the safe
+    ones reversed and flipped, so that safe abscissae that flip to one
+    float come in order of descending height, as the searches need.
+
+    What the staircase alone decides at the abscissae of a query
+    (:meth:`columns`) is computed once per abscissa array and kept: a d = 2
+    run queries one grid throughout, and each label rebuilds only the
+    staircase it changes, so the other one's columns carry over.
     """
 
     def __init__(self, pruned: np.ndarray):
         order = np.argsort(pruned[:, 0], kind="stable")
-        self.x = pruned[order, 0]
-        self.y = pruned[order, 1]
-        self._x0 = np.concatenate(([0.0], self.x))   # left end of step j
-        self._y0 = np.concatenate((self.y, [0.0]))   # height of step j
-        self._cum = np.concatenate(
-            ([0.0], np.cumsum(self.y * np.diff(self._x0))))
+        self._build(pruned[order, 0], pruned[order, 1])
+
+    @classmethod
+    def from_sorted(cls, x: np.ndarray, y: np.ndarray) -> "_Staircase2":
+        """The staircase of generators already in the order the
+        constructor gives: x ascending, y descending."""
+        stair = object.__new__(cls)
+        stair._build(x, y)
+        return stair
+
+    def _build(self, x: np.ndarray, y: np.ndarray) -> None:
+        self.x, self.y = x, y
+        self._neg_y = -y                             # ascending, for searches
+        self._x0 = np.concatenate(([0.0], x))        # left end of step j
+        self._y0 = np.concatenate((y, [0.0]))        # height of step j
+        self._cum = np.concatenate(([0.0], np.cumsum(y * np.diff(self._x0))))
+        self._columns_key, self._columns = None, None
 
     def reach(self, h: np.ndarray) -> np.ndarray:
         """Largest x_j with y_j >= h (0 if none): the union's extent at height h."""
-        return self._x0[np.searchsorted(-self.y, -h, side="right")]
+        return self._x0[np.searchsorted(self._neg_y, -h, side="right")]
+
+    def _below(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """phi(t) and the area of the union left of t."""
+        j = np.searchsorted(self.x, t, side="left")
+        h = self._y0[j]
+        return h, self._cum[j] + h * (t - self._x0[j])
 
     def _area_below(self, t: np.ndarray) -> np.ndarray:
-        j = np.searchsorted(self.x, t, side="left")
-        return self._cum[j] + self._y0[j] * (t - self._x0[j])
+        return self._below(t)[1]
 
-    def _gain_above(self, X: np.ndarray, Y: np.ndarray, j: np.ndarray,
+    def columns(self, t: np.ndarray, flipped: bool) -> tuple:
+        """At each abscissa of t: the height phi(t), the log-coordinate
+        height, ``_area_below(t)``, and for flipped safe generators
+        (``flipped``) the steps of reach(t); then the log-log polyline
+        through the generators, unflipped.  The log height is _log(phi),
+        or _log(1 - phi) when flipped.
+
+        Kept for the last array t and orientation asked for, by identity:
+        the caller must not write into t between queries.
+        """
+        key = self._columns_key
+        if key is None or key[0] is not t or key[1] != flipped:
+            h, area = self._below(t)
+            if flipped:
+                reach = np.searchsorted(self._neg_y, -t, side="right")
+                # the safe generators by ascending first coordinate
+                line = (_log(1.0 - self.x[::-1]), _log(1.0 - self.y[::-1]))
+                self._columns = (h, _log(1.0 - h), area, reach, line)
+            else:
+                line = (_log(self.x), _log(self.y))
+                self._columns = (h, _log(h), area, None, line)
+            self._columns_key = (t, flipped)
+        return self._columns
+
+    def _gain_above(self, X: np.ndarray, Y: np.ndarray, area: np.ndarray,
                     r=None) -> np.ndarray:
         """:meth:`gain`, to the bit, of candidates above the staircase, given
-        j = searchsorted(x, X) and optionally r, the step of reach(Y).  There
+        area = _area_below(X) and optionally r, the step of reach(Y).  There
         reach(Y) <= X, and _area_below(x0[r]) is _cum[r]: the x_j increase
         strictly and cumsum adds its terms in order."""
         if r is None:
-            r = np.searchsorted(-self.y, -Y, side="right")
-        covered = (Y * self._x0[r] + (self._cum[j] + self._y0[j] * (X - self._x0[j]))
-                   - self._cum[r])
-        return np.maximum(X * Y - covered, 0.0)
+            r = np.searchsorted(self._neg_y, -Y, side="right")
+        return np.maximum(X * Y - (Y * self._x0[r] + area - self._cum[r]), 0.0)
 
     def gain(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
         """Area of [0, X] x [0, Y] outside the union, per candidate."""
@@ -491,12 +540,19 @@ class StaircaseRegion:
 
     def _updated(self, fail_generators, safe_generators, x,
                  upper: bool) -> "StaircaseRegion":
+        return StaircaseRegion._built(
+            fail_generators, safe_generators, self.dimension,
+            self._token, np.array(x, dtype=float)[None, :], upper)
+
+    @classmethod
+    def _built(cls, fail_generators, safe_generators, dimension: int,
+               parent=None, cut=None, upper: bool = False) -> "StaircaseRegion":
         # skips __post_init__: its O(m^2) checks hold by construction here
-        region = object.__new__(StaircaseRegion)
+        region = object.__new__(cls)
         object.__setattr__(region, "fail_generators", fail_generators)
         object.__setattr__(region, "safe_generators", safe_generators)
-        object.__setattr__(region, "dimension", self.dimension)
-        region._set_origin(self._token, np.array(x, dtype=float)[None, :], upper)
+        object.__setattr__(region, "dimension", dimension)
+        region._set_origin(parent, cut, upper)
         return region
 
     def volume_bounds(self) -> Tuple[float, float]:
@@ -613,26 +669,27 @@ def _boundary_query(fail: _Staircase2, safe: _Staircase2, grid: np.ndarray,
     query still splits it.  None when no candidate lies in the undecided
     region.
     """
-    jf, js = np.searchsorted(fail.x, grid), np.searchsorted(safe.x, flip)
-    hf, hs = fail._y0[jf], safe._y0[js]
-    lo = _log(hf)
-    hi = _log(1.0 - hs)
+    hf, lo, area_f, _, line_f = fail.columns(grid, False)
+    hs, hi, area_s, reach_s, line_s = safe.columns(flip, True)
     mid = np.exp(0.5 * (lo + hi))
-    score = np.where((mid > hf) & (1.0 - mid > hs),
-                     fail._gain_above(grid, mid, jf)
-                     * safe._gain_above(flip, 1.0 - mid, js), -1.0)
+    flip_mid = 1.0 - mid
+    score = np.where((mid > hf) & (flip_mid > hs),
+                     fail._gain_above(grid, mid, area_f)
+                     * safe._gain_above(flip, flip_mid, area_s), -1.0)
     j = int(np.argmax(score))
     n = int(np.searchsorted(grid, fail.y[-1])) if fail.x.size else 0
     if n:
-        rows, up = grid[:n], flip[:n]
-        rs = np.searchsorted(-safe.y, -up, side="right")
-        X = np.sqrt(fail.x[-1] * (1.0 - safe._x0[rs]))
+        rows, up, rs = grid[:n], flip[:n], reach_s[:n]
+        # a row's horizontal midpoint depends on the row only through the
+        # safe step rs it reaches: each step's is computed once, then gathered
+        X = np.sqrt(fail.x[-1] * (1.0 - safe._x0))
         Xc = 1.0 - X
-        jh, jc = np.searchsorted(fail.x, X), np.searchsorted(safe.x, Xc)
+        (hh, area_h), (hc, area_c) = fail._below(X), safe._below(Xc)
+        X, Xc = X[rs], Xc[rs]
         # every fail generator lies above the rows: all of them reach
-        side = np.where((rows > fail._y0[jh]) & (up > safe._y0[jc]),
-                        fail._gain_above(X, rows, jh, fail.x.size)
-                        * safe._gain_above(Xc, up, jc, rs), -1.0)
+        side = np.where((rows > hh[rs]) & (up > hc[rs]),
+                        fail._gain_above(X, rows, area_h[rs], fail.x.size)
+                        * safe._gain_above(Xc, up, area_c[rs], rs), -1.0)
         k = int(np.argmax(side))
         if side[k] > score[j]:
             return np.array([X[k], rows[k]])
@@ -642,14 +699,12 @@ def _boundary_query(fail: _Staircase2, safe: _Staircase2, grid: np.ndarray,
     if not fail.x.size or not safe.x.size:
         return x
     t = np.log(x[0])
-    est_fail = np.interp(t, _log(fail.x), _log(fail.y))
-    # the safe generators by ascending first coordinate: flipped ones reversed
-    est_safe = np.interp(t, _log(1.0 - safe.x[::-1]), _log(1.0 - safe.y[::-1]))
-    band = _MID_BAND * (hi[j] - lo[j])
-    est = np.clip(0.5 * (np.clip(est_fail, lo[j], hi[j])
-                         + np.clip(est_safe, lo[j], hi[j])),
-                  lo[j] + band, hi[j] - band)
-    y = np.exp(est)
+    lo, hi = float(lo[j]), float(hi[j])
+    # np.clip on floats, exactly: min(max(v, lo), hi)
+    est_fail = min(max(float(np.interp(t, *line_f)), lo), hi)
+    est_safe = min(max(float(np.interp(t, *line_s)), lo), hi)
+    band = _MID_BAND * (hi - lo)
+    y = np.exp(min(max(0.5 * (est_fail + est_safe), lo + band), hi - band))
     if y > hf[j] and 1.0 - y > hs[j]:
         x = np.array([x[0], y])
     return x
@@ -698,6 +753,42 @@ def _strip_query(region: StaircaseRegion, fail: _Staircase2,
     return P[int(np.argmax(score))]
 
 
+def _label2(F: np.ndarray, S: np.ndarray, x: np.ndarray,
+            failed: bool) -> Tuple[np.ndarray, np.ndarray]:
+    """(F, S) after labelling x, for 2-D generators sorted by first
+    coordinate: the maximal fail antichain F and the minimal safe antichain
+    S, heights descending in both.
+
+    As :meth:`StaircaseRegion.with_fail` and ``with_safe``: a point that
+    contradicts the other side raises :class:`MonotonicityViolation`, one
+    its own side covers leaves that array object as it is, and otherwise
+    the point goes in at its place and the run of generators it dominates
+    goes out.  Each test is a binary search on the generators themselves,
+    never on the flipped 1 - S.
+    """
+    a, b = x
+    # x lies below a fail generator iff the first at or right of a reaches b
+    i = int(np.searchsorted(F[:, 0], a, side="left"))
+    below_fail = i < F.shape[0] and F[i, 1] >= b
+    # ... and above a safe one iff the last at or left of a is at or below b
+    k = int(np.searchsorted(S[:, 0], a, side="right"))
+    above_safe = k > 0 and S[k - 1, 1] <= b
+    if above_safe if failed else below_fail:
+        raise MonotonicityViolation(
+            "a safe point is componentwise below a fail point")
+    if below_fail if failed else above_safe:
+        return F, S
+    if failed:
+        # the fail generators at or left of a and at or below b
+        lo = int(np.searchsorted(-F[:, 1], -b, side="left"))
+        hi = int(np.searchsorted(F[:, 0], a, side="right"))
+        return np.concatenate((F[:min(lo, hi)], x[None, :], F[hi:])), S
+    # the safe generators at or right of a and at or above b
+    lo = int(np.searchsorted(S[:, 0], a, side="left"))
+    hi = int(np.searchsorted(-S[:, 1], -b, side="right"))
+    return F, np.concatenate((S[:lo], x[None, :], S[max(lo, hi):]))
+
+
 @dataclass
 class SequentialRun:
     """Result of a sequential bounding run, one design point per query."""
@@ -735,11 +826,15 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
       The candidate with the largest product of exact gains picks the
       column, which is then queried at the midpoint of the polylines
       through the fail and through the safe generators, kept inside the
-      middle of the bracket.  Gains and region membership come from one
-      binary search per staircase and candidate set, and from running
-      sums, exact up to a candidate's reach.  With no such candidate in
-      the region the best strip midpoint (``_strip_query``) is queried,
-      and once none is left the run stops.
+      middle of the bracket.  Gains and region membership come from
+      binary searches and running sums, exact up to a candidate's reach.
+      The searches run once per label: the generators are kept sorted by
+      first coordinate, a label goes in by binary search (``_label2``),
+      and only the staircase it changes recomputes its grid columns
+      (``_Staircase2.columns``); a step searches only at the bracket
+      midpoints.  With no such candidate in the region the best strip
+      midpoint (``_strip_query``) is queried, and once none is left the
+      run stops.
     - d >= 3: a pool of ``_POOL_SIZE`` region points drawn by the sampler
       is kept on hand; each step scores a random subsample of
       ``_SCORE_SUBSAMPLE`` of them by the sum of their pool domination
@@ -798,7 +893,12 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         # log-spaced abscissae at a random offset, so replications differ
         grid = 10.0 ** ((np.arange(_GRID_DECADES * _GRID_PER_DECADE)
                          + gen.random()) / _GRID_PER_DECADE - _GRID_DECADES)
-        flip, F, S = 1.0 - grid, None, None
+        flip = 1.0 - grid
+        # the generators sorted by first coordinate (_label2) stand in for
+        # the region, which is built only where it is read
+        F, S = region.fail_generators, region.safe_generators
+        fail_stair = _Staircase2.from_sorted(np.empty(0), np.empty(0))
+        safe_stair = _Staircase2.from_sorted(np.empty(0), np.empty(0))
     elif d >= 3 and sampler == "mcmc":
         walker = make_walker()
 
@@ -843,16 +943,10 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
             if (lo == x).any() or (hi == x).any():
                 break           # x is a labelled end: no float lies between
         elif d == 2:
-            # an update replaces one generator array and keeps the other
-            if region.fail_generators is not F:
-                F = region.fail_generators
-                fail_stair = _Staircase2(F)
-            if region.safe_generators is not S:
-                S = region.safe_generators
-                safe_stair = _Staircase2(1.0 - S)
             x = _boundary_query(fail_stair, safe_stair, grid, flip)
             if x is None:
-                x = _strip_query(region, fail_stair, safe_stair)
+                x = _strip_query(StaircaseRegion._built(F, S, 2),
+                                 fail_stair, safe_stair)
             if x is None:
                 break           # no strip midpoint lies in the region
         else:
@@ -864,8 +958,22 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         pts.append(x)
         labels.append(failed)
         vals.append(value)
-        region = region.with_fail(x) if failed else region.with_safe(x)
+        if d == 2:
+            # a label replaces one generator array and keeps the other
+            F_new, S_new = _label2(F, S, x, failed)
+            if F_new is not F:
+                F = F_new
+                fail_stair = _Staircase2.from_sorted(F[:, 0].copy(),
+                                                     F[:, 1].copy())
+            if S_new is not S:
+                S = S_new
+                safe_stair = _Staircase2.from_sorted(1.0 - S[::-1, 0],
+                                                     1.0 - S[::-1, 1])
+        else:
+            region = region.with_fail(x) if failed else region.with_safe(x)
 
+    if d == 2:
+        region = StaircaseRegion._built(F, S, 2)
     design = LabeledDesign(np.array(pts), np.array(labels), np.array(vals))
     return SequentialRun(design=design, region=region,
                          bounds=bounds_from_design(design),

@@ -442,6 +442,39 @@ def test_strip_midpoint_mask_is_contains_batch(labelled):
     assert np.array_equal(inside, region.contains_batch(M))
 
 
+@given(st.lists(st.tuples(_EDGE_COORDS, _EDGE_COORDS, st.booleans()),
+                max_size=30))
+@settings(max_examples=500, deadline=None)
+def test_sorted_labels_follow_the_region_updates(labelled):
+    # the d = 2 engine's sorted generator arrays against the generic
+    # region: after each label they are the antichains of the points
+    # labelled so far, in order of first coordinate; a covered point keeps
+    # its side's array object; and a label raises exactly where
+    # with_fail or with_safe raises, leaving both sides as they were
+    region = StaircaseRegion.empty(2)
+    F, S = region.fail_generators, region.safe_generators
+    kept = {True: [], False: []}
+    for a, b, failed in labelled:
+        x = np.array([a, b])
+        try:
+            expected = region.with_fail(x) if failed else region.with_safe(x)
+        except MonotonicityViolation:
+            with pytest.raises(MonotonicityViolation):
+                monotone._label2(F, S, x, failed)
+            continue
+        F_new, S_new = monotone._label2(F, S, x, failed)
+        assert (F_new is F) == (expected.fail_generators
+                                is region.fail_generators)
+        assert (S_new is S) == (expected.safe_generators
+                                is region.safe_generators)
+        F, S, region = F_new, S_new, expected
+        kept[failed].append(x)
+        fail = np.array(kept[True]).reshape(-1, 2)
+        safe = np.array(kept[False]).reshape(-1, 2)
+        assert np.array_equal(F, maximal_points(fail).reshape(-1, 2))
+        assert np.array_equal(S, minimal_points(safe).reshape(-1, 2)[::-1])
+
+
 def same_query(a, b):
     if a is None or b is None:
         return a is None and b is None
@@ -519,9 +552,9 @@ class TestStaircase2:
         assert np.all(fail.reach(Y) < X)
         assert np.array_equal(fail._area_below(fail.reach(Y)).view(np.int64),
                               fail._cum[r].view(np.int64))
-        j = np.searchsorted(fail.x, X)
-        assert np.array_equal(fail._gain_above(X, Y, j).view(np.int64),
-                              fail.gain(X, Y).view(np.int64))
+        assert np.array_equal(
+            fail._gain_above(X, Y, fail._area_below(X)).view(np.int64),
+            fail.gain(X, Y).view(np.int64))
 
     @given(st.integers(0, 2 ** 32 - 1),
            st.sampled_from(["mixed", "no-fail", "no-safe", "no-rows"]))
@@ -553,6 +586,21 @@ class TestStaircase2:
         x = _boundary_query(fail, safe, m, 1.0 - m)
         assert x[0] == m[0] and x[1] != m[0]
         assert same_query(x, reference_boundary_query(fail, safe, m))
+
+    @given(st.integers(0, 2 ** 32 - 1),
+           st.sampled_from(["mixed", "no-fail", "no-safe", "no-rows"]))
+    @settings(max_examples=30, deadline=None)
+    def test_columns_follow_the_grid(self, seed, case):
+        # one pair of staircases queried at two grids, twice in a row and
+        # then back, keeps its columns for the grid last asked for; each
+        # query has the bits of fresh staircases
+        fail, safe, grid = labelled_staircases(seed, case)
+        other = grid[1::2] * 0.75
+        flips = {id(g): 1.0 - g for g in (grid, other)}
+        for g in (grid, grid, other, other, grid):
+            fresh = labelled_staircases(seed, case)[:2]
+            assert same_query(_boundary_query(fail, safe, g, flips[id(g)]),
+                              reference_boundary_query(*fresh, g))
 
     @pytest.mark.parametrize("name", ["example1:d=2:p=5e-4", "linear:d=2:y=1.7"])
     def test_boundary_query_bits_in_a_run(self, name, monkeypatch):
@@ -922,6 +970,10 @@ class TestSequentialBounder:
         pytest.param(2, "auto", 60, 202, 0,
                      "(0.0004190881990539619, 0.0006051014329112593)", None,
                      id="d2"),
+        # the mono-d2 benchmark protocol
+        pytest.param(2, "auto", 200, 202, 0,
+                     "(0.00047657396480516766, 0.0005266281156562914)", None,
+                     id="d2-200"),
         pytest.param(3, "mcmc", 60, 202, 0,
                      "(8.336465252974204e-05, 0.00310031320148807)", None,
                      id="d3-mcmc"),
@@ -951,6 +1003,13 @@ class TestSequentialBounder:
         assert repr((run.bounds.lower, run.bounds.upper)) == expected
         if name is not None:
             assert run.sampler_name == name
+
+    def test_golden_bounds_strip_fallback(self):
+        # the last 34 of these queries come from the strip fallback
+        run = sequential_bounder(get_benchmark("linear:d=2:y=1.99").function,
+                                 440, RandomStream(1, 0))
+        assert repr((run.bounds.lower, run.bounds.upper)) == \
+            "(0.9998024783340528, 0.999985586560605)"
 
     def test_d4_golden_holds_the_exact_volumes(self):
         # the d4-auto golden's upper bound ended ...239425 under the slab
