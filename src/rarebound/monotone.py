@@ -18,7 +18,7 @@ or a strip midpoint in two, and drawn by a sampler from three on.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -279,8 +279,9 @@ def upper_orthant_volume(P) -> float:
 
 def _delta_lower_volume(stair: _Staircase2, P: np.ndarray) -> np.ndarray:
     """Area each row of P adds to the 2-D lower-orthant union of ``stair``:
-    vol[0, x] minus the part already covered, bit for bit as for one row."""
-    return stair.gain(P[:, 0], P[:, 1])
+    vol[0, x] minus the part already covered, by ``_gain_above``: for the
+    strip midpoints in the region the bits of the general formula."""
+    return stair._gain_above(P[:, 0], P[:, 1], stair._below(P[:, 0])[1])
 
 
 def _insert_maximal(pruned: np.ndarray, x: np.ndarray,
@@ -302,10 +303,10 @@ class _Staircase2:
     sums of phi give every candidate's exclusive area with two binary
     searches (Emmerich & Fonseca 2011) instead of a sweep per candidate.
 
-    The safe side is stored flipped, as the maximal antichain 1 - S.  A
-    d = 2 run builds both staircases from generators it keeps sorted
-    (:meth:`from_sorted`, no argsort): the fail ones as they are, the safe
-    ones reversed and flipped, so that safe abscissae that flip to one
+    The safe side is stored flipped, as the maximal antichain 1 - S.  The
+    constructor takes generators already sorted, x ascending and y
+    descending: a d = 2 run passes the fail ones as it keeps them, and the
+    safe ones reversed and flipped, so that safe abscissae that flip to one
     float come in order of descending height, as the searches need.
 
     What the staircase alone decides at the abscissae of a query
@@ -314,19 +315,7 @@ class _Staircase2:
     staircase it changes, so the other one's columns carry over.
     """
 
-    def __init__(self, pruned: np.ndarray):
-        order = np.argsort(pruned[:, 0], kind="stable")
-        self._build(pruned[order, 0], pruned[order, 1])
-
-    @classmethod
-    def from_sorted(cls, x: np.ndarray, y: np.ndarray) -> "_Staircase2":
-        """The staircase of generators already in the order the
-        constructor gives: x ascending, y descending."""
-        stair = object.__new__(cls)
-        stair._build(x, y)
-        return stair
-
-    def _build(self, x: np.ndarray, y: np.ndarray) -> None:
+    def __init__(self, x: np.ndarray, y: np.ndarray):
         self.x, self.y = x, y
         self._neg_y = -y                             # ascending, for searches
         self._x0 = np.concatenate(([0.0], x))        # left end of step j
@@ -334,25 +323,18 @@ class _Staircase2:
         self._cum = np.concatenate(([0.0], np.cumsum(y * np.diff(self._x0))))
         self._columns_key, self._columns = None, None
 
-    def reach(self, h: np.ndarray) -> np.ndarray:
-        """Largest x_j with y_j >= h (0 if none): the union's extent at height h."""
-        return self._x0[np.searchsorted(self._neg_y, -h, side="right")]
-
     def _below(self, t: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
         """phi(t) and the area of the union left of t."""
         j = np.searchsorted(self.x, t, side="left")
         h = self._y0[j]
         return h, self._cum[j] + h * (t - self._x0[j])
 
-    def _area_below(self, t: np.ndarray) -> np.ndarray:
-        return self._below(t)[1]
-
     def columns(self, t: np.ndarray, flipped: bool) -> tuple:
         """At each abscissa of t: the height phi(t), the log-coordinate
-        height, ``_area_below(t)``, and for flipped safe generators
-        (``flipped``) the steps of reach(t); then the log-log polyline
-        through the generators, unflipped.  The log height is _log(phi),
-        or _log(1 - phi) when flipped.
+        height, the area below t, and for flipped safe generators
+        (``flipped``) the reach step r at height t (:meth:`_gain_above`);
+        then the log-log polyline through the generators, unflipped.  The
+        log height is _log(phi), or _log(1 - phi) when flipped.
 
         Kept for the last array t and orientation asked for, by identity:
         the caller must not write into t between queries.
@@ -373,19 +355,15 @@ class _Staircase2:
 
     def _gain_above(self, X: np.ndarray, Y: np.ndarray, area: np.ndarray,
                     r=None) -> np.ndarray:
-        """:meth:`gain`, to the bit, of candidates above the staircase, given
-        area = _area_below(X) and optionally r, the step of reach(Y).  There
-        reach(Y) <= X, and _area_below(x0[r]) is _cum[r]: the x_j increase
-        strictly and cumsum adds its terms in order."""
+        """Area of [0, X] x [0, Y] outside the union, per candidate above it,
+        given area = ``_below(X)[1]`` and optionally r, the step of the last
+        generator at least Y high: x0[r] is the union's reach at height Y.
+        Above the union the reach is at most X, and the area below it is
+        _cum[r], to the bit: cumsum adds its terms in order, and a step of
+        tied abscissae adds an exact 0."""
         if r is None:
             r = np.searchsorted(self._neg_y, -Y, side="right")
         return np.maximum(X * Y - (Y * self._x0[r] + area - self._cum[r]), 0.0)
-
-    def gain(self, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-        """Area of [0, X] x [0, Y] outside the union, per candidate."""
-        t = np.minimum(X, self.reach(Y))
-        covered = Y * t + self._area_below(X) - self._area_below(t)
-        return np.maximum(X * Y - covered, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -710,14 +688,15 @@ def _boundary_query(fail: _Staircase2, safe: _Staircase2, grid: np.ndarray,
     return x
 
 
-def _strip_midpoints(region: StaircaseRegion, fail: _Staircase2,
+def _strip_midpoints(F: np.ndarray, S: np.ndarray, fail: _Staircase2,
                      safe: _Staircase2) -> Tuple[np.ndarray, np.ndarray]:
     """Every strip midpoint of a 2-D region, and the mask of those in it.
 
-    Both staircases are flat between consecutive generator abscissae, so
-    the region is a union of vertical strips; a midpoint's height is the
-    middle of its strip's bracket.  Membership is the mask
-    ``contains_batch`` gives, from one binary search per staircase: (t, h)
+    F and S are the generators as ``_label2`` keeps them, with their
+    staircases.  Both staircases are flat between consecutive generator
+    abscissae, so the region is a union of vertical strips; a midpoint's
+    height is the middle of its strip's bracket.  Membership is the mask
+    ``contains_batch`` gives, from one binary search per side: (t, h)
     lies below a fail generator iff the first one at or right of t
     reaches h, and above a safe generator iff the last one at or left of
     t, the lowest there, lies at or below h.  The safe side reads the
@@ -725,14 +704,12 @@ def _strip_midpoints(region: StaircaseRegion, fail: _Staircase2,
     move the comparison.  With the test exact, a rounded bracket height
     can drop a midpoint but never admit one outside the region.
     """
-    F, S = region.fail_generators, region.safe_generators
     b = np.unique(np.concatenate(([0.0, 1.0], F[:, 0], S[:, 0])))
     t = 0.5 * (b[:-1] + b[1:])
     jf = np.searchsorted(fail.x, t)
     phi = fail._y0[jf]
     psi = 1.0 - safe._y0[np.searchsorted(safe.x, 1.0 - t)]
     h = 0.5 * (phi + psi)
-    S = S[np.argsort(S[:, 0])]
     # height of the last safe generator at or left of t, inf if none
     low = np.concatenate(([np.inf], S[:, 1]))[
         np.searchsorted(S[:, 0], t, side="right")]
@@ -740,12 +717,12 @@ def _strip_midpoints(region: StaircaseRegion, fail: _Staircase2,
     return np.column_stack((t, h)), inside
 
 
-def _strip_query(region: StaircaseRegion, fail: _Staircase2,
+def _strip_query(F: np.ndarray, S: np.ndarray, fail: _Staircase2,
                  safe: _Staircase2) -> Optional[np.ndarray]:
     """Next 2-D query when :func:`_boundary_query` has none, or None: of
-    the strip midpoints in the region, the one with the largest product
-    of exact gains."""
-    P, inside = _strip_midpoints(region, fail, safe)
+    the strip midpoints in the region (``_strip_midpoints``), the one with
+    the largest product of exact gains."""
+    P, inside = _strip_midpoints(F, S, fail, safe)
     P = P[inside]
     if not P.shape[0]:
         return None
@@ -799,6 +776,86 @@ class SequentialRun:
     sampler_name: str
 
 
+# Each rule is a generator with its own state: it yields a query, is sent
+# its label, and returns (region, sampler name) when it stops.
+
+def _interval_loop(budget: int):
+    """d = 1: the midpoint of the undecided interval."""
+    region = StaircaseRegion.empty(1)
+    for _ in range(budget):
+        lo, hi = region.fail_generators, region.safe_generators
+        x = np.array([0.5 * (lo.max(initial=0.0) + hi.min(initial=1.0))])
+        if (lo == x).any() or (hi == x).any():
+            break           # x is a labelled end: no float lies between
+        region = region.with_fail(x) if (yield x) else region.with_safe(x)
+    return region, "boundary"
+
+
+def _boundary_loop(budget: int, gen: np.random.Generator):
+    """d = 2: the boundary estimate, else the best strip midpoint."""
+    # log-spaced abscissae at a random offset, so replications differ
+    grid = 10.0 ** ((np.arange(_GRID_DECADES * _GRID_PER_DECADE)
+                     + gen.random()) / _GRID_PER_DECADE - _GRID_DECADES)
+    flip = 1.0 - grid
+    # the generators sorted by first coordinate (_label2) stand in for the
+    # region, which is built once, for the run
+    F, S = np.empty((0, 2)), np.empty((0, 2))
+    fail = _Staircase2(np.empty(0), np.empty(0))
+    safe = _Staircase2(np.empty(0), np.empty(0))
+    for _ in range(budget):
+        x = _boundary_query(fail, safe, grid, flip)
+        if x is None:
+            x = _strip_query(F, S, fail, safe)
+        if x is None:
+            break           # no strip midpoint lies in the region
+        # a label replaces one generator array and keeps the other
+        F_new, S_new = _label2(F, S, x, (yield x))
+        if F_new is not F:
+            F = F_new
+            fail = _Staircase2(F[:, 0].copy(), F[:, 1].copy())
+        if S_new is not S:
+            S = S_new
+            safe = _Staircase2(1.0 - S[::-1, 0], 1.0 - S[::-1, 1])
+    return StaircaseRegion._built(F, S, 2), "boundary"
+
+
+def _pool_loop(budget: int, d: int, gen: np.random.Generator, sampler: str):
+    """d >= 3: the best-scored point of a subsample of the sampled pool."""
+    from .mcmc import RegionWalkSampler
+    region = StaircaseRegion.empty(d)
+    rejection = RejectionSampler()
+    walker = RegionWalkSampler(region, gen) if sampler == "mcmc" else None
+    name = sampler
+    pool = np.empty((0, d))       # points of the current region
+    for _ in range(budget):
+        need = _POOL_SIZE - pool.shape[0]
+        if need > 0:
+            if sampler == "auto" and walker is None \
+                    and rejection.attempts >= 8 * rejection.chunk \
+                    and rejection.acceptance_rate < SWITCH_ACCEPTANCE:
+                walker = RegionWalkSampler(region, gen)
+                name = "auto(rejection->mcmc)"
+            if walker is not None:
+                walker.update_region(region)
+                fresh = walker.draw(need)
+            else:
+                fresh = rejection.draw_batch(region, gen, need)
+            pool = np.vstack([pool, fresh]) if pool.shape[0] else fresh
+        if pool.shape[0] > _SCORE_SUBSAMPLE:
+            sel = gen.choice(pool.shape[0], _SCORE_SUBSAMPLE, replace=False)
+        else:
+            sel = np.arange(pool.shape[0])
+        P = pool[sel]
+        geq = _dominated(P, P, np.greater_equal)
+        score = geq.sum(axis=0) + geq.sum(axis=1)
+        pick = int(np.argmax(score))
+        pool = np.delete(pool, sel[pick], axis=0)
+        x = P[pick]
+        after = region.with_fail(x) if (yield x) else region.with_safe(x)
+        pool, region = pool[after.retain(pool, region)], after
+    return region, name
+
+
 def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
                        sampler: str = "auto") -> SequentialRun:
     """Spend ``budget`` oracle queries bounding p = P(g(X) < y).
@@ -811,35 +868,33 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
     were picked.  Above d = 6 the run raises ``ValueError`` before its
     first query.
 
-    How the point is picked depends only on the dimension.  A candidate's
-    two gains are the unknown mass it would retire if it failed (its
-    lower-orthant contribution) and if it proved safe (upper-orthant
-    contribution).
+    This function takes the oracle step (query, finiteness check, record)
+    and builds the result; one of three loops, chosen by the dimension,
+    picks the points.  A label is "value below the threshold".  A
+    candidate's two gains are the unknown mass it would retire if it
+    failed (its lower-orthant contribution) and if it proved safe.
 
-    - d = 1: the midpoint of the undecided interval (max F, min S), where
-      the product of the two exact gains peaks.  The run stops early once
-      the midpoint rounds to a labelled end: no float is left between.
-    - d = 2: a point on an estimate of the fail/safe boundary: in log-log
-      coordinates, the midpoints of the brackets the two staircases
-      leave at log-spaced abscissae (at a random offset per run), and of
-      the horizontal brackets in the rows below the lowest fail point.
-      The candidate with the largest product of exact gains picks the
-      column, which is then queried at the midpoint of the polylines
-      through the fail and through the safe generators, kept inside the
-      middle of the bracket.  Gains and region membership come from
-      binary searches and running sums, exact up to a candidate's reach.
-      The searches run once per label: the generators are kept sorted by
-      first coordinate, a label goes in by binary search (``_label2``),
-      and only the staircase it changes recomputes its grid columns
-      (``_Staircase2.columns``); a step searches only at the bracket
-      midpoints.  With no such candidate in the region the best strip
-      midpoint (``_strip_query``) is queried, and once none is left the
-      run stops.
-    - d >= 3: a pool of ``_POOL_SIZE`` region points drawn by the sampler
-      is kept on hand; each step scores a random subsample of
-      ``_SCORE_SUBSAMPLE`` of them by the sum of their pool domination
-      counts (a cheap Monte Carlo proxy for the two gains) and queries
-      the best.
+    - d = 1 (``_interval_loop``): the midpoint of the undecided interval
+      (max F, min S), where the product of the two exact gains peaks.  The
+      run stops early once the midpoint rounds to a labelled end: no
+      float is left between.
+    - d = 2 (``_boundary_loop``): a point on an estimate of the fail/safe
+      boundary: in log-log coordinates, the midpoints of the brackets the
+      two staircases leave at log-spaced abscissae (at a random offset
+      per run), and of the horizontal brackets in the rows below the
+      lowest fail point.  The candidate with the largest product of exact
+      gains picks the column, which is then queried at the midpoint of
+      the polylines through the fail and through the safe generators,
+      kept inside the middle of the bracket.  The generators are kept
+      sorted (``_label2``), and a label rebuilds only the staircase it
+      changes (``_Staircase2``).  With no such candidate in the region the
+      best strip midpoint (``_strip_query``) is queried, and once none is
+      left the run stops.
+    - d >= 3 (``_pool_loop``): a pool of ``_POOL_SIZE`` region points
+      drawn by the sampler is kept on hand; each step scores a random
+      subsample of ``_SCORE_SUBSAMPLE`` of them by the sum of their pool
+      domination counts (a cheap Monte Carlo proxy for the two gains) and
+      queries the best.
 
     No sampler runs at d <= 2: ``sampler`` has no effect there, and the
     run's ``sampler_name`` is "boundary".
@@ -874,107 +929,27 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
     d = f.dimension
     _check_volume_dim(d)
     gen = rng.generator()
-    rejection = RejectionSampler()
-    walker = None
+    if d == 1:
+        loop = _interval_loop(budget)
+    elif d == 2:
+        loop = _boundary_loop(budget, gen)
+    else:
+        loop = _pool_loop(budget, d, gen, sampler)
 
-    pts: List[np.ndarray] = []
-    labels: List[bool] = []
-    vals: List[float] = []
-    name = "boundary" if d <= 2 else sampler    # no sampler runs at d <= 2
-    region = StaircaseRegion.empty(d)
-    pool = np.empty((0, d))
-    pool_region = region          # the region every pool point lies in
-
-    def make_walker():
-        from .mcmc import RegionWalkSampler
-        return RegionWalkSampler(region, gen)
-
-    if d == 2:
-        # log-spaced abscissae at a random offset, so replications differ
-        grid = 10.0 ** ((np.arange(_GRID_DECADES * _GRID_PER_DECADE)
-                         + gen.random()) / _GRID_PER_DECADE - _GRID_DECADES)
-        flip = 1.0 - grid
-        # the generators sorted by first coordinate (_label2) stand in for
-        # the region, which is built only where it is read
-        F, S = region.fail_generators, region.safe_generators
-        fail_stair = _Staircase2.from_sorted(np.empty(0), np.empty(0))
-        safe_stair = _Staircase2.from_sorted(np.empty(0), np.empty(0))
-    elif d >= 3 and sampler == "mcmc":
-        walker = make_walker()
-
-    def refill(pool: np.ndarray, n: int) -> np.ndarray:
-        nonlocal walker, name
-        if pool.shape[0] >= n:
-            return pool
-        need = n - pool.shape[0]
-        if sampler == "auto" and walker is None \
-                and rejection.attempts >= 8 * rejection.chunk \
-                and rejection.acceptance_rate < SWITCH_ACCEPTANCE:
-            walker = make_walker()
-            name = "auto(rejection->mcmc)"
-        if walker is not None:
-            walker.update_region(region)
-            fresh = walker.draw(need)
-        else:
-            fresh = rejection.draw_batch(region, gen, need)
-        return np.vstack([pool, fresh]) if pool.shape[0] else fresh
-
-    def pool_query() -> np.ndarray:
-        nonlocal pool, pool_region
-        if pool.shape[0]:
-            pool = pool[region.retain(pool, pool_region)]
-        pool = refill(pool, _POOL_SIZE)
-        pool_region = region
-        if pool.shape[0] > _SCORE_SUBSAMPLE:
-            sel = gen.choice(pool.shape[0], _SCORE_SUBSAMPLE, replace=False)
-        else:
-            sel = np.arange(pool.shape[0])
-        P = pool[sel]
-        geq = _dominated(P, P, np.greater_equal)
-        score = geq.sum(axis=0) + geq.sum(axis=1)
-        pick = int(np.argmax(score))
-        pool = np.delete(pool, sel[pick], axis=0)
-        return P[pick]
-
-    for _ in range(budget):
-        if d == 1:
-            lo, hi = region.fail_generators, region.safe_generators
-            x = np.array([0.5 * (lo.max(initial=0.0) + hi.min(initial=1.0))])
-            if (lo == x).any() or (hi == x).any():
-                break           # x is a labelled end: no float lies between
-        elif d == 2:
-            x = _boundary_query(fail_stair, safe_stair, grid, flip)
-            if x is None:
-                x = _strip_query(StaircaseRegion._built(F, S, 2),
-                                 fail_stair, safe_stair)
-            if x is None:
-                break           # no strip midpoint lies in the region
-        else:
-            x = pool_query()
-
+    pts, vals, failed = [], [], None
+    while True:
+        try:
+            x = loop.send(failed)
+        except StopIteration as end:
+            region, name = end.value
+            break
         value = f(x)
         check_finite(value, x)
-        failed = value < f.threshold
         pts.append(x)
-        labels.append(failed)
         vals.append(value)
-        if d == 2:
-            # a label replaces one generator array and keeps the other
-            F_new, S_new = _label2(F, S, x, failed)
-            if F_new is not F:
-                F = F_new
-                fail_stair = _Staircase2.from_sorted(F[:, 0].copy(),
-                                                     F[:, 1].copy())
-            if S_new is not S:
-                S = S_new
-                safe_stair = _Staircase2.from_sorted(1.0 - S[::-1, 0],
-                                                     1.0 - S[::-1, 1])
-        else:
-            region = region.with_fail(x) if failed else region.with_safe(x)
-
-    if d == 2:
-        region = StaircaseRegion._built(F, S, 2)
-    design = LabeledDesign(np.array(pts), np.array(labels), np.array(vals))
+        failed = value < f.threshold
+    values = np.array(vals)
+    design = LabeledDesign(np.array(pts), values < f.threshold, values)
     return SequentialRun(design=design, region=region,
                          bounds=bounds_from_design(design),
                          sampler_name=name)

@@ -10,9 +10,10 @@ distributional accuracy, and benchmark self-consistency.
 
 Run ``pytest tests/test_acceptance.py -v`` for the per-criterion
 pass/fail lines; add ``-s`` to see measured values on passing runs.
-On one core of a shared 2-vCPU host the full gate took about four
-minutes: criterion 05, the 100-run shift study, about 160 s of it,
-criterion 10 about 25 s, and criteria 01 and 02 together about 22 s.
+On one core of a shared 2-vCPU host the full gate took about two and a
+half minutes: criterion 05, the 100-run shift study, about 110 s of it,
+criterion 10 about 16 s, and the monotone study that criteria 01 and 02
+share about 11 s.
 """
 
 import csv

@@ -1,4 +1,5 @@
-"""Every module-level import and definition in the package is used,
+"""Every module-level import and definition in the package is used, and
+every private method,
 every config key reaches a method runner, every command-line option
 is passed by some test, and the monotone module builds each dominance
 mask through its one primitive.
@@ -56,23 +57,41 @@ def _references(node):
         if isinstance(n, (ast.Name, ast.Attribute)))
 
 
+def _definitions(tree):
+    """(name, node) of each module-level function and class, and of each
+    private method: every method of a class whose name starts with an
+    underscore, and underscore methods of the others.  Dunder methods are
+    called by Python itself, so they are left out."""
+    for node in tree.body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            yield from (
+                (f"{node.name}.{item.name}", item) for item in node.body
+                if isinstance(item, ast.FunctionDef)
+                and not item.name.startswith("__")
+                and (node.name.startswith("_") or item.name.startswith("_")))
+
+
 def unreferenced_definitions(sources):
-    """Module-level functions and classes that no other code reads.
+    """Module-level functions and classes, and private methods (see
+    ``_definitions``), that no other code reads.
 
     ``sources`` maps a module name to its text.  A definition counts as
     used when its name is read outside its own body anywhere in the
-    sources, or listed in the ``__all__`` of ``__init__.py``, the
-    package's public interface.  A module's own ``__all__`` does not
-    count, so it cannot hide a definition that nothing reaches.
+    sources, as a variable or an attribute, or listed in the ``__all__``
+    of ``__init__.py``, the package's public interface.  A module's own
+    ``__all__`` does not count, so it cannot hide a definition that
+    nothing reaches.
     """
     trees = {name: ast.parse(text) for name, text in sources.items()}
     reads = sum((_references(t) for t in trees.values()), collections.Counter())
     exported = _listed_in_all(ast.parse(sources.get("__init__.py", "")))
     return sorted(
-        f"{module}: {node.name} (line {node.lineno})"
-        for module, tree in trees.items() for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and node.name not in exported
+        f"{module}: {name} (line {node.lineno})"
+        for module, tree in trees.items() for name, node in _definitions(tree)
+        if name not in exported
         and reads[node.name] <= _references(node)[node.name])
 
 
@@ -106,6 +125,26 @@ def test_scan_finds_unreferenced_definitions():
     assert unreferenced_definitions(sources) == [
         "a.py: _recursive (line 6)", "a.py: listed (line 8)",
         "b.py: Unused (line 3)", "b.py: caller (line 5)"]
+
+
+def test_scan_finds_unreferenced_methods():
+    # gain is read only by tests, which the scan does not see; a public
+    # method of a public class is API, and a dunder is Python's to call
+    sources = {
+        "__init__.py": "from .m import api, Region\n__all__ = ['api', 'Region']\n",
+        "m.py": "class _Staircase2:\n"
+                "    def __init__(self):\n        self.h = 0\n"
+                "    def columns(self):\n        return self._below()\n"
+                "    def _below(self):\n        return self.h\n"
+                "    def gain(self):\n        return self.gain()\n"
+                "class Region:\n"
+                "    def contains(self):\n        return 1\n"
+                "    def _used(self):\n        return 2\n"
+                "    def _unused(self):\n        return 3\n"
+                "def api():\n    return _Staircase2().columns() + Region()._used()\n",
+    }
+    assert unreferenced_definitions(sources) == [
+        "m.py: Region._unused (line 15)", "m.py: _Staircase2.gain (line 8)"]
 
 
 def test_every_definition_is_referenced():

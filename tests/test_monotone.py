@@ -357,6 +357,33 @@ def height(stair, t):
     return stair._y0[np.searchsorted(stair.x, t, side="left")]
 
 
+def staircase(P):
+    """The ``_Staircase2`` of a 2-D maximal antichain in any row order:
+    sorted by first coordinate, ties (flipped safe abscissae) by
+    descending height."""
+    P = np.asarray(P, dtype=float).reshape(-1, 2)
+    order = np.lexsort((-P[:, 1], P[:, 0]))
+    return _Staircase2(P[order, 0], P[order, 1])
+
+
+def reach(stair, h):
+    """Largest x_j with y_j >= h (0 if none): the union's extent at height h."""
+    return stair._x0[np.searchsorted(stair._neg_y, -h, side="right")]
+
+
+def area_below(stair, t):
+    """Area of the union left of t."""
+    return stair._below(t)[1]
+
+
+def gain(stair, X, Y):
+    """Area of [0, X] x [0, Y] outside the union, per candidate anywhere:
+    the reference for ``_gain_above``, which takes candidates above it."""
+    t = np.minimum(X, reach(stair, Y))
+    covered = Y * t + area_below(stair, X) - area_below(stair, t)
+    return np.maximum(X * Y - covered, 0.0)
+
+
 def reference_boundary_query(fail, safe, grid):
     """Reference for ``_boundary_query``: the candidates stacked and
     compacted to the region, each scored by the general ``gain`` with its
@@ -369,14 +396,15 @@ def reference_boundary_query(fail, safe, grid):
     cand = [np.column_stack([grid, np.exp(0.5 * (lo + hi))])]
     if fail.x.size:
         rows = grid[grid < fail.y[-1]]
-        reach = 1.0 - safe.reach(1.0 - rows)
-        cand.append(np.column_stack([np.sqrt(fail.x[-1] * reach), rows]))
+        right = 1.0 - reach(safe, 1.0 - rows)
+        cand.append(np.column_stack([np.sqrt(fail.x[-1] * right), rows]))
     P = np.vstack(cand)
     keep = np.flatnonzero(inside(P[:, 0], P[:, 1]))
     if keep.size == 0:
         return None
     P = P[keep]
-    score = fail.gain(P[:, 0], P[:, 1]) * safe.gain(1.0 - P[:, 0], 1.0 - P[:, 1])
+    score = gain(fail, P[:, 0], P[:, 1]) * gain(safe, 1.0 - P[:, 0],
+                                                1.0 - P[:, 1])
     best = int(np.argmax(score))
     x, j = P[best], keep[best]
     if j >= grid.size or not fail.x.size or not safe.x.size:
@@ -399,7 +427,7 @@ def reference_strip_query(region):
     abscissae, membership by ``contains_batch`` one point at a time, and
     each candidate scored by fresh staircases."""
     F, S = region.fail_generators, region.safe_generators
-    fail, safe = _Staircase2(F), _Staircase2(1.0 - S)
+    fail, safe = staircase(F), staircase(1.0 - S)
     b = sorted({0.0, 1.0, *F[:, 0], *S[:, 0]})
     best, pick = -1.0, None
     for left, right in zip(b, b[1:]):
@@ -410,11 +438,22 @@ def reference_strip_query(region):
         x = np.array([t, 0.5 * (phi + psi)])
         if not region.contains_batch(x[None, :])[0]:
             continue
-        score = (_Staircase2(F).gain(x[:1], x[1:])[0]
-                 * _Staircase2(1.0 - S).gain(1.0 - x[:1], 1.0 - x[1:])[0])
+        score = (gain(staircase(F), x[:1], x[1:])[0]
+                 * gain(staircase(1.0 - S), 1.0 - x[:1], 1.0 - x[1:])[0])
         if score > best:
             best, pick = score, x
     return pick
+
+
+def strip_scores_are_gains(F, S, fail, safe):
+    """True when ``_strip_query``'s scores, by ``_gain_above``, have the
+    bits of the general ``gain`` on both sides, at every strip midpoint in
+    the region: also where rounding puts 1 - P on the flipped staircase."""
+    P, inside = monotone._strip_midpoints(F, S, fail, safe)
+    P = P[inside]
+    return all(np.array_equal(monotone._delta_lower_volume(st, Q).view(np.int64),
+                              gain(st, Q[:, 0], Q[:, 1]).view(np.int64))
+               for st, Q in ((fail, P), (safe, 1.0 - P)))
 
 
 # coordinates that make shared abscissae, zero and unit heights and
@@ -435,10 +474,10 @@ def test_strip_midpoint_mask_is_contains_batch(labelled):
     F = maximal_points(P[fail]).reshape(-1, 2)
     S = P[~fail]
     S = S[~np.array([np.all(s <= F, axis=1).any() for s in S], dtype=bool)]
-    S = minimal_points(S).reshape(-1, 2)
+    S = minimal_points(S).reshape(-1, 2)[::-1]   # by first coordinate
     region = StaircaseRegion(F, S, 2)
-    M, inside = monotone._strip_midpoints(region, _Staircase2(F),
-                                          _Staircase2(1.0 - S))
+    M, inside = monotone._strip_midpoints(F, S, staircase(F),
+                                          staircase(1.0 - S))
     assert np.array_equal(inside, region.contains_batch(M))
 
 
@@ -502,7 +541,7 @@ def labelled_staircases(seed, case):
     fail[:] = {"no-fail": False, "no-safe": True}.get(case, fail)
     F = maximal_points(P[fail]) if fail.any() else np.empty((0, 2))
     S = minimal_points(P[~fail]) if not fail.all() else np.empty((0, 2))
-    return _Staircase2(F), _Staircase2(1.0 - S), grid
+    return staircase(F), staircase(1.0 - S), grid
 
 
 class TestStaircase2:
@@ -519,17 +558,16 @@ class TestStaircase2:
             pick = gen.integers(0, G.shape[0], 8)
             C[:4] = G[pick[:4]]
             C[4:8, 0] = G[pick[4:], 0]
-        stair = _Staircase2(G)
-        gain = stair.gain(C[:, 0], C[:, 1])
+        stair = staircase(G)
         base = lower_orthant_volume(G)
         ref = [lower_orthant_volume(np.vstack([G, c])) - base for c in C]
-        assert gain == pytest.approx(ref, abs=1e-12)
+        assert gain(stair, C[:, 0], C[:, 1]) == pytest.approx(ref, abs=1e-12)
         region = StaircaseRegion(G, np.empty((0, 2)), 2)
         assert np.array_equal(C[:, 1] > height(stair, C[:, 0]),
                               region.contains_batch(C))
-        reach = [max([g[0] for g in G if g[1] >= h], default=0.0)
-                 for h in C[:, 1]]
-        assert stair.reach(C[:, 1]).tolist() == reach
+        extent = [max([g[0] for g in G if g[1] >= h], default=0.0)
+                  for h in C[:, 1]]
+        assert reach(stair, C[:, 1]).tolist() == extent
 
     @given(st.integers(0, 2 ** 32 - 1),
            st.sampled_from(["mixed", "no-fail", "no-safe", "no-rows"]))
@@ -549,12 +587,12 @@ class TestStaircase2:
         above = Y > height(fail, X)
         X, Y = X[above], Y[above]
         r = np.searchsorted(-fail.y, -Y, side="right")
-        assert np.all(fail.reach(Y) < X)
-        assert np.array_equal(fail._area_below(fail.reach(Y)).view(np.int64),
+        assert np.all(reach(fail, Y) < X)
+        assert np.array_equal(area_below(fail, reach(fail, Y)).view(np.int64),
                               fail._cum[r].view(np.int64))
         assert np.array_equal(
-            fail._gain_above(X, Y, fail._area_below(X)).view(np.int64),
-            fail.gain(X, Y).view(np.int64))
+            fail._gain_above(X, Y, area_below(fail, X)).view(np.int64),
+            gain(fail, X, Y).view(np.int64))
 
     @given(st.integers(0, 2 ** 32 - 1),
            st.sampled_from(["mixed", "no-fail", "no-safe", "no-rows"]))
@@ -569,8 +607,8 @@ class TestStaircase2:
     def test_no_candidate_in_a_sub_floor_region(self):
         # everything above height 1e-13 right of 5e-13 is safe: no grid
         # abscissa (>= 1e-12) leaves room for a candidate
-        fail = _Staircase2(np.empty((0, 2)))
-        safe = _Staircase2(1.0 - np.array([[5e-13, 1e-13]]))
+        fail = staircase(np.empty((0, 2)))
+        safe = staircase(1.0 - np.array([[5e-13, 1e-13]]))
         grid = np.logspace(-12, -1e-9, 50)
         assert _boundary_query(fail, safe, grid, 1.0 - grid) is None
         assert reference_boundary_query(fail, safe, grid) is None
@@ -580,12 +618,32 @@ class TestStaircase2:
         # horizontal midpoint is sqrt(m * m) = m: the same point, with the
         # same score, in both sets.  The vertical one wins and is moved.
         m = np.exp(0.5 * (_log(np.zeros(1)) + _log(np.ones(1))))
-        fail = _Staircase2(np.array([[m[0] * m[0], 0.5]]))
-        safe = _Staircase2(1.0 - np.array([[0.5, 0.5]]))
+        fail = staircase(np.array([[m[0] * m[0], 0.5]]))
+        safe = staircase(1.0 - np.array([[0.5, 0.5]]))
         assert np.sqrt(fail.x[-1]) == m[0]
         x = _boundary_query(fail, safe, m, 1.0 - m)
         assert x[0] == m[0] and x[1] != m[0]
         assert same_query(x, reference_boundary_query(fail, safe, m))
+
+    def test_safe_abscissae_that_flip_to_one_float(self):
+        # safe generators at x = 2^-61 and 2^-60 both flip to abscissa 1.0;
+        # built as a d = 2 run builds it, reversed and flipped, the safe
+        # staircase keeps its heights non-increasing at that abscissa, as
+        # the searches need, and agrees with the sorting helper
+        F = S = np.empty((0, 2))
+        for x, failed in (([2.0 ** -61, 0.5], False),
+                          ([2.0 ** -60, 0.25], False), ([0.3, 0.1], True)):
+            F, S = monotone._label2(F, S, np.array(x), failed)
+        fail = _Staircase2(F[:, 0].copy(), F[:, 1].copy())
+        safe = _Staircase2(1.0 - S[::-1, 0], 1.0 - S[::-1, 1])
+        assert safe.x.tolist() == [1.0, 1.0]
+        assert np.all(np.diff(safe.y) <= 0.0)
+        ref = staircase(1.0 - S)
+        assert np.array_equal(ref.x, safe.x) and np.array_equal(ref.y, safe.y)
+        grid = 10.0 ** ((np.arange(1440) + 0.5) / 120 - 12)
+        x = _boundary_query(fail, safe, grid, 1.0 - grid)
+        assert x is not None
+        assert same_query(x, reference_boundary_query(fail, safe, grid))
 
     @given(st.integers(0, 2 ** 32 - 1),
            st.sampled_from(["mixed", "no-fail", "no-safe", "no-rows"]))
@@ -1127,9 +1185,11 @@ class TestSequentialBounder:
         # the grid
         query, calls = monotone._strip_query, []
 
-        def both(region, fail, safe):
-            x = query(region, fail, safe)
-            calls.append(same_query(x, reference_strip_query(region)))
+        def both(F, S, fail, safe):
+            x = query(F, S, fail, safe)
+            calls.append(same_query(
+                x, reference_strip_query(StaircaseRegion(F, S, 2)))
+                and strip_scores_are_gains(F, S, fail, safe))
             return x
 
         monkeypatch.setattr(monotone, "_strip_query", both)
@@ -1147,16 +1207,43 @@ class TestSequentialBounder:
         # fail set [0, 2^-60)^2 until no strip midpoint lies in the region
         # (flipped safe heights at most 2^-54 read as 0, so the last queries
         # split the bottom edge down to adjacent floats); the run stops
-        # there with the bounds a run of that many queries gives
+        # there with the bounds a run of that many queries gives.  Its
+        # upper bound is pinned: psi read from the sorted safe heights
+        # instead keeps midpoints in the region that the gains, read
+        # through the flipped staircase, all score 0 from about query
+        # 2,600 on, and the run spends all 4,000 queries on 1.03e-14.
+        query, calls = monotone._strip_query, []
+
+        def scored(F, S, fail, safe):
+            calls.append(strip_scores_are_gains(F, S, fail, safe))
+            return query(F, S, fail, safe)
+
         monkeypatch.setattr(monotone, "_boundary_query", lambda *args: None)
+        monkeypatch.setattr(monotone, "_strip_query", scored)
         f = BlackBoxFunction(lambda X: np.maximum(X[:, 0], X[:, 1]),
                              dimension=2, threshold=2.0 ** -60, vectorized=True)
         run = sequential_bounder(f, 4000, RandomStream(0, 0))
         m = run.design.points.shape[0]
-        assert run.bounds.queries_used == m == f.query_count < 4000
+        assert run.bounds.queries_used == m == f.query_count == 2863
         assert 0 < run.design.fail.sum() < m
         assert reference_strip_query(run.region) is None
         assert run.bounds.lower <= 2.0 ** -120 <= run.bounds.upper
+        assert run.bounds.upper == 7.771561172376097e-16
+        assert len(calls) == m + 1 and all(calls)
+
+    @pytest.mark.parametrize("d", [1, 2, 3])
+    def test_values_tied_at_the_threshold_are_safe(self, d):
+        # g = 0 where x0 >= 0.5 and -1 elsewhere, threshold 0, so p = 0.5
+        # and every point right of the boundary has a value equal to the
+        # threshold: fail means g < y, so each of those is safe
+        f = BlackBoxFunction(lambda X: np.where(X[:, 0] >= 0.5, 0.0, -1.0),
+                             dimension=d, threshold=0.0, vectorized=True)
+        run = sequential_bounder(f, 60, RandomStream(7, 0), sampler="auto")
+        design = run.design
+        tied = design.values == 0.0
+        assert tied.any() and not design.fail[tied].any()
+        assert np.array_equal(design.fail, design.values < 0.0)
+        assert run.bounds.lower <= 0.5 <= run.bounds.upper
 
     def test_two_dimensional_runs_reach_no_sampler(self, monkeypatch):
         # this run's last 34 queries come from the strip fallback, which
