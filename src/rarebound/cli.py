@@ -68,8 +68,7 @@ __all__ = [
 OUTPUT_DIR_ENV = "RAREBOUND_OUTPUT_DIR"
 
 # each monotone method is the sequential bounder with one region sampler
-_SAMPLERS = {"monotone-exact": "rejection", "monotone-mcmc": "mcmc",
-             "monotone-auto": "auto"}
+_SAMPLERS = {"monotone-mcmc": "mcmc", "monotone-auto": "auto"}
 
 METHODS = ("dyadic", *_SAMPLERS, "shift", "fsd")
 

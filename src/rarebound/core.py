@@ -13,6 +13,7 @@ Conventions used everywhere in this package:
 
 from __future__ import annotations
 
+import numbers
 import threading
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -57,15 +58,15 @@ class BlackBoxFunction:
         or, when ``vectorized`` is true, a callable mapping an (n, d) array
         to an (n,) array.
     dimension:
-        Input dimension d >= 1.
+        Input dimension, an integer d >= 1.
     threshold:
         Failure threshold y; failure means g(x) < y strictly.
     """
 
     def __init__(self, evaluator: Callable, dimension: int, threshold: float,
                  vectorized: bool = False, name: str = ""):
-        if dimension < 1:
-            raise ValueError("dimension must be >= 1")
+        if not isinstance(dimension, numbers.Integral) or dimension < 1:
+            raise ValueError(f"dimension must be an integer >= 1, got {dimension!r}")
         self.evaluator = evaluator
         self.dimension = int(dimension)
         self.threshold = float(threshold)

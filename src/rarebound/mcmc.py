@@ -171,7 +171,7 @@ class RegionWalkSampler:
         if self.region.fail_generators.size == 0 and self.region.safe_generators.size == 0:
             return self._gen.random((_N_CHAINS, self._dim))
         return RejectionSampler(chunk=_SEED_CHUNK).draw_batch(
-            self.region, self._gen, _N_CHAINS)
+            self.region, self._gen, _N_CHAINS)[:_N_CHAINS]
 
     @property
     def acceptance_rate(self):

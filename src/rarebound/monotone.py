@@ -42,8 +42,7 @@ __all__ = [
 ]
 
 MAX_VOLUME_DIM = 6         # exact volumes up to here, no bounds beyond
-SWITCH_ACCEPTANCE = 5e-3   # sampler "auto" hands over to the walk below this
-_POOL_SIZE = 192           # sampled region points kept on hand ...
+_POOL_SIZE = 192           # sampled region points in the pool ...
 _SCORE_SUBSAMPLE = 48      # ... of which each step scores this many
 _TWO_PASS_ROWS = 1024      # batches this large meet the largest safe orthant first
 
@@ -572,39 +571,32 @@ def bounds_from_design(design: LabeledDesign) -> ProbabilityBounds:
 # sequential bounder
 
 class RejectionSampler:
-    """Uniform sampling on the undecided region by chunked rejection."""
+    """Uniform sampling on the undecided region by chunked rejection.
+
+    It keeps no points between calls, only the counters ``attempts``
+    (uniform candidates drawn) and ``draws`` (those in the region).
+    """
 
     def __init__(self, chunk: int = 4096, max_attempts: int = 20_000_000):
-        self.chunk = int(chunk)
-        self.max_attempts = int(max_attempts)
+        self.chunk, self.max_attempts = int(chunk), int(max_attempts)
+        if self.chunk < 1 or self.max_attempts < 1:
+            raise ValueError("chunk and max_attempts must be >= 1")
         self.attempts = 0
         self.draws = 0
-        self._buffer = np.empty((0, 0))
-        self._since = None        # the region every buffered point lies in
 
     def draw_batch(self, region: StaircaseRegion, gen: np.random.Generator,
                    n: int) -> np.ndarray:
-        """Return up to ``n`` uniform region points (fewer only on stall)."""
-        # leftover candidates lie in the region of the previous call, so
-        # one label later only the orthant it removed is tested
-        # (StaircaseRegion.retain); the unused tail of an iid uniform
-        # stream stays uniform
-        if self._buffer.shape[0]:
-            self._buffer = self._buffer[region.retain(self._buffer, self._since)]
-        self._since = region
-        # an unused sampler's buffer is (0, 0)
-        parts = [self._buffer[:n].reshape(-1, region.dimension)]
-        got = parts[0].shape[0]
-        self._buffer = self._buffer[got:]
-        spent = 0
+        """Every region point of the whole chunks it takes to reach ``n``,
+        in stream order: at least ``n`` rows, or ``SamplerStalled`` when
+        ``max_attempts`` candidates fall short.  Rows past the first ``n``
+        are as uniform as the rest, so callers keep them or drop them."""
+        parts, got, spent = [np.empty((0, region.dimension))], 0, 0
         while got < n and spent < self.max_attempts:
             X = gen.random((self.chunk, region.dimension))
             spent += self.chunk
-            self.attempts += self.chunk
-            keep = X[region.contains_batch(X)]
-            parts.append(keep[:n - got])
-            self._buffer = keep[n - got:]
+            parts.append(X[region.contains_batch(X)])
             got += parts[-1].shape[0]
+        self.attempts += spent
         self.draws += got
         if got < n:
             raise SamplerStalled(
@@ -825,35 +817,27 @@ def _pool_loop(budget: int, d: int, gen: np.random.Generator, sampler: str):
     region = StaircaseRegion.empty(d)
     rejection = RejectionSampler()
     walker = RegionWalkSampler(region, gen) if sampler == "mcmc" else None
-    name = sampler
-    pool = np.empty((0, d))       # points of the current region
+    # region points on hand, in the order drawn: the first _POOL_SIZE are
+    # the pool, the rest what the last rejection chunks accepted beyond it
+    stock = np.empty((0, d))
     for _ in range(budget):
-        need = _POOL_SIZE - pool.shape[0]
+        need = _POOL_SIZE - stock.shape[0]
         if need > 0:
-            if sampler == "auto" and walker is None \
-                    and rejection.attempts >= 8 * rejection.chunk \
-                    and rejection.acceptance_rate < SWITCH_ACCEPTANCE:
-                walker = RegionWalkSampler(region, gen)
-                name = "auto(rejection->mcmc)"
-            if walker is not None:
+            if walker is None:
+                fresh = rejection.draw_batch(region, gen, need)
+            else:
                 walker.update_region(region)
                 fresh = walker.draw(need)
-            else:
-                fresh = rejection.draw_batch(region, gen, need)
-            pool = np.vstack([pool, fresh]) if pool.shape[0] else fresh
-        if pool.shape[0] > _SCORE_SUBSAMPLE:
-            sel = gen.choice(pool.shape[0], _SCORE_SUBSAMPLE, replace=False)
-        else:
-            sel = np.arange(pool.shape[0])
-        P = pool[sel]
+            stock = np.concatenate((stock, fresh))
+        sel = gen.choice(_POOL_SIZE, _SCORE_SUBSAMPLE, replace=False)
+        P = stock[sel]
         geq = _dominated(P, P, np.greater_equal)
         score = geq.sum(axis=0) + geq.sum(axis=1)
-        pick = int(np.argmax(score))
-        pool = np.delete(pool, sel[pick], axis=0)
-        x = P[pick]
+        x = P[int(np.argmax(score))]
         after = region.with_fail(x) if (yield x) else region.with_safe(x)
-        pool, region = pool[after.retain(pool, region)], after
-    return region, name
+        # the removed orthant holds x, so this mask also drops the pick
+        stock, region = stock[after.retain(stock, region)], after
+    return region, sampler
 
 
 def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
@@ -894,7 +878,9 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
       drawn by the sampler is kept on hand; each step scores a random
       subsample of ``_SCORE_SUBSAMPLE`` of them by the sum of their pool
       domination counts (a cheap Monte Carlo proxy for the two gains) and
-      queries the best.
+      queries the best.  The pool heads one array of region points, and
+      rows a rejection chunk accepts beyond it wait behind it; a label
+      filters the whole array once, against the orthant it removed.
 
     No sampler runs at d <= 2: ``sampler`` has no effect there, and the
     run's ``sampler_name`` is "boundary".
@@ -912,11 +898,10 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         that is not finite raises ``ValueError`` before it labels a point.
     rng : RandomStream
     sampler : str
-        Where pool points come from at d >= 3: "rejection"
-        (:class:`RejectionSampler`), "mcmc"
+        Where pool points come from at d >= 3: "auto", uniform rejection
+        (:class:`RejectionSampler`), or "mcmc", the transformed walk
         (:class:`rarebound.mcmc.RegionWalkSampler`, whose tuning is
-        fixed), or "auto" (rejection that hands over to the walk sampler
-        once its acceptance rate drops below ``SWITCH_ACCEPTANCE``).
+        fixed).  It is also the run's ``sampler_name`` there.
 
     Returns
     -------
@@ -924,7 +909,7 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
     """
     if budget < 1:
         raise ValueError("budget must be >= 1")
-    if sampler not in ("auto", "rejection", "mcmc"):
+    if sampler not in ("auto", "mcmc"):
         raise ValueError(f"unknown sampler {sampler!r}")
     d = f.dimension
     _check_volume_dim(d)

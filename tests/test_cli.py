@@ -30,7 +30,7 @@ from rarebound.surrogate import lambda_crossing
 
 MINIMAL = """
 [experiment]
-method = monotone-exact
+method = monotone-auto
 benchmark = linear:d=2:y=0.5
 budget = 15
 replications = 2
@@ -84,7 +84,7 @@ def strip_wall(rows):
 class TestParseConfig:
     def test_minimal_with_defaults(self):
         cfg = parse_config_text(MINIMAL)
-        assert cfg.method == "monotone-exact"
+        assert cfg.method == "monotone-auto"
         assert cfg.benchmark == "linear:d=2:y=0.5"
         assert cfg.budget == 15
         assert cfg.replications == 2
@@ -191,8 +191,7 @@ class TestParseConfig:
         cfg = parse_config_text(base + "[dyadic]\nlipschitz = 40\n")
         assert cfg.dyadic.lipschitz == 40.0
 
-    @pytest.mark.parametrize("method", ["monotone-exact", "monotone-mcmc",
-                                        "monotone-auto"])
+    @pytest.mark.parametrize("method", ["monotone-mcmc", "monotone-auto"])
     def test_monotone_needs_exact_volumes(self, method):
         # the bounds are exact volumes, computed up to d = 6 only
         base = f"[experiment]\nmethod = {method}\n"
@@ -266,8 +265,7 @@ class TestRunExperiment:
             read_csv(os.path.join(outdir, "summary.csv"))
 
     @pytest.mark.parametrize("method, sampler", [
-        ("monotone-exact", "rejection"), ("monotone-mcmc", "mcmc"),
-        ("monotone-auto", "auto")])
+        ("monotone-mcmc", "mcmc"), ("monotone-auto", "auto")])
     def test_method_picks_the_sampler(self, tmp_path, monkeypatch, method,
                                       sampler):
         seen = []
@@ -278,7 +276,7 @@ class TestRunExperiment:
 
         monkeypatch.setattr(cli, "sequential_bounder", recording)
         # at d=3 every query comes from the sampler's pool
-        text = MINIMAL.replace("monotone-exact", method).replace(
+        text = MINIMAL.replace("monotone-auto", method).replace(
             "linear:d=2:y=0.5", "linear:d=3:y=0.5")
         cfg = parse_config_text(text)
         outdir = run_experiment(cfg, output_dir=str(tmp_path / "picked"))
@@ -296,8 +294,8 @@ class TestRunExperiment:
                                                b.upper)
 
     def test_auto_sampler_matches_direct_call(self, tmp_path):
-        # at d=3, p=5e-4, seed 202 the auto sampler hands over to the walk
-        # in replication 3
+        # at d=3, p=5e-4, seed 202 rejection's acceptance falls below 5e-3
+        # in replication 3, and "auto" stays with rejection throughout
         budget, seed, reps = 200, 202, 4
         text = (f"method = monotone-auto\nbenchmark = example1:d=3:p=5e-4\n"
                 f"budget = {budget}\nreplications = {reps}\nseed = {seed}\n"
@@ -315,7 +313,7 @@ class TestRunExperiment:
             assert row["method"] == "monotone-auto"
             assert float(row["p_lower"]) == run.bounds.lower
             assert float(row["p_upper"]) == run.bounds.upper
-        assert "auto(rejection->mcmc)" in names
+        assert names == ["auto"] * reps
 
     def test_rows_schema_and_formulas(self, tmp_path):
         _, rows, summary = self.run_minimal(tmp_path)

@@ -55,6 +55,14 @@ class TestBlackBoxFunction:
         with pytest.raises(ValueError):
             BlackBoxFunction(lambda x: 0.0, dimension=0, threshold=0.0)
 
+    @pytest.mark.parametrize("dimension", [2.5, 2.0, "3"])
+    def test_dimension_must_be_an_integer(self, dimension):
+        # int(2.5) would silently make a 2-D function
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            BlackBoxFunction(lambda x: 0.0, dimension=dimension, threshold=0.0)
+        assert BlackBoxFunction(lambda x: 0.0, dimension=np.int64(2),
+                                threshold=0.0).dimension == 2
+
 
 class TestEvalBatch:
     def test_vectorized_callable(self):

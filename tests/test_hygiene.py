@@ -1,8 +1,9 @@
 """Every module-level import and definition in the package is used, and
 every private method,
 every config key reaches a method runner, every command-line option
-is passed by some test, and the monotone module builds each dominance
-mask through its one primitive.
+is passed by some test, each monotone method names a sampler of its own,
+and the monotone module builds each dominance mask through its one
+primitive.
 
 The package has no linter in its build, so these scans are its lint gate.
 ``__init__.py`` is skipped by the import scan because its imports are
@@ -221,6 +222,33 @@ def test_scan_finds_unread_option_fields():
 
 def test_every_config_key_reaches_a_runner():
     assert unread_option_fields((PACKAGE / "cli.py").read_text()) == []
+
+
+def accepted_samplers(source):
+    """The names ``sequential_bounder`` accepts, from its check of the form
+    ``sampler not in (...)``."""
+    fn = next(n for n in ast.walk(ast.parse(source))
+              if isinstance(n, ast.FunctionDef) and n.name == "sequential_bounder")
+    return {c.value for n in ast.walk(fn)
+            if isinstance(n, ast.Compare) and getattr(n.left, "id", None) == "sampler"
+            and isinstance(n.ops[0], ast.NotIn)
+            for c in n.comparators[0].elts}
+
+
+def test_scan_finds_accepted_samplers():
+    source = ("def sequential_bounder(f, sampler='a'):\n"
+              "    if sampler == 'c':\n        pass\n"
+              "    if sampler not in ('a', 'b'):\n        raise ValueError\n")
+    assert accepted_samplers(source) == {"a", "b"}
+
+
+def test_each_monotone_method_names_its_own_sampler():
+    # one method per sampler, and every sampler reachable by one, so a
+    # second name for one sampler cannot come back
+    samplers = list(cli._SAMPLERS.values())
+    assert len(set(samplers)) == len(samplers)
+    assert set(samplers) == accepted_samplers(
+        (PACKAGE / "monotone.py").read_text())
 
 
 def cli_options(parser):

@@ -156,29 +156,50 @@ def insert_maximal_reference(pruned, x):
     return np.vstack([pruned, x[None, :]])
 
 
-def draw_batch_reference(self, region, gen, n):
-    """RejectionSampler.draw_batch collecting a list of row views; reference."""
-    if self._buffer.shape[0]:
-        self._buffer = self._buffer[region.retain(self._buffer, self._since)]
-    self._since = region
-    out = list(self._buffer[:n])
-    self._buffer = self._buffer[n:]
-    self.draws += len(out)
-    spent = 0
-    while len(out) < n and spent < self.max_attempts:
-        X = gen.random((self.chunk, region.dimension))
-        spent += self.chunk
-        self.attempts += self.chunk
-        keep = X[region.contains_batch(X)]
-        take = keep[:n - len(out)]
-        out.extend(take)
-        self.draws += take.shape[0]
-        if len(out) >= n:
-            self._buffer = keep[take.shape[0]:]
-    if len(out) < n:
-        raise SamplerStalled(
-            f"collected {len(out)}/{n} region points in {spent} uniform draws")
-    return np.array(out)
+class BufferedRejection:
+    """Rejection that returns exactly n rows and keeps the rest of its last
+    chunk, re-checked against the region of the next call; reference."""
+
+    def __init__(self, chunk=4096):
+        self.chunk, self.attempts = chunk, 0
+        self.buffer, self.since = None, None
+
+    def draw(self, region, gen, n):
+        out = []
+        if self.buffer is not None:
+            out = list(self.buffer[region.retain(self.buffer, self.since)])
+        self.since = region
+        while len(out) < n:
+            X = gen.random((self.chunk, region.dimension))
+            self.attempts += self.chunk
+            out.extend(X[region.contains_batch(X)])
+        self.buffer = np.array(out[n:]).reshape(-1, region.dimension)
+        return np.array(out[:n])
+
+
+def pool_loop_reference(budget, d, gen, sampler, samplers):
+    """monotone._pool_loop under "auto" as a pool of exactly _POOL_SIZE
+    rows beside a rejection buffer, joined by np.delete and np.vstack;
+    reference.  Appends its sampler to ``samplers``."""
+    assert sampler == "auto"
+    region = StaircaseRegion.empty(d)
+    rejection = BufferedRejection()
+    samplers.append(rejection)
+    pool = np.empty((0, d))
+    for _ in range(budget):
+        need = monotone._POOL_SIZE - pool.shape[0]
+        if need > 0:
+            pool = np.vstack([pool, rejection.draw(region, gen, need)])
+        sel = gen.choice(pool.shape[0], monotone._SCORE_SUBSAMPLE,
+                         replace=False)
+        P = pool[sel]
+        geq = monotone._dominated(P, P, np.greater_equal)
+        pick = int(np.argmax(geq.sum(axis=0) + geq.sum(axis=1)))
+        pool = np.delete(pool, sel[pick], axis=0)
+        x = P[pick]
+        after = region.with_fail(x) if (yield x) else region.with_safe(x)
+        pool, region = pool[after.retain(pool, region)], after
+    return region, sampler
 
 
 # signed zeros, ties, a tiny and the largest float below 1, mixed with
@@ -946,52 +967,69 @@ class TestRejectionSampler:
         s = RejectionSampler(chunk=256)
         gen = RandomStream(2, 0).generator()
         X = s.draw_batch(r, gen, 300)
-        assert X.shape == (300, 2)
+        assert X.shape[1] == 2 and 300 <= X.shape[0] < 300 + 256
         assert r.contains_batch(X).all()
-        assert 0.0 < s.acceptance_rate <= 1.0
+        assert s.draws == X.shape[0] and s.attempts % 256 == 0
+        assert s.acceptance_rate == X.shape[0] / s.attempts
 
-    def test_single_draws_match_region(self):
-        # one-point draws leave accepted candidates buffered; they are
-        # re-checked against the region of the next call, which shrinks
+    def test_returns_every_region_point_of_whole_chunks(self):
+        # no row is held back for a later call: each call returns what its
+        # whole chunks accepted, in stream order, and the next call draws on
         r = StaircaseRegion.from_design(LabeledDesign(
-            np.array([[0.5, 0.5]]), np.array([True])))
-        s = RejectionSampler(chunk=64)
-        gen = RandomStream(3, 0).generator()
-        for _ in range(20):
-            x = s.draw_batch(r, gen, 1)
-            assert x.shape == (1, 2) and contains(r, x[0])
-            r = r.with_fail(x[0]) if x[0].sum() < 1.2 else r.with_safe(x[0])
-        assert s.draws == 20 and s.attempts < 20 * 64   # the buffer served
+            np.array([[0.5, 0.5, 0.5]]), np.array([True])))
+        s = RejectionSampler(chunk=16)
+        stream = RandomStream(8, 0).generator().random((64, 3))
+        inside = r.contains_batch(stream)
+        gen = RandomStream(8, 0).generator()
+        first = s.draw_batch(r, gen, 5)
+        k = int(np.searchsorted(np.cumsum(inside), 5)) // 16 + 1
+        assert np.array_equal(first, stream[:16 * k][inside[:16 * k]])
+        assert s.draw_batch(r, gen, 0).shape == (0, 3)
+        second = s.draw_batch(r, gen, 1)
+        assert np.array_equal(second, stream[16 * k:16 * k + 16][
+            inside[16 * k:16 * k + 16]])
+        assert s.attempts == 16 * (k + 1)
+        assert s.draws == first.shape[0] + second.shape[0]
 
     def test_leftovers_come_out_in_stream_order(self):
-        # the buffered tail of a chunk, filtered by the shrunken region,
-        # is exactly what the next call returns, in the order drawn
-        r = StaircaseRegion.empty(2)
-        s = RejectionSampler(chunk=64)
-        first = s.draw_batch(r, RandomStream(5, 0).generator(), 3)
-        chunk = RandomStream(5, 0).generator().random((64, 2))
-        assert np.array_equal(first, chunk[:3])
-        r = r.with_fail(np.array([0.5, 0.5])).with_safe(np.array([0.8, 0.6]))
-        rest = chunk[3:][r.contains_batch(chunk[3:])]
-        gen = RandomStream(6, 0).generator()      # never reached
-        assert np.array_equal(s.draw_batch(r, gen, 4), rest[:4])
-        assert np.array_equal(s.draw_batch(r, gen, 2), rest[4:6])
-        assert s.attempts == 64 and s.draws == 9
+        # a d >= 3 run keeps what rejection accepted beyond the pool behind
+        # it, in one stock: at every query the stock holds region points
+        # only, at least a pool's worth; a label drops exactly the rows of
+        # the orthant it removed and keeps the rest in the order drawn, and
+        # only a stock left short of the pool draws again, behind them
+        f = make_example1(3, 5e-4).function
+        loop = monotone._pool_loop(200, 3, RandomStream(202, 0).generator(),
+                                   "auto")
+        x, kept, refills = next(loop), None, 0
+        for _ in range(199):
+            state = loop.gi_frame.f_locals
+            stock, region = state["stock"], state["region"]
+            attempts = state["rejection"].attempts
+            assert stock.shape[0] >= monotone._POOL_SIZE
+            assert region.contains_batch(stock).all()
+            assert (stock[:monotone._POOL_SIZE] == x).all(axis=1).any()
+            if kept is not None:
+                assert np.array_equal(stock[:kept.shape[0]], kept)
+                if kept.shape[0] >= monotone._POOL_SIZE:
+                    assert stock.shape[0] == kept.shape[0]
+                    assert attempts == before
+                else:
+                    refills += 1
+                    assert attempts > before
+            before = attempts
+            failed = f(x) < f.threshold
+            removed = (stock <= x if failed else stock >= x).all(axis=1)
+            kept = stock[~removed]
+            x = loop.send(failed)
+        assert 0 < refills < 199
 
-    def test_drained_buffer_keeps_its_columns(self):
-        # rows left over carry over; once a call uses them all, the buffer
-        # is an empty (0, d) array that the next call's draws extend
-        r = StaircaseRegion.empty(3)
-        s = RejectionSampler(chunk=16)
-        stream = RandomStream(8, 0).generator().random((32, 3))
-        gen = RandomStream(8, 0).generator()
-        assert np.array_equal(s.draw_batch(r, gen, 5), stream[:5])
-        assert np.array_equal(s.draw_batch(r, gen, 11), stream[5:16])
-        assert s._buffer.shape == (0, 3)
-        X = s.draw_batch(r, gen, 4)
-        assert X.shape == (4, 3) and np.array_equal(X, stream[16:20])
-        assert s._buffer.shape == (12, 3)
-        assert s.attempts == 32 and s.draws == 20
+    @pytest.mark.parametrize("chunk, max_attempts", [(0, 100), (16, 0),
+                                                     (-4, 100)])
+    def test_rejects_an_empty_chunk_or_attempt_cap(self, chunk,
+                                                   max_attempts):
+        # a chunk of 0 rows would spend no attempts and never stop
+        with pytest.raises(ValueError, match="must be >= 1"):
+            RejectionSampler(chunk=chunk, max_attempts=max_attempts)
 
     def test_stall_reports_the_rows_collected(self):
         # a region of volume 1/16: 64 attempts collect a few rows, short
@@ -1036,21 +1074,22 @@ class TestSequentialBounder:
                      "(8.336465252974204e-05, 0.00310031320148807)", None,
                      id="d3-mcmc"),
         # the two cells of the mono-hd benchmark protocol; replication 3
-        # of d = 3 hands over to the walk, so its chain states are kept
-        # across region updates
+        # of d = 3 is one whose rejection acceptance falls below 5e-3,
+        # where "auto" once handed the pool over to the walk
         pytest.param(4, "auto", 200, 202, 0,
                      "(3.4109665226175185e-05, 0.009260691466239203)", None,
                      id="d4-auto"),
         pytest.param(3, "auto", 200, 202, 3,
-                     "(0.0002364517689049081, 0.0011809515072509493)",
-                     "auto(rejection->mcmc)", id="d3-switch"),
-        # replication 4 of the same cell: a chain re-seeded from another,
-        # or one whose steps between harvests are all rejected, repeats a
-        # state, so the pool holds a point twice, and the pool score must
-        # count the two as dominating each other
-        pytest.param(3, "auto", 200, 202, 4,
-                     "(0.000230963274680309, 0.001108811494417661)",
-                     "auto(rejection->mcmc)", id="d3-pool-tie"),
+                     "(0.00022746845905157094, 0.0011732852183625744)",
+                     "auto", id="d3-switch"),
+        # the walk at d = 3: a chain re-seeded from another, or one whose
+        # steps between harvests are all rejected, repeats a state, so the
+        # pool holds a point twice (in the scored subsample at 88 of these
+        # 200 steps), and the pool score must count the two as dominating
+        # each other
+        pytest.param(3, "mcmc", 200, 202, 4,
+                     "(0.00020531214833096614, 0.0015031469773409969)",
+                     "mcmc", id="d3-pool-tie"),
     ])
     def test_golden_bounds(self, d, sampler, budget, seed, rep, expected,
                            name):
@@ -1083,34 +1122,79 @@ class TestSequentialBounder:
             assert Fraction(upper) >= 1 - safe
         assert run.bounds.upper == 0.009260691466239203
 
-    @pytest.mark.parametrize("name", ["example1:d=3:p=5e-4",
-                                      "example1:d=4:p=5e-4"])
-    @pytest.mark.parametrize("rep", [0, 3])
-    def test_dominance_bits_in_a_run(self, name, rep, monkeypatch):
-        # as shipped, then on the tensor dominance mask and list-of-rows
-        # draws; replication 3 of d = 3 hands over to the walk
+    @staticmethod
+    def against_reference(name, rep, monkeypatch, dominated=None):
+        """The 200-query "auto" run of a cell at stream (202, rep) as
+        shipped, then on ``pool_loop_reference`` (and the ``dominated``
+        mask when given): the two runs and their rejection attempts."""
         samplers = []
 
         class Recorded(RejectionSampler):
             def __init__(self):
                 super().__init__()
+                self.returned = 0
                 samplers.append(self)
+
+            def draw_batch(self, region, gen, n):
+                X = super().draw_batch(region, gen, n)
+                self.returned += X.shape[0]
+                return X
 
         monkeypatch.setattr(monotone, "RejectionSampler", Recorded)
         runs = [sequential_bounder(get_benchmark(name).function, 200,
                                    RandomStream(202, rep), sampler="auto")]
-        monkeypatch.setattr(monotone, "_dominated", dominated_reference)
-        monkeypatch.setattr(Recorded, "draw_batch", draw_batch_reference)
+        monkeypatch.setattr(monotone, "_pool_loop",
+                            lambda *args: pool_loop_reference(*args, samplers))
+        if dominated is not None:
+            monkeypatch.setattr(monotone, "_dominated", dominated)
         runs.append(sequential_bounder(get_benchmark(name).function, 200,
                                        RandomStream(202, rep), sampler="auto"))
         a, b = runs
         assert same_bits(a.design.points, b.design.points)
         assert np.array_equal(a.design.fail, b.design.fail)
+        assert np.array_equal(a.design.values, b.design.values)
         assert (a.bounds.lower, a.bounds.upper) == (b.bounds.lower, b.bounds.upper)
-        assert a.sampler_name == b.sampler_name
+        assert a.sampler_name == b.sampler_name == "auto"
         first, second = samplers
-        assert (first.attempts, first.draws) == (second.attempts, second.draws)
-        assert first.draws > 0
+        assert first.attempts == second.attempts > 0
+        return first
+
+    @pytest.mark.parametrize("name", ["example1:d=3:p=5e-4",
+                                      "example1:d=4:p=5e-4",
+                                      "example1:d=5:p=5e-3"])
+    @pytest.mark.parametrize("rep", [0, 3])
+    def test_stock_matches_pool_and_buffer(self, name, rep, monkeypatch):
+        # one stock of region points gives the queries, labels and
+        # rejection attempts of a pool of 192 beside a leftover buffer
+        first = self.against_reference(name, rep, monkeypatch)
+        # every accepted row is returned and counted as a draw, so
+        # acceptance_rate is the true acceptance
+        assert first.draws == first.returned > 200
+
+    @pytest.mark.parametrize("name", ["example1:d=3:p=5e-4",
+                                      "example1:d=4:p=5e-4"])
+    @pytest.mark.parametrize("rep", [0, 3])
+    def test_dominance_bits_in_a_run(self, name, rep, monkeypatch):
+        # as shipped, then on the tensor dominance mask and the
+        # pool-and-buffer loop
+        self.against_reference(name, rep, monkeypatch, dominated_reference)
+
+    def test_a_stalled_refill_stops_the_run(self, monkeypatch):
+        # with one rejection chunk per refill, the stock of max(x) < 1e-2
+        # runs short after 11 queries, and the chunk then drawn holds fewer
+        # region points than the refill needs
+        class OneChunk(RejectionSampler):
+            def __init__(self):
+                super().__init__(max_attempts=4096)
+
+        monkeypatch.setattr(monotone, "RejectionSampler", OneChunk)
+        f = BlackBoxFunction(lambda X: X.max(axis=1), dimension=3,
+                             threshold=1e-2, vectorized=True)
+        with pytest.raises(SamplerStalled,
+                           match="collected 95/100 region points in 4096 "
+                                 "uniform draws"):
+            sequential_bounder(f, 400, RandomStream(0, 0))
+        assert f.query_count == 11
 
     def test_contains_truth_and_traces_nest(self):
         prob = make_linear_toy(2, 0.5)
@@ -1255,7 +1339,7 @@ class TestSequentialBounder:
         monkeypatch.setattr(mcmc.RegionWalkSampler, "__init__", refuse)
         runs = [sequential_bounder(get_benchmark("linear:d=2:y=1.99").function,
                                    440, RandomStream(1, 0), sampler=s)
-                for s in ("auto", "rejection", "mcmc")]
+                for s in ("auto", "mcmc")]
         for run in runs:
             assert run.sampler_name == "boundary"
             assert run.bounds.queries_used == 440
@@ -1280,7 +1364,7 @@ class TestSequentialBounder:
         assert Fraction(run.bounds.lower) <= p <= Fraction(run.bounds.upper)
 
     @pytest.mark.parametrize("name, sampler, budget", [
-        ("lipschitz1d:p=2.1e-3", "rejection", 200),
+        ("lipschitz1d:p=2.1e-3", "auto", 200),
         ("linear:d=1:y=0.3", "mcmc", 30)])
     def test_one_dimension_bisects_without_a_sampler(self, name, sampler,
                                                      budget):
