@@ -991,6 +991,29 @@ class TestRejectionSampler:
         assert s.attempts == 16 * (k + 1)
         assert s.draws == first.shape[0] + second.shape[0]
 
+    def test_single_draws_match_region(self):
+        # one-point draws against a region that shrinks between calls: each
+        # call returns the accepted rows of its whole chunks, all inside the
+        # region of that call, and rows of an earlier call that a later
+        # label removed are never returned again
+        r = StaircaseRegion.from_design(LabeledDesign(
+            np.array([[0.5, 0.5]]), np.array([True])))
+        s = RejectionSampler(chunk=64)
+        gen = RandomStream(3, 0).generator()
+        stream = RandomStream(3, 0).generator()
+        rows = 0
+        for _ in range(20):
+            attempts = s.attempts
+            X = s.draw_batch(r, gen, 1)
+            assert X.shape[0] >= 1 and X.shape[1] == 2
+            assert all(contains(r, x) for x in X)
+            spent = stream.random((s.attempts - attempts, 2))
+            assert np.array_equal(X, spent[r.contains_batch(spent)])
+            rows += X.shape[0]
+            x = X[0]
+            r = r.with_fail(x) if x.sum() < 1.2 else r.with_safe(x)
+        assert s.draws == rows and s.attempts % 64 == 0
+
     def test_leftovers_come_out_in_stream_order(self):
         # a d >= 3 run keeps what rejection accepted beyond the pool behind
         # it, in one stock: at every query the stock holds region points
