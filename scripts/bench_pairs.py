@@ -11,7 +11,9 @@ of each metric comes from the change checkout's BENCHMARK.json.  Each run
 keeps its per-replication output digests (the ``fingerprint per
 replication:`` line), and the summary counts, per workload and seed, the
 replications both sides reached and those whose digests are equal, and
-lists the indices of those whose digests differ.
+lists the indices of those whose digests differ.  The file names the code
+it measured: each checkout's ``git rev-parse HEAD`` and whether its tree
+has uncommitted changes (``dirty``).
 
     python scripts/bench_pairs.py --parent ../parent --change . \\
         --label volume --runs mono-hd:202:10 --runs mono-d2:202:3 \\
@@ -53,6 +55,22 @@ def run_side(checkout, workload, seed, seconds, trace):
         (line[len(DIGESTS):].split() for line in lines
          if line.startswith(DIGESTS)), [])
     return result
+
+
+def checkout_state(path):
+    """The HEAD commit of a checkout and whether its tree differs from it,
+    untracked files included; both None unless the checkout is the top of
+    a git work tree (an exported copy inside another repository is not)."""
+    def git(*args):
+        proc = subprocess.run(["git", *args], cwd=path, capture_output=True,
+                              text=True, check=False)
+        return proc.stdout.strip() if proc.returncode == 0 else None
+
+    top = git("rev-parse", "--show-toplevel")
+    if top is None or os.path.realpath(top) != os.path.realpath(path):
+        return {"head": None, "dirty": None}
+    return {"head": git("rev-parse", "HEAD"),
+            "dirty": bool(git("status", "--porcelain"))}
 
 
 def digest_match(results):
@@ -147,6 +165,8 @@ def main(argv=None):
         "host": f"{platform.system()} {platform.machine()}, "
                 f"{os.cpu_count()} CPUs, Python {platform.python_version()}, "
                 f"NumPy {numpy.__version__}; one benchmark process at a time",
+        "checkouts": {name: checkout_state(path)
+                      for name, path in sides.items()},
         "seeds": {},
         "order": "parent and change alternate which runs first within each "
                  "pair (ran_first)",

@@ -180,17 +180,13 @@ class RegionWalkSampler:
 
     def update_region(self, region):
         """Shrink to a nested region, re-seeding any chains left outside and
-        dropping the spare rows left outside.
-
-        Every chain state and spare row lies in the previous region, so
-        after one label only the orthant it removed is tested
-        (:meth:`~rarebound.monotone.StaircaseRegion.retain`).
-        """
+        dropping the spare rows left outside, both found by
+        :meth:`~rarebound.monotone.StaircaseRegion.contains_batch`."""
         if region.dimension != self._dim:
             raise ValueError("region dimension changed")
-        alive = region.retain(self._states, self.region)
+        alive = region.contains_batch(self._states)
         if self._spare.shape[0]:
-            self._spare = self._spare[region.retain(self._spare, self.region)]
+            self._spare = self._spare[region.contains_batch(self._spare)]
         self.region = region
         if not alive.any():
             self._states = self._initial_states()

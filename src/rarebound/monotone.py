@@ -129,8 +129,11 @@ def is_antichain(P) -> bool:
 # exact union volumes
 
 def _vol2(P: np.ndarray) -> float:
-    """Area of a union of lower-left rectangles in [0,1]^2 by a sweep."""
-    order = np.argsort(-P[:, 0], kind="stable")
+    """Area of a union of lower-left rectangles in [0,1]^2 by a sweep.
+
+    Rows sharing a first coordinate, which flipped safe generators 1 - s
+    can, go highest first, so the sum does not depend on the row order."""
+    order = np.lexsort((-P[:, 1], -P[:, 0]))
     y = P[order, 1]
     ymax = np.maximum.accumulate(np.concatenate(([0.0], y)))
     return float(np.sum(P[order, 0] * np.diff(ymax)))
@@ -409,15 +412,9 @@ class StaircaseRegion:
     by construction: the insert keeps an antichain, and each refuses a
     point that contradicts the other side.  Every such conflict, a safe
     point componentwise below a fail point, raises
-    :class:`MonotonicityViolation`.
-
-    An update removes exactly one orthant: ``with_fail(x)`` leaves this
-    region minus [0, x], and ``with_safe(x)`` this region minus [x, 1].
-    The new region records that orthant and an identity token of the
-    region it came from, never the region itself, so a run does not keep
-    its chain of regions alive.  Membership uses exact comparisons only,
-    so points known to lie in the predecessor need testing against that
-    one orthant alone, which :meth:`retain` does.
+    :class:`MonotonicityViolation`.  An update removes exactly one
+    orthant: ``with_fail(x)`` leaves this region minus [0, x], and
+    ``with_safe(x)`` this region minus [x, 1].
     """
 
     fail_generators: np.ndarray   # (m1, d) maximal antichain
@@ -449,15 +446,6 @@ class StaircaseRegion:
         if not is_antichain(F) or not is_antichain(S):
             raise ValueError("generators must form antichains")
         _check_disjoint(S, F)
-        self._set_origin(None, None, False)
-
-    def _set_origin(self, parent, cut, upper) -> None:
-        # identity token of this region; the token of the region it was
-        # made from by removing the orthant of ``cut`` (lower or upper)
-        object.__setattr__(self, "_token", object())
-        object.__setattr__(self, "_parent", parent)
-        object.__setattr__(self, "_cut", cut)
-        object.__setattr__(self, "_cut_upper", upper)
 
     def _batch(self, X) -> np.ndarray:
         X = np.asarray(X, dtype=float)
@@ -480,7 +468,7 @@ class StaircaseRegion:
         # it pays from about 128 rows on.
         S = self.safe_generators
         if X.shape[0] >= _TWO_PASS_ROWS and S.shape[0] > 1:
-            # ranked per call: bounds_from_design reads the stored order
+            # ranked per call: the generators stay in the order inserted
             top = S[np.argmax(np.prod(1.0 - S, axis=1))]
             out = ~_covered(X, top[None, :], np.greater_equal)
             _clear_covered(out, X, S, np.greater_equal)
@@ -489,47 +477,27 @@ class StaircaseRegion:
         _clear_covered(out, X, self.fail_generators)
         return out
 
-    def retain(self, X, since: "StaircaseRegion") -> np.ndarray:
-        """Membership mask of a batch X whose points all lie in ``since``.
-
-        When this region is ``since`` after one :meth:`with_fail` or
-        :meth:`with_safe`, X is tested against the one removed orthant
-        alone, in O(n d) instead of O(n m d); the mask is the one
-        :meth:`contains_batch` gives.  For any other ``since`` this is
-        :meth:`contains_batch`.
-        """
-        if self._parent is not since._token:
-            return self.contains_batch(X)
-        return ~_covered(self._batch(X), self._cut,
-                         np.greater_equal if self._cut_upper else np.less_equal)
-
     def with_fail(self, x) -> "StaircaseRegion":
         x = np.asarray(x, dtype=float)
         _check_disjoint(self.safe_generators, x[None, :])
-        return self._updated(_insert_maximal(self.fail_generators, x),
-                             self.safe_generators, x, upper=False)
+        return StaircaseRegion._built(_insert_maximal(self.fail_generators, x),
+                                      self.safe_generators, self.dimension)
 
     def with_safe(self, x) -> "StaircaseRegion":
         x = np.asarray(x, dtype=float)
         _check_disjoint(x[None, :], self.fail_generators)
         safe = _insert_maximal(self.safe_generators, x, np.greater_equal)
-        return self._updated(self.fail_generators, safe, x, upper=True)
-
-    def _updated(self, fail_generators, safe_generators, x,
-                 upper: bool) -> "StaircaseRegion":
-        return StaircaseRegion._built(
-            fail_generators, safe_generators, self.dimension,
-            self._token, np.array(x, dtype=float)[None, :], upper)
+        return StaircaseRegion._built(self.fail_generators, safe,
+                                      self.dimension)
 
     @classmethod
-    def _built(cls, fail_generators, safe_generators, dimension: int,
-               parent=None, cut=None, upper: bool = False) -> "StaircaseRegion":
+    def _built(cls, fail_generators, safe_generators,
+               dimension: int) -> "StaircaseRegion":
         # skips __post_init__: its O(m^2) checks hold by construction here
         region = object.__new__(cls)
         object.__setattr__(region, "fail_generators", fail_generators)
         object.__setattr__(region, "safe_generators", safe_generators)
         object.__setattr__(region, "dimension", dimension)
-        region._set_origin(parent, cut, upper)
         return region
 
     def volume_bounds(self) -> Tuple[float, float]:
@@ -537,7 +505,8 @@ class StaircaseRegion:
         the outward-rounded volumes of the certified sets.
 
         This is the one place the monotone route rounds outward; the
-        engine calls it once per run, through :func:`bounds_from_design`.
+        engine calls it once per run, on the region its loop ends with,
+        and :func:`bounds_from_design` on the region of a design.
         Each volume is computed in floating point and moved past its a
         priori rounding error gamma_N (see ``_rounding_terms``), so the
         lower bound is at most the exact volume of the fail set, and the
@@ -811,18 +780,48 @@ def _boundary_loop(budget: int, gen: np.random.Generator):
     return StaircaseRegion._built(F, S, 2), "boundary"
 
 
+def _label(F: np.ndarray, S: np.ndarray, stock: np.ndarray, x: np.ndarray,
+           failed: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(F, S, stock) after labelling x, a row of ``stock``: the maximal
+    fail and minimal safe antichains, and the stock rows left in the region.
+
+    One ``_dominated`` pass of all three arrays against x, with the
+    comparison of x's side, reads what :meth:`StaircaseRegion.with_fail`
+    or ``with_safe`` and a membership test of the stock would: the rows x
+    prunes from its own side, the rows of the other side that contradict
+    it (:class:`MonotonicityViolation`), and the stock rows in the removed
+    orthant, x among them.  x goes in after the kept rows, as
+    ``_insert_maximal`` puts it.  The insert's branch for a point its own
+    side covers is never needed: a stock row lies in the region by exact
+    comparisons, so no generator covers it.
+    """
+    cmp = np.less_equal if failed else np.greater_equal
+    nf, ns = F.shape[0], S.shape[0]
+    hit = _dominated(np.concatenate((F, S, stock)), x[None, :], cmp)[:, 0]
+    if (hit[nf:nf + ns] if failed else hit[:nf]).any():
+        raise MonotonicityViolation(
+            "a safe point is componentwise below a fail point")
+    stock = stock[~hit[nf + ns:]]
+    if failed:
+        return np.concatenate((F[~hit[:nf]], x[None, :])), S, stock
+    return F, np.concatenate((S[~hit[nf:nf + ns]], x[None, :])), stock
+
+
 def _pool_loop(budget: int, d: int, gen: np.random.Generator, sampler: str):
     """d >= 3: the best-scored point of a subsample of the sampled pool."""
     from .mcmc import RegionWalkSampler
-    region = StaircaseRegion.empty(d)
     rejection = RejectionSampler()
-    walker = RegionWalkSampler(region, gen) if sampler == "mcmc" else None
-    # region points on hand, in the order drawn: the first _POOL_SIZE are
-    # the pool, the rest what the last rejection chunks accepted beyond it
-    stock = np.empty((0, d))
+    walker = (RegionWalkSampler(StaircaseRegion.empty(d), gen)
+              if sampler == "mcmc" else None)
+    # the generator arrays (_label) stand in for the region, which is
+    # built only for a refill and for the run; region points on hand, in
+    # the order drawn: the first _POOL_SIZE are the pool, the rest what
+    # the last rejection chunks accepted beyond it
+    F, S, stock = np.empty((0, d)), np.empty((0, d)), np.empty((0, d))
     for _ in range(budget):
         need = _POOL_SIZE - stock.shape[0]
         if need > 0:
+            region = StaircaseRegion._built(F, S, d)
             if walker is None:
                 fresh = rejection.draw_batch(region, gen, need)
             else:
@@ -834,10 +833,8 @@ def _pool_loop(budget: int, d: int, gen: np.random.Generator, sampler: str):
         geq = _dominated(P, P, np.greater_equal)
         score = geq.sum(axis=0) + geq.sum(axis=1)
         x = P[int(np.argmax(score))]
-        after = region.with_fail(x) if (yield x) else region.with_safe(x)
-        # the removed orthant holds x, so this mask also drops the pick
-        stock, region = stock[after.retain(stock, region)], after
-    return region, sampler
+        F, S, stock = _label(F, S, stock, x, (yield x))
+    return StaircaseRegion._built(F, S, d), sampler
 
 
 def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
@@ -847,10 +844,11 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
     Each step picks one point of the current undecided region, labels it
     with one oracle call, and folds it into the certified fail/safe
     orthant unions.  The bounds are computed once, at the end of the run,
-    by :func:`bounds_from_design`: they are the volumes of the certified
-    sets, rounded outward, so they are deterministic however the points
-    were picked.  Above d = 6 the run raises ``ValueError`` before its
-    first query.
+    by :meth:`StaircaseRegion.volume_bounds` of the region the loop ends
+    with, the bits :func:`bounds_from_design` gives for the run's design:
+    they are the volumes of the certified sets, rounded outward, so they
+    are deterministic however the points were picked.  Above d = 6 the run
+    raises ``ValueError`` before its first query.
 
     This function takes the oracle step (query, finiteness check, record)
     and builds the result; one of three loops, chosen by the dimension,
@@ -879,8 +877,9 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
       subsample of ``_SCORE_SUBSAMPLE`` of them by the sum of their pool
       domination counts (a cheap Monte Carlo proxy for the two gains) and
       queries the best.  The pool heads one array of region points, and
-      rows a rejection chunk accepts beyond it wait behind it; a label
-      filters the whole array once, against the orthant it removed.
+      rows a rejection chunk accepts beyond it wait behind it.  A label
+      (``_label``) updates the generator arrays and filters that array in
+      one comparison pass against the point.
 
     No sampler runs at d <= 2: ``sampler`` has no effect there, and the
     run's ``sampler_name`` is "boundary".
@@ -935,6 +934,8 @@ def sequential_bounder(f: BlackBoxFunction, budget: int, rng: RandomStream,
         failed = value < f.threshold
     values = np.array(vals)
     design = LabeledDesign(np.array(pts), values < f.threshold, values)
+    lo, hi = region.volume_bounds()
     return SequentialRun(design=design, region=region,
-                         bounds=bounds_from_design(design),
+                         bounds=ProbabilityBounds(lo, hi, kind=DETERMINISTIC,
+                                                  queries_used=len(pts)),
                          sampler_name=name)

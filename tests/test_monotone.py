@@ -162,13 +162,12 @@ class BufferedRejection:
 
     def __init__(self, chunk=4096):
         self.chunk, self.attempts = chunk, 0
-        self.buffer, self.since = None, None
+        self.buffer = None
 
     def draw(self, region, gen, n):
         out = []
         if self.buffer is not None:
-            out = list(self.buffer[region.retain(self.buffer, self.since)])
-        self.since = region
+            out = list(self.buffer[region.contains_batch(self.buffer)])
         while len(out) < n:
             X = gen.random((self.chunk, region.dimension))
             self.attempts += self.chunk
@@ -198,7 +197,7 @@ def pool_loop_reference(budget, d, gen, sampler, samplers):
         pool = np.delete(pool, sel[pick], axis=0)
         x = P[pick]
         after = region.with_fail(x) if (yield x) else region.with_safe(x)
-        pool, region = pool[after.retain(pool, region)], after
+        pool, region = pool[after.contains_batch(pool)], after
     return region, sampler
 
 
@@ -220,6 +219,13 @@ def point_pairs(draw):
 
 def same_bits(a, b):
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def same_bounds(a, b):
+    """Both ends equal to the bit, and the same kind and query count."""
+    return (same_bits(np.array([a.lower, a.upper]), np.array([b.lower, b.upper]))
+            and (a.kind, a.alpha, a.queries_used)
+            == (b.kind, b.alpha, b.queries_used))
 
 
 class TestDominance:
@@ -322,6 +328,32 @@ class TestOrthantVolumes:
                 continue
             for got in (monotone._vol_lower_union(A), slab_lower_volume(A)):
                 assert abs(Fraction(got) - exact) <= bound
+
+    @given(st.integers(2, 6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_union_volume_ignores_the_row_order(self, d, data):
+        # a run's bounds read its antichains in the order its loop built
+        # them, bounds_from_design in lexicographic order: both sides, the
+        # safe one flipped in floats, where 1 - s can tie first coordinates
+        # of distinct generators (1 - 2^-60 == 1 - 0.0)
+        P = np.array(data.draw(st.lists(
+            st.lists(EDGE_COORD, min_size=d, max_size=d), min_size=1,
+            max_size=9)))
+        for A in (maximal_points(P), 1.0 - minimal_points(P)):
+            order = data.draw(st.permutations(range(A.shape[0])))
+            assert same_bits(np.float64(monotone._vol_lower_union(A[order])),
+                             np.float64(monotone._vol_lower_union(A)))
+
+    def test_flipped_safe_ties_keep_their_bits(self):
+        # three safe generators whose first coordinates all flip to 1.0; a
+        # sweep that kept tied rows in the order given summed them to
+        # 0.9999999999999999 in some orders and to 1.0 in others
+        S = np.array([[1.1102230246251565e-16, 0.0],
+                      [9.085417618336928e-17, 7.310780482222978e-16],
+                      [0.0, 0.5]])
+        vols = {monotone._vol_lower_union(1.0 - S[list(order)])
+                for order in itertools.permutations(range(3))}
+        assert vols == {1.0}
 
     def test_integer_sweep_is_the_exact_volume(self):
         # the exact oracle of the d = 4 goldens against the slab oracle
@@ -864,39 +896,70 @@ class TestStaircaseRegion:
         lo, hi = rebuilt.volume_bounds()
         assert lo <= prob.p_exact <= hi
 
-    @given(st.integers(2, 5), st.data())
-    @settings(max_examples=40, deadline=None)
-    def test_retain_matches_contains_batch(self, d, data):
-        # points on the grid of quarters tie the generator faces; labels
-        # come from the monotone rule "fail iff the sum is below c"
-        grid = np.array(list(itertools.product(range(5), repeat=d))) / 4.0
-        rows = data.draw(st.lists(st.integers(0, grid.shape[0] - 1),
-                                  min_size=2, max_size=30))
-        c = data.draw(st.integers(1, 4 * d - 1)) / 4.0
-        regions = [StaircaseRegion.empty(d)]
-        for x in grid[rows]:
-            r = regions[-1]
-            regions.append(r.with_fail(x) if x.sum() < c else r.with_safe(x))
-        for t, since in enumerate(regions[:-1]):
-            P = grid[since.contains_batch(grid)]
-            rebuilt = StaircaseRegion(since.fail_generators,
-                                      since.safe_generators, d)
-            # one hop, then two hops, itself and an equal but unrelated
-            # region: only the first takes the one-orthant test
-            for later, origin in ((regions[t + 1], since),
-                                  (regions[min(t + 2, len(regions) - 1)], since),
-                                  (since, since), (regions[t + 1], rebuilt)):
-                assert np.array_equal(later.retain(P, origin),
-                                      later.contains_batch(P))
+    @given(st.integers(1, 4), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_label_step_matches_the_region_updates(self, d, data):
+        # the d >= 3 engine's one comparison pass against with_fail or
+        # with_safe followed by a membership test of the stock: the same
+        # generator arrays, bit for bit and in the same order, and the
+        # same stock rows; a point contradicting the other side raises in
+        # both, and a point of the region never does
+        row = st.lists(EDGE_COORD, min_size=d, max_size=d)
+        region = StaircaseRegion.empty(d)
+        for x in data.draw(st.lists(row, max_size=12)):
+            x = np.array(x)
+            try:
+                region = (region.with_fail(x) if data.draw(st.booleans())
+                          else region.with_safe(x))
+            except MonotonicityViolation:
+                pass
+        F, S = region.fail_generators, region.safe_generators
+        G = np.vstack([F, S])
+        # arbitrary rows, the generators themselves and rows mixing their
+        # coordinates with arbitrary ones, so the stock ties the faces
+        X = [np.array(r) for r in data.draw(st.lists(row, max_size=12))]
+        if G.shape[0]:
+            for _ in range(data.draw(st.integers(0, 12))):
+                g = G[data.draw(st.integers(0, G.shape[0] - 1))]
+                X.append(np.where(data.draw(st.lists(
+                    st.booleans(), min_size=d, max_size=d)), g,
+                    data.draw(row)))
+        X = np.array(X).reshape(-1, d)
+        stock = X[region.contains_batch(X)]
+        for failed in (True, False):
+            for x in G:
+                try:
+                    region.with_fail(x) if failed else region.with_safe(x)
+                except MonotonicityViolation:
+                    with pytest.raises(MonotonicityViolation):
+                        monotone._label(F, S, stock, x, failed)
+            for x in stock:
+                after = region.with_fail(x) if failed else region.with_safe(x)
+                got = monotone._label(F, S, stock, x, failed)
+                assert same_bits(got[0], after.fail_generators)
+                assert same_bits(got[1], after.safe_generators)
+                assert same_bits(got[2], stock[after.contains_batch(stock)])
+
+    def test_label_step_raises_on_a_conflict(self):
+        F = np.array([[0.6, 0.6, 0.6]])
+        S = np.array([[0.3, 0.9, 0.4]])
+        stock = np.array([[0.7, 0.1, 0.2], [0.9, 0.8, 0.5]])
+        for x, failed in ((np.array([0.3, 0.9, 0.4]), True),
+                          (np.array([0.95, 0.95, 0.4]), True),
+                          (np.array([0.6, 0.6, 0.6]), False),
+                          (np.array([0.1, 0.2, 0.3]), False)):
+            with pytest.raises(MonotonicityViolation,
+                               match="a safe point is componentwise below "
+                                     "a fail point"):
+                monotone._label(F, S, stock, x, failed)
 
     def test_updates_do_not_keep_their_predecessor(self):
-        # a run makes one region per query: each must be freed once the
-        # engine moves on, although its successor can still test points
-        # against it by identity
+        # a d = 1 run makes one region per query: each must be freed once
+        # the engine moves on
         r = self.region()
         ref = weakref.ref(r)
         r2 = r.with_fail(np.array([0.5, 0.1]))
-        mask = r2.retain(np.array([[0.4, 0.05], [0.5, 0.5]]), r)
+        mask = r2.contains_batch(np.array([[0.4, 0.05], [0.5, 0.5]]))
         assert mask.tolist() == [False, True]
         del r
         gc.collect()
@@ -1026,7 +1089,8 @@ class TestRejectionSampler:
         x, kept, refills = next(loop), None, 0
         for _ in range(199):
             state = loop.gi_frame.f_locals
-            stock, region = state["stock"], state["region"]
+            stock = state["stock"]
+            region = StaircaseRegion(state["F"], state["S"], 3)
             attempts = state["rejection"].attempts
             assert stock.shape[0] >= monotone._POOL_SIZE
             assert region.contains_batch(stock).all()
@@ -1219,6 +1283,18 @@ class TestSequentialBounder:
             sequential_bounder(f, 400, RandomStream(0, 0))
         assert f.query_count == 11
 
+    @pytest.mark.parametrize("name, sampler", [
+        ("linear:d=1:y=0.3", "auto"), ("lipschitz1d:p=2.1e-3", "auto"),
+        ("example1:d=2:p=5e-4", "auto"), ("linear:d=2:y=1.99", "auto")] + [
+        (f"example1:d={d}:p=5e-3", s) for d in (3, 4, 5, 6)
+        for s in ("auto", "mcmc")])
+    def test_bounds_are_those_of_the_design(self, name, sampler):
+        # a run takes its bounds from the antichains its loop kept; they
+        # are the bits bounds_from_design gives for the run's design
+        run = sequential_bounder(get_benchmark(name).function, 100,
+                                 RandomStream(202, 1), sampler=sampler)
+        assert same_bounds(run.bounds, bounds_from_design(run.design))
+
     def test_contains_truth_and_traces_nest(self):
         prob = make_linear_toy(2, 0.5)
         run = sequential_bounder(prob.function, 80, RandomStream(100, 0))
@@ -1336,6 +1412,7 @@ class TestSequentialBounder:
         assert reference_strip_query(run.region) is None
         assert run.bounds.lower <= 2.0 ** -120 <= run.bounds.upper
         assert run.bounds.upper == 7.771561172376097e-16
+        assert same_bounds(run.bounds, bounds_from_design(run.design))
         assert len(calls) == m + 1 and all(calls)
 
     @pytest.mark.parametrize("d", [1, 2, 3])
