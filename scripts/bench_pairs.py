@@ -21,8 +21,13 @@ has uncommitted changes (``dirty``).
 
 ``--runs W:SEED:PAIRS`` may repeat; ``--traced W:SEED`` adds one
 ``--trace 1`` run per side, stored with its command under
-``traced_<W>_seed_<SEED>``.  The file goes to ``--out`` (default: the
-current directory).
+``traced_<W>_seed_<SEED>``.  ``--pytest EXPR:PAIRS`` (may repeat) runs
+the tier-1 test selection ``pytest -k EXPR`` in both checkouts, with each
+checkout's ``src/`` first on the import path, in alternating pairs as
+above; each run's wall time, exit code, summary line and three slowest
+test phases go under ``pytest``, with each side's wall-time quartiles and
+the pairs in which the change was faster.  The file goes to ``--out``
+(default: the current directory).
 """
 
 import argparse
@@ -30,13 +35,18 @@ import json
 import os
 import platform
 import statistics
+import re
 import subprocess
 import sys
+import time
 
 import numpy
 
 RUN = ["python3", "perfbench/run.py"]
 DIGESTS = "fingerprint per replication:"
+PYTEST = ["python3", "-m", "pytest", "-q", "-p", "no:cacheprovider",
+          "--durations=3"]
+SIDES = ("parent", "change")
 
 
 def run_side(checkout, workload, seed, seconds, trace):
@@ -55,6 +65,36 @@ def run_side(checkout, workload, seed, seconds, trace):
         (line[len(DIGESTS):].split() for line in lines
          if line.startswith(DIGESTS)), [])
     return result
+
+
+def run_pytest(checkout, expr):
+    """One run of the tests ``-k EXPR`` selects in a checkout, its src/
+    first on the import path; returns its wall time and outcome.  A
+    failing test is an outcome; a selection pytest cannot run stops."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, ["src", os.environ.get("PYTHONPATH")])))
+    start = time.perf_counter()
+    proc = subprocess.run(PYTEST + ["-k", expr], cwd=checkout, env=env,
+                          capture_output=True, text=True, check=False)
+    wall = time.perf_counter() - start
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode not in (0, 1) or not lines:
+        raise SystemExit(f"pytest -k {expr!r} in {checkout} failed "
+                         f"({proc.returncode}):\n{proc.stdout[-2000:]}"
+                         f"{proc.stderr[-2000:]}")
+    return {"wall_s": wall, "exit_code": proc.returncode,
+            "outcome": lines[-1],
+            "slowest": [line for line in lines
+                        if re.match(r"\d+\.\d+s (setup|call|teardown) ", line)]}
+
+
+def alternating(n_pairs):
+    """(pair, side, ran_first) in run order: pair k runs both sides back
+    to back, the parent first when k is odd."""
+    for pair in range(1, n_pairs + 1):
+        order = SIDES if pair % 2 else SIDES[::-1]
+        for i, side in enumerate(order):
+            yield pair, side, i == 0
 
 
 def checkout_state(path):
@@ -98,6 +138,17 @@ def spread(values):
     return {"median": q2, "q1": q1, "q3": q3}
 
 
+def compare(vals, direction):
+    """Each side's quartiles of one metric, ``vals[side][k]`` read in pair
+    k, and the pairs in which the change did better."""
+    sign = -1.0 if direction == "lower" else 1.0
+    won = sum(sign * (c - p) > 0.0
+              for p, c in zip(vals["parent"], vals["change"]))
+    return {"parent": spread(vals["parent"]),
+            "change": spread(vals["change"]),
+            "change_better_in_pairs": f"{won}/{len(vals['parent'])}"}
+
+
 def summarize(runs, better):
     """Per (workload, seed): each metric's quartiles and pairs won."""
     summary = {}
@@ -107,22 +158,36 @@ def summarize(runs, better):
         side = {(r["pair"], r["side"]): r["result"]["metrics"] for r in rows}
         cell = {"fingerprints": digest_match(
             {s: [r["result"] for r in rows if r["side"] == s]
-             for s in ("parent", "change")})}
+             for s in SIDES})}
         for name, direction in better.items():
-            vals = {s: [side[(k, s)][name]["value"] for k in pairs]
-                    for s in ("parent", "change")}
-            sign = -1.0 if direction == "lower" else 1.0
-            won = sum(sign * (c - p) > 0.0
-                      for p, c in zip(vals["parent"], vals["change"]))
-            cell[name] = {"parent": spread(vals["parent"]),
-                          "change": spread(vals["change"]),
-                          "change_better_in_pairs": f"{won}/{len(pairs)}"}
+            cell[name] = compare({s: [side[(k, s)][name]["value"]
+                                      for k in pairs] for s in SIDES},
+                                 direction)
         summary[f"{key[0]} seed {key[1]}"] = cell
     return summary
 
 
+def summarize_pytest(runs):
+    """Per selection: each side's wall-time quartiles, the pairs in which
+    the change ran faster, and each side's pytest exit codes in pair
+    order."""
+    summary = {}
+    for expr in dict.fromkeys(r["expr"] for r in runs):
+        rows = sorted((r for r in runs if r["expr"] == expr),
+                      key=lambda r: r["pair"])
+        summary[expr] = {
+            "wall_s": compare({s: [r["wall_s"] for r in rows
+                                   if r["side"] == s] for s in SIDES},
+                              "lower"),
+            "exit_codes": {s: [r["exit_code"] for r in rows
+                               if r["side"] == s] for s in SIDES}}
+    return summary
+
+
 def spec(text, parts):
-    fields = text.split(":")
+    # the first field is free text (a -k expression may hold a colon);
+    # the others are integers
+    fields = text.rsplit(":", parts - 1)
     if len(fields) != parts:
         raise argparse.ArgumentTypeError(f"expected {parts} fields in {text!r}")
     return (fields[0],) + tuple(int(f) for f in fields[1:])
@@ -137,6 +202,8 @@ def main(argv=None):
                     type=lambda t: spec(t, 3), metavar="W:SEED:PAIRS")
     ap.add_argument("--traced", action="append", default=[],
                     type=lambda t: spec(t, 2), metavar="W:SEED")
+    ap.add_argument("--pytest", action="append", default=[],
+                    type=lambda t: spec(t, 2), metavar="EXPR:PAIRS")
     ap.add_argument("--seconds", type=float, default=22.0)
     ap.add_argument("--note", default="", help="what the change does")
     ap.add_argument("--out", default=".")
@@ -148,15 +215,20 @@ def main(argv=None):
     seconds = f"{args.seconds:g}"
     runs = []
     for workload, seed, n_pairs in args.runs:
-        for pair in range(1, n_pairs + 1):
-            order = ["parent", "change"] if pair % 2 else ["change", "parent"]
-            for i, name in enumerate(order):
-                result = run_side(sides[name], workload, seed, seconds, 0)
-                runs.append({"workload": workload, "seed": seed, "pair": pair,
-                             "side": name, "ran_first": i == 0,
-                             "result": result})
-                print(f"{workload} seed {seed} pair {pair} {name}: "
-                      f"{json.dumps(result['metrics'])}", flush=True)
+        for pair, name, first in alternating(n_pairs):
+            result = run_side(sides[name], workload, seed, seconds, 0)
+            runs.append({"workload": workload, "seed": seed, "pair": pair,
+                         "side": name, "ran_first": first, "result": result})
+            print(f"{workload} seed {seed} pair {pair} {name}: "
+                  f"{json.dumps(result['metrics'])}", flush=True)
+    test_runs = []
+    for expr, n_pairs in args.pytest:
+        for pair, name, first in alternating(n_pairs):
+            result = run_pytest(sides[name], expr)
+            test_runs.append({"expr": expr, "pair": pair, "side": name,
+                              "ran_first": first, **result})
+            print(f"pytest -k {expr!r} pair {pair} {name}: "
+                  f"{result['wall_s']:.2f} s, {result['outcome']}", flush=True)
 
     out = {
         "change": args.note,
@@ -175,6 +247,10 @@ def main(argv=None):
         out["seeds"].setdefault(workload, []).append(seed)
     out["summary"] = summarize(runs, better)
     out["runs"] = runs
+    if test_runs:
+        out["pytest"] = {
+            "command": f"PYTHONPATH=src {' '.join(PYTEST)} -k EXPR",
+            "summary": summarize_pytest(test_runs), "runs": test_runs}
     for workload, seed in args.traced:
         key = f"traced_{workload.replace('-', '_')}_seed_{seed}"
         out[key] = {name: run_side(path, workload, seed, seconds, 1)

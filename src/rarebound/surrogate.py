@@ -128,16 +128,15 @@ class FeedforwardFamily:
         return sum(m * n + n for m, n in self.layer_shapes)
 
     def _unpack(self, eta: np.ndarray):
-        """Views (W, b) of each layer; a leading axis of ``eta`` stacks
-        parameter rows, giving W of shape (k, m, n) and b of (k, n)."""
+        """Views [W; b] of each layer, (m + 1) x n: W row-major, then b as
+        the last row.  A leading axis of ``eta`` stacks parameter rows,
+        giving blocks of shape (k, m + 1, n)."""
         out = []
         k = 0
         for m, n in self.layer_shapes:
-            W = eta[..., k:k + m * n].reshape(eta.shape[:-1] + (m, n))
-            k += m * n
-            b = eta[..., k:k + n]
-            k += n
-            out.append((W, b))
+            out.append(eta[..., k:k + (m + 1) * n].reshape(
+                eta.shape[:-1] + (m + 1, n)))
+            k += (m + 1) * n
         return out
 
     def init_parameters(self, gen: np.random.Generator) -> np.ndarray:
@@ -148,41 +147,47 @@ class FeedforwardFamily:
             parts.append(np.zeros(n))
         return np.concatenate(parts)
 
+    def _forward(self, eta: np.ndarray, X: np.ndarray):
+        """Each layer's input [h; 1], transposed to (m + 1) x n, and the
+        predictions; a layer is one product [W; b]^T [h; 1].  A leading
+        axis of ``eta`` stacks parameter rows, each formed with the
+        products of a lone row."""
+        ins = [np.vstack([X.T, np.ones(len(X))])]
+        blocks = self._unpack(eta)
+        for B in blocks[:-1]:
+            # logistic in place: 20,000 predictions hold one temporary, not 3
+            h = np.matmul(B.swapaxes(-1, -2), ins[-1])
+            np.exp(np.negative(h, out=h), out=h)
+            np.divide(1.0, np.add(h, 1.0, out=h), out=h)
+            ins.append(np.concatenate([h, np.ones_like(h[..., :1, :])], -2))
+        return ins, np.matmul(blocks[-1].swapaxes(-1, -2), ins[-1])[..., 0, :]
+
     def value_and_grad(self, eta: np.ndarray, X: np.ndarray):
         """Predictions and their pullback ``v -> v @ J`` (reverse mode).
 
         J is the n x P Jacobian of the predictions with respect to eta.
         The forward pass runs here; ``pullback(v)`` runs one reverse pass
-        with cotangent ``v[i]`` on sample i and never forms J.
+        with cotangent ``v[i]`` on sample i and never forms J; a layer's
+        gradient block [gW; gb] is one product [h; 1] delta^T.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        layers = self._unpack(eta)
-        acts = [X]
-        h = X
-        for idx, (W, b) in enumerate(layers):
-            z = h @ W + b
-            h = z if idx == len(layers) - 1 else 1.0 / (1.0 + np.exp(-z))
-            acts.append(h)
+        ins, pred = self._forward(eta, X)
+        blocks = self._unpack(eta)
 
         def pullback(v):
             grad = np.empty(self.n_parameters)
-            delta = np.asarray(v, dtype=float).reshape(-1, 1)
-            k = self.n_parameters
-            for idx in range(len(layers) - 1, -1, -1):
-                W, _ = layers[idx]
-                a_in, a_out = acts[idx], acts[idx + 1]
-                if idx != len(layers) - 1:
-                    delta = delta * a_out * (1.0 - a_out)
-                m, width = W.shape
-                k -= width
-                grad[k:k + width] = delta.sum(axis=0)
-                k -= m * width
-                grad[k:k + m * width] = (a_in.T @ delta).ravel()
+            grads = self._unpack(grad)
+            delta = np.asarray(v, dtype=float).reshape(1, -1)
+            for idx in range(len(blocks) - 1, -1, -1):
+                if idx != len(blocks) - 1:
+                    a = ins[idx + 1][:-1]
+                    delta = delta * a * (1.0 - a)
+                grads[idx][...] = ins[idx] @ delta.T
                 if idx:
-                    delta = delta @ W.T
+                    delta = blocks[idx][:-1] @ delta
             return grad
 
-        return h[:, 0], pullback
+        return pred, pullback
 
 
 Family = Union[PolynomialFamily, FeedforwardFamily]
@@ -249,9 +254,8 @@ def fit(family: Family, X, y, rng: Optional[RandomStream] = None,
         return RegressionSurrogate(
             family=family, eta=_least_squares(family, family.features(X), y))
     gen = (rng or RandomStream(0, 0)).generator()
-    eta = _train(family, np.ascontiguousarray(X), y,
-                 family.init_parameters(gen), lr=lr, epochs=epochs, tol=tol,
-                 overpredict_weight=overpredict_weight)
+    eta = _train(family, X, y, family.init_parameters(gen), lr=lr,
+                 epochs=epochs, tol=tol, overpredict_weight=overpredict_weight)
     return RegressionSurrogate(family=family, eta=eta)
 
 
@@ -275,30 +279,35 @@ def _train(family: FeedforwardFamily, X: np.ndarray, y: np.ndarray,
 
     Each epoch is ``family.value_and_grad``'s forward pass and pullback
     followed by the Adam step, with every product and sum in the same
-    order, so the parameters match that reference bit for bit.  All
-    buffers and their per-layer views are made once and updated in place.
-    Hidden layers form -(hW + b) as h(-W) - b, which is exact because
-    rounding to nearest is symmetric in sign.
+    order, so the parameters match that reference bit for bit: layer
+    inputs [h; 1] transposed, and one product per layer with its block
+    [W; b] of the parameters, negated or gradient vector.  All buffers and
+    their per-layer views are made once and updated in place.  Hidden
+    layers form -[W; b]^T [h; 1] with the negated block, which is exact
+    because rounding to nearest is symmetric in sign.
     """
-    # about 44 NumPy calls an epoch on arrays of a few hundred numbers:
+    # about 38 NumPy calls an epoch on arrays of a few hundred numbers:
     # call overhead, not arithmetic, sets the cost, so the functions
-    # called most are local names
+    # called most are local names, and np.dot (cheaper per call than
+    # np.matmul, with the same bits) forms the products
     dot, exp, add, subtract, multiply, divide = (
         np.dot, np.exp, np.add, np.subtract, np.multiply, np.divide)
     n = y.size
     last = len(family.layer_shapes) - 1
     x, neg, g = eta0.copy(), np.empty_like(eta0), np.empty_like(eta0)
-    layers = family._unpack(x)
-    neg_layers = family._unpack(neg)
+    readout_T = family._unpack(x)[last].T
+    weights = [B[:-1] for B in family._unpack(x)]
+    neg_T = [B.T for B in family._unpack(neg)]
     grads = family._unpack(g)
-    weights_T = [W.T for W, _ in layers]
-    acts = [X] + [np.empty((n, w)) for w in family.hidden]
-    acts_T = [a.T for a in acts]
-    deltas = [np.empty((n, w)) for w in family.hidden]
-    z = np.empty((n, 1))
+    # the layer inputs [h; 1]; hidden layer idx writes the rows outs[idx]
+    ins = family._forward(x, X)[0]
+    outs = [h[:-1] for h in ins[1:]]
+    z = np.empty((1, n))
     pred = z.reshape(n)
     r, scale, sr, work = (np.empty(n) for _ in range(4))
-    cotangent = work.reshape(n, 1)
+    # the delta of each layer's output; the readout's is the cotangent
+    deltas = [np.empty((w, n)) for w in family.hidden] + [work.reshape(1, n)]
+    deltas_T = [d.T for d in deltas]
     positive = np.empty(n, dtype=bool)
     index = positive.view(np.uint8)
     # the loss weight of a residual: wn, or wn (1 + w) where it is positive
@@ -314,14 +323,12 @@ def _train(family: FeedforwardFamily, X: np.ndarray, y: np.ndarray,
     for t in range(1, epochs + 1):
         np.negative(x, out=neg)
         for idx in range(last):
-            a = acts[idx + 1]
-            dot(acts[idx], neg_layers[idx][0], out=a)
-            subtract(a, layers[idx][1], out=a)
+            a = outs[idx]
+            dot(neg_T[idx], ins[idx], out=a)
             exp(a, out=a)
             add(a, 1.0, out=a)
             divide(1.0, a, out=a)
-        dot(acts[last], layers[last][0], out=z)
-        add(z, layers[last][1], out=z)
+        dot(readout_T, ins[last], out=z)
 
         subtract(pred, y, out=r)
         np.greater(r, 0.0, out=positive)
@@ -337,19 +344,17 @@ def _train(family: FeedforwardFamily, X: np.ndarray, y: np.ndarray,
             break
 
         multiply(sr, 2.0, out=work)
-        delta = cotangent
         for idx in range(last, -1, -1):
+            delta = deltas[idx]
             if idx != last:
                 # layer idx + 1 has read its input a, so a can take 1 - a
-                a = acts[idx + 1]
+                a = outs[idx]
                 multiply(delta, a, out=delta)
                 subtract(1.0, a, out=a)
                 multiply(delta, a, out=delta)
-            gW, gb = grads[idx]
-            add.reduce(delta, 0, None, gb)
-            dot(acts_T[idx], delta, out=gW)
+            dot(ins[idx], deltas_T[idx], out=grads[idx])
             if idx:
-                delta = dot(delta, weights_T[idx], out=deltas[idx - 1])
+                dot(weights[idx], delta, out=deltas[idx - 1])
 
         multiply(g, rate, out=step)
         multiply(step_v, g, out=step_v)
@@ -578,12 +583,7 @@ class _Profile:
             # one matrix-vector product per row, the one Phi @ eta makes
             return np.matmul(self.Phi, T[:, :, None])[:, :, 0]
         # value_and_grad's forward pass, stacked: one product per row
-        layers = self.family._unpack(T)
-        h = self.X
-        for idx, (W, b) in enumerate(layers):
-            z = np.matmul(h, W) + b[:, None, :]
-            h = z if idx == len(layers) - 1 else 1.0 / (1.0 + np.exp(-z))
-        return h[:, :, 0]
+        return self.family._forward(T, self.X)[1]
 
     def rows(self, T: np.ndarray):
         """Objective, shift and infeasibility of each parameter row of
@@ -716,10 +716,7 @@ def _linear_head(profile: _Profile, eta: np.ndarray) -> np.ndarray:
     ones column for the readout bias."""
     if profile.Phi is not None:
         return profile.Phi
-    h = profile.X
-    for W, b in profile.family._unpack(eta)[:-1]:
-        h = 1.0 / (1.0 + np.exp(-(h @ W + b)))
-    return np.column_stack([h, np.ones(h.shape[0])])
+    return profile.family._forward(eta, profile.X)[0][-1].T
 
 
 def fsd_fit(family: Family, X, y, restarts: int = 2, epochs: int = 600,
@@ -753,13 +750,16 @@ def fsd_fit(family: Family, X, y, restarts: int = 2, epochs: int = 600,
     epochs, lr : int, float
         Training of the unconstrained network fit; unused for polynomials.
     rng : RandomStream, optional
+        Draws the restart jitter.  A network's initial weights come from
+        ``rng.derive(1)``; ``derive(0)`` would be the fsd runner's MC stream.
     """
     X = np.atleast_2d(np.asarray(X, dtype=float))
     y = np.asarray(y, dtype=float).ravel()
-    gen = (rng or RandomStream(0, 0)).generator()
+    rng = rng or RandomStream(0, 0)
+    gen = rng.generator()
     profile = _Profile(family, X, y)
     start = (_least_squares(family, profile.Phi, y) if profile.Phi is not None
-             else fit(family, X, y, rng=rng, epochs=epochs, lr=lr).eta)
+             else fit(family, X, y, rng.derive(1), epochs=epochs, lr=lr).eta)
 
     # rows scaled by sqrt(1/m): the least-squares objective is the mean
     sw = math.sqrt(1.0 / y.size)

@@ -91,6 +91,29 @@ def test_digest_match_lists_differing_replications(monkeypatch):
         "shared_replications": 4, "matching": 2, "differing": [1, 3]}
 
 
+def test_pytest_pairs_record_time_and_outcome(tmp_path, monkeypatch):
+    bench_pairs = load(ROOT / "scripts" / "bench_pairs.py", monkeypatch)
+    (tmp_path / "tests").mkdir()
+    (tmp_path / "tests" / "test_pick.py").write_text(
+        "import time\n\n\ndef test_kept():\n    time.sleep(0.02)\n\n\n"
+        "def test_other():\n    assert False\n")
+    run = bench_pairs.run_pytest(str(tmp_path), "kept or other")
+    assert run["exit_code"] == 1
+    assert "1 failed, 1 passed" in run["outcome"]
+    assert run["wall_s"] > 0.02
+    assert any("call" in line and "test_kept" in line
+               for line in run["slowest"])
+    runs = [{"expr": "e", "pair": pair, "side": side, "wall_s": wall,
+             "exit_code": 0}
+            for (pair, side, _), wall in zip(bench_pairs.alternating(2),
+                                             [3.0, 2.0, 1.5, 4.0])]
+    assert [(r["pair"], r["side"]) for r in runs] == [
+        (1, "parent"), (1, "change"), (2, "change"), (2, "parent")]
+    summary = bench_pairs.summarize_pytest(runs)["e"]
+    assert summary["wall_s"]["change_better_in_pairs"] == "2/2"
+    assert summary["exit_codes"] == {"parent": [0, 0], "change": [0, 0]}
+
+
 README = (ROOT / "README.md").read_text(encoding="utf-8")
 # each block padded with blank lines, so tracebacks give README line numbers
 README_BLOCKS = ["\n" * README.count("\n", 0, m.start(1)) + m.group(1)

@@ -397,6 +397,24 @@ class TestRunExperiment:
         # 50 * d training and 50 * d test points
         assert int(row["queries"]) == 200
 
+    def test_fsd_network_replication_draws_each_stream_once(self,
+                                                            monkeypatch):
+        # a network fsd replication draws its training inputs, the
+        # network's initial weights, the restart jitter and the Monte
+        # Carlo points; each must come from a stream of its own, or the
+        # jitter repeats the first layer's initial weights, scaled
+        drawn = []
+        generator = RandomStream.generator
+        monkeypatch.setattr(RandomStream, "generator", lambda self: (
+            drawn.append(self.stream_id) or generator(self)))
+        text = ("[experiment]\nmethod = fsd\n"
+                "benchmark = example1:d=2:p=1e-1\nreplications = 1\n"
+                "workers = 1\n\n[fsd]\nfamily = network\nrestarts = 1\n"
+                "train_size = 30\n")
+        cli._replication_row(parse_config_text(text), 3)
+        assert len(drawn) == 4
+        assert len(set(drawn)) == len(drawn), drawn
+
 
 class TestLambdaTable:
     def test_files_and_contract(self, tmp_path):

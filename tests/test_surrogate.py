@@ -32,6 +32,7 @@ from rarebound.surrogate import (
 )
 from rarebound.surrogate import (
     _exact_violations,
+    _linear_head,
     _lsi,
     _pattern_polish,
     _Profile,
@@ -237,16 +238,25 @@ class TestFit:
     def test_network_fit_matches_reference_bits(self, hidden, weight,
                                                 epochs, tol):
         # the in-place training loop keeps the reference's order of every
-        # product and sum, so any reordering shows up in the last bits
-        X, y = quad_data()
-        fam = FeedforwardFamily(2, hidden)
-        ref, ran = self.reference_fit(fam, X, y, RandomStream(9, 0), epochs,
-                                      tol, weight)
-        if tol > 1e-10:
-            assert ran < epochs     # the stop is exercised
-        got = fit(fam, X, y, rng=RandomStream(9, 0), epochs=epochs, tol=tol,
-                  overpredict_weight=weight)
-        assert np.array_equal(got.eta.view(np.int64), ref.view(np.int64))
+        # product and sum, so any reordering shows up in the last bits.
+        # Inputs of dimension 1 and 3 are fitted too: with one input
+        # column NumPy sends the first layer's products to another kernel
+        gen = np.random.default_rng(0)
+        data = [quad_data()]
+        for d in (1, 3):
+            X = gen.random((40, d))
+            data.append((X, 1.0 - 2.0 * X.mean(axis=1)
+                          + 0.5 * X[:, 0] * X[:, -1]))
+        for X, y in data:
+            fam = FeedforwardFamily(X.shape[1], hidden)
+            ref, ran = self.reference_fit(fam, X, y, RandomStream(9, 0),
+                                          epochs, tol, weight)
+            if tol > 1e-10:
+                assert ran < epochs     # the stop is exercised
+            got = fit(fam, X, y, rng=RandomStream(9, 0), epochs=epochs,
+                      tol=tol, overpredict_weight=weight)
+            assert np.array_equal(got.eta.view(np.int64),
+                                  ref.view(np.int64)), X.shape
 
     def test_asymmetric_loss_hugs_from_below(self):
         gen = np.random.default_rng(7)
@@ -548,10 +558,13 @@ class TestFSDFit:
         def linear_head(eta):
             if isinstance(family, PolynomialFamily):
                 return family.features(X)
-            h = X
-            for W, b in family._unpack(eta)[:-1]:
-                h = 1.0 / (1.0 + np.exp(-(h @ W + b)))
-            return np.column_stack([h, np.ones(h.shape[0])])
+            # the hidden layers of value_and_grad's forward pass, each the
+            # product of the block [W; b] and the transposed input [h; 1]
+            h = np.vstack([X.T, np.ones(len(X))])
+            for B in family._unpack(eta)[:-1]:
+                h = np.vstack([1.0 / (1.0 + np.exp(-(B.T @ h))),
+                               np.ones(len(X))])
+            return h.T
 
         def one_start(eta):
             best, _ = profiled(eta)
@@ -571,7 +584,7 @@ class TestFSDFit:
             return polish(eta)
 
         gen = rng.generator()
-        start = fit(family, X, y, rng=rng, epochs=epochs).eta
+        start = fit(family, X, y, rng=rng.derive(1), epochs=epochs).eta
         sw = np.sqrt(1.0 / y.size)
         scale = float(np.std(start)) or 1.0
         starts = [start] + [start + gen.normal(0.0, 0.2 * scale, start.size)
@@ -610,6 +623,26 @@ class TestFSDFit:
         assert np.array_equal(res.violations, ref[2])
         pred = sign * res.predict(X)
         assert check_fsd(*((pred, y) if direction == LOW else (y, pred))) <= 0.0
+
+    @pytest.mark.parametrize("hidden", [(3,), (4, 4)])
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_linear_head_is_the_forward_pass(self, hidden, d):
+        # the rank-matched solve refits the readout on these columns, so
+        # they must be value_and_grad's last hidden layer and its ones row:
+        # with readout weight 1 on column j and 0 elsewhere, the
+        # prediction is column j exactly, whatever order the product sums in
+        X, y = quad_data(30)
+        X = X[:, :d]
+        fam = FeedforwardFamily(d, hidden)
+        eta = np.random.default_rng(5).normal(0.0, 1.0, fam.n_parameters)
+        H = _linear_head(_Profile(fam, X, y), eta)
+        assert H.shape == (30, hidden[-1] + 1)
+        for j, unit in enumerate(np.eye(H.shape[1])):
+            trial = eta.copy()
+            trial[-H.shape[1]:] = unit
+            pred, _ = fam.value_and_grad(trial, X)
+            assert np.array_equal(H[:, j].view(np.int64),
+                                  pred.view(np.int64)), j
 
     def test_features_built_once(self, monkeypatch):
         # the training feature matrix is built once per fit, however many
