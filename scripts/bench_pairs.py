@@ -34,8 +34,8 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import re
+import statistics
 import subprocess
 import sys
 import time
