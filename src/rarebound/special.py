@@ -3,13 +3,11 @@ functions, their inverses, and the standard normal CDF/quantile.
 
 Everything here is double precision and accepts scalars or numpy arrays
 (shape parameters are scalar floats; only the main argument is vectorized).
-The Gamma functions take positive integer shapes only, which are all that
-example1 uses.  They sum the closed-form tails (DiDonato & Morris 1986); the
-quantile's relative error in both tails is at most 3.8e-15 at shapes up to
-10, growing to 3.4e-14 at 300, and a point's bits do not depend on its
-batch.  The Beta functions use the classical continued fraction, and their
-iterations stop when the whole batch has converged, so their last bits
-depend on it.
+The Gamma and Beta functions take positive integer shapes only, which are
+all that example1 uses.  They sum closed-form tails, the Gamma ones as in
+DiDonato & Morris (1986) and the Beta ones as binomial tails, and their
+quantiles take a fixed number of Newton steps, so a point's bits do not
+depend on its batch.  Each quantile states its measured relative error.
 """
 
 from __future__ import annotations
@@ -19,7 +17,6 @@ import math
 import numpy as np
 
 __all__ = [
-    "NonConvergence",
     "gamma_cdf",
     "gamma_quantile",
     "beta_cdf",
@@ -27,14 +24,6 @@ __all__ = [
     "normal_cdf",
     "normal_quantile",
 ]
-
-_EPS = 1e-15
-_TINY = 1e-300
-_MAX_ITER = 600
-
-
-class NonConvergence(RuntimeError):
-    """An iterative expansion or root solve failed to reach tolerance."""
 
 
 def _as_array(x):
@@ -56,7 +45,7 @@ def _ret(arr, scalar):
 # Newton on log Q = log R + (a-1) log x - x - log (a-1)! and on
 # log P = log T + a log x - x - log a!.
 
-_NEWTON_STEPS = 4        # from the start below, a 5th step moves no point beyond rounding
+_NEWTON_STEPS = 4        # from the starts below, a 5th step moves no point beyond rounding
 _HALF_ULP = 2.0 ** -54   # a term at most T * 2^-54 cannot change the sum T
 
 
@@ -116,8 +105,8 @@ def gamma_quantile(u, shape: float, upper: bool = False):
     P = 0 maps to x = 0 and P = 1 to inf, so with ``upper`` u=0 maps to
     inf and u=1 to 0.  Newton steps on the closed-form tails give x in
     both tails to a relative 3.8e-15 at shapes up to 10, 1.7e-14 up to
-    100 and 3.4e-14 up to 300, and each point the same bits alone or in
-    any batch.
+    100, 2.1e-14 up to 150 and 3.4e-14 up to 300, and each point the same
+    bits alone or in any batch.
     """
     a = _integer_shape(shape)
     arr, scalar = _as_array(u)
@@ -204,101 +193,107 @@ def _integer_gamma_inverse_one(v: float, a: float, upper: bool) -> float:
 
 
 # ---------------------------------------------------------------------------
-# regularized incomplete beta I_x(a, b)
+# regularized incomplete beta at integer shapes.  With n = a+b-1 and
+# t_k = C(n, k) x^k (1-x)^(n-k), I_x(a, b) = P(Bin(n, x) >= a), so
+#   I_x(a, b) = t_a U,  U = sum_{k>=a} t_k/t_a,  and
+#   1 - I_x(a, b) = I_{1-x}(b, a) = t_{a-1} L,  L = sum_{k<a} t_k/t_{a-1}.
+# Both sums are finite and positive: beta_cdf takes I from U where
+# x < a/(a+b) and 1 - I from L above that.  The pdf is a t_a/x and
+# b t_{a-1}/(1-x), so the inverse runs Newton on log I in log x, with slope
+# a/U, and on log (1 - I) in log (1-x), with slope b/L.  Both are concave,
+# so from its first step on Newton nears the root from one side.
 
-def _beta_cf(a: float, b: float, x: np.ndarray) -> np.ndarray:
-    """Lentz continued fraction for the incomplete beta, x < (a+1)/(a+b+2)."""
-    qab = a + b
-    qap = a + 1.0
-    qam = a - 1.0
-    c = np.ones_like(x)
-    d = 1.0 - qab * x / qap
-    d = np.where(np.abs(d) < _TINY, _TINY, d)
-    d = 1.0 / d
-    h = d.copy()
-    for m in range(1, _MAX_ITER):
-        m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _TINY, _TINY, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _TINY, _TINY, c)
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        d = np.where(np.abs(d) < _TINY, _TINY, d)
-        c = 1.0 + aa / c
-        c = np.where(np.abs(c) < _TINY, _TINY, c)
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if np.all(np.abs(delta - 1.0) < _EPS):
-            break
+def _log_choose(n: float, k: float) -> float:
+    """log C(n, k), summed as log((n-j+i)/i) over i = 1..j, j = min(k, n-k)."""
+    j = min(k, n - k)
+    i = np.arange(1.0, j + 1.0)
+    return math.fsum(np.log((n - j + i) / i))
+
+
+def _log_beta_tail(x: np.ndarray, a: float, b: float, upper: bool):
+    """log I_x(a, b) and U, or with ``upper`` log (1 - I_x(a, b)) and L.
+    The sum is taken until no element's next term can change it, so each
+    element's bits are those it has alone."""
+    lx, ly = np.log(x), np.log1p(-x)
+    if upper:
+        a, b, lx, ly, r = b, a, ly, lx, (1.0 - x) / x
     else:
-        raise NonConvergence("incomplete beta continued fraction stalled")
-    return h
+        r = x / (1.0 - x)
+    n = a + b - 1.0
+    term, u, k = np.ones_like(x), np.ones_like(x), a
+    while (term > u * _HALF_ULP).any():
+        term = term * r * (n - k) / (k + 1.0)
+        k += 1.0
+        u = u + term
+    return _log_choose(n, a) + a * lx + (b - 1.0) * ly + np.log(u), u
 
 
 def beta_cdf(x, a: float, b: float):
-    """I_x(a, b): CDF of the Beta(a, b) law at x; NaN at NaN."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("beta shapes must be positive")
+    """I_x(a, b): CDF of the Beta(a, b) law at x, for positive integer
+    shapes; NaN at NaN.  At the quantiles below, its relative error is
+    3.5e-14 at shapes up to 150 and 3.5e-12 up to 20,000, growing with the
+    log of the leading binomial term."""
+    a, b = _integer_shape(a), _integer_shape(b)
     arr, scalar = _as_array(x)
     out = np.where(np.isnan(arr), np.nan, 0.0)
     out[arr >= 1.0] = 1.0
-    inner = (arr > 0.0) & (arr < 1.0)
-    if inner.any():
-        xi = arr[inner]
-        front = np.exp(
-            math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-            + a * np.log(xi) + b * np.log1p(-xi)
-        )
-        res = np.empty_like(xi)
-        direct = xi < (a + 1.0) / (a + b + 2.0)
-        if direct.any():
-            res[direct] = front[direct] * _beta_cf(a, b, xi[direct]) / a
-        flip = ~direct
-        if flip.any():
-            res[flip] = 1.0 - front[flip] * _beta_cf(b, a, 1.0 - xi[flip]) / b
-        out[inner] = res
-    return _ret(np.clip(out, 0.0, 1.0), scalar)
+    lo = (arr > 0.0) & (arr < a / (a + b))
+    hi = (arr >= a / (a + b)) & (arr < 1.0)
+    out[lo] = np.exp(_log_beta_tail(arr[lo], a, b, False)[0])
+    out[hi] = -np.expm1(_log_beta_tail(arr[hi], a, b, True)[0])
+    return _ret(out, scalar)
 
 
 def beta_quantile(u, a: float, b: float):
-    """Inverse of ``beta_cdf``: bisection-bracketed Newton on [0, 1]."""
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("beta shapes must be positive")
+    """Inverse of ``beta_cdf`` in its first argument.
+
+    ``a`` and ``b`` must be positive integers; any other raises
+    ValueError.  u=0 maps to 0 and u=1 to 1.  Newton steps on the smaller
+    tail, I where u <= 1/2 and 1 - I above, give x in both tails down to
+    1e-16 to a relative 8.1e-15 at shapes up to 150 and 2.7e-14 up to
+    20,000, and each point the same bits alone or in any batch.
+    """
+    a, b = _integer_shape(a), _integer_shape(b)
     arr, scalar = _as_array(u)
     if np.any((arr < 0.0) | (arr > 1.0)):
         raise ValueError("u must lie in [0, 1]")
     out = np.full_like(arr, np.nan)
     out[arr == 0.0] = 0.0
     out[arr == 1.0] = 1.0
-    inner = (arr > 0.0) & (arr < 1.0)
-    if inner.any():
-        out[inner] = _beta_quantile_inner(arr[inner], a, b)
+    lo = (arr > 0.0) & (arr <= 0.5)
+    hi = (arr > 0.5) & (arr < 1.0)
+    out[lo] = _beta_inverse(arr[lo], a, b, False)
+    out[hi] = _beta_inverse(1.0 - arr[hi], a, b, True)
     return _ret(out, scalar)
 
 
-def _beta_quantile_inner(u: np.ndarray, a: float, b: float) -> np.ndarray:
-    lo = np.zeros_like(u)
-    hi = np.ones_like(u)
-    x = np.full_like(u, a / (a + b))
-    logbeta = math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b)
-    for _ in range(200):
-        f = beta_cdf(x, a, b) - u
-        lo = np.where(f < 0.0, x, lo)
-        hi = np.where(f > 0.0, x, hi)
-        logpdf = (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - logbeta
-        xn = x - f * np.exp(-logpdf)
-        # fall back to bisection whenever Newton leaves the bracket
-        bad = ~((xn > lo) & (xn < hi))
-        xn = np.where(bad, 0.5 * (lo + hi), xn)
-        if np.all(np.abs(xn - x) <= 1e-14 + 1e-12 * np.abs(x)):
-            return xn
-        x = xn
-    raise NonConvergence("beta quantile iteration stalled")
+def _beta_inverse(w: np.ndarray, a: float, b: float, upper: bool):
+    """x with I_x(a, b) = w, or 1 - I_x(a, b) = w if ``upper``, for every
+    w in (0, 1/2].  The start is Abramowitz & Stegun 26.5.22 from a rough
+    normal quantile of w, or the bound I <= x^a C(n, a), or
+    1 - I <= (1-x)^b C(n, b), where that is nearer the root.  Newton
+    scales x on the I side and 1 - x on the other, written as a change of
+    x so that a small x keeps its relative precision; a root that rounds
+    to 0 or 1 ends at the float inside (0, 1) next to it."""
+    lw = np.log(w)
+    z = _acklam_tail(np.sqrt(-2.0 * lw))
+    y = z if upper else -z
+    lam = (y * y - 3.0) / 6.0
+    h = 2.0 / (1.0 / (2.0 * a - 1.0) + 1.0 / (2.0 * b - 1.0))
+    e = (y * np.sqrt(lam + h) / h - (1.0 / (2.0 * b - 1.0) - 1.0 / (2.0 * a - 1.0))
+         * (lam + 5.0 / 6.0 - 2.0 / (3.0 * h)))
+    x = np.exp(-np.logaddexp(0.0, 2.0 * e + math.log(b / a)))   # a/(a + b e^2e)
+    k = b if upper else a
+    bound = np.exp((lw - _log_choose(a + b - 1.0, k)) / k)   # on 1 - x if upper
+    x = np.minimum(x, 1.0 - bound) if upper else np.maximum(x, bound)
+    for _ in range(_NEWTON_STEPS):
+        x = np.clip(x, 2.0 ** -1074, 1.0 - 2.0 ** -53)
+        lt, s = _log_beta_tail(x, a, b, upper)
+        if upper:
+            x = x - (1.0 - x) * np.expm1((lw - lt) * s / b)
+        else:
+            x = x * np.exp((lw - lt) * s / a)
+    return np.clip(x, 2.0 ** -1074, 1.0 - 2.0 ** -53)
 
 
 # ---------------------------------------------------------------------------

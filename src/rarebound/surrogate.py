@@ -32,9 +32,12 @@ from typing import Optional, Tuple, Union
 import numpy as np
 
 from .core import RandomStream
-from .special import NonConvergence
 
 DEFAULT_BERNSTEIN_C = 6.0
+
+
+class NonConvergence(RuntimeError):
+    """No shift makes a fit pass the exact dominance check."""
 
 
 class SingularDesign(ValueError):
@@ -147,12 +150,12 @@ class FeedforwardFamily:
             parts.append(np.zeros(n))
         return np.concatenate(parts)
 
-    def _forward(self, eta: np.ndarray, X: np.ndarray):
+    def _forward(self, eta: np.ndarray, inputs: np.ndarray):
         """Each layer's input [h; 1], transposed to (m + 1) x n, and the
-        predictions; a layer is one product [W; b]^T [h; 1].  A leading
-        axis of ``eta`` stacks parameter rows, each formed with the
-        products of a lone row."""
-        ins = [np.vstack([X.T, np.ones(len(X))])]
+        predictions, from the first layer's ``inputs`` [X^T; 1]; a layer
+        is one product [W; b]^T [h; 1].  A leading axis of ``eta`` stacks
+        parameter rows, each formed with the products of a lone row."""
+        ins = [inputs]
         blocks = self._unpack(eta)
         for B in blocks[:-1]:
             # logistic in place: 20,000 predictions hold one temporary, not 3
@@ -171,7 +174,7 @@ class FeedforwardFamily:
         gradient block [gW; gb] is one product [h; 1] delta^T.
         """
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        ins, pred = self._forward(eta, X)
+        ins, pred = self._forward(eta, np.vstack([X.T, np.ones(len(X))]))
         blocks = self._unpack(eta)
 
         def pullback(v):
@@ -300,7 +303,7 @@ def _train(family: FeedforwardFamily, X: np.ndarray, y: np.ndarray,
     neg_T = [B.T for B in family._unpack(neg)]
     grads = family._unpack(g)
     # the layer inputs [h; 1]; hidden layer idx writes the rows outs[idx]
-    ins = family._forward(x, X)[0]
+    ins = family._forward(x, np.vstack([X.T, np.ones(n)]))[0]
     outs = [h[:-1] for h in ins[1:]]
     z = np.empty((1, n))
     pred = z.reshape(n)
@@ -565,16 +568,17 @@ class _Profile:
     """Trials -> (objective, theta) on one fit's data, each trial at its
     optimal feasible shift: the least-squares shift clipped to the feasible
     side.  What depends on the data alone, a polynomial's feature matrix
-    ``Phi`` and the stable sort ``ys`` of the data, is built once.
-    :meth:`rows` scores a batch of parameter rows at once, and a call on
-    one parameter vector is the batch of one.  Every row is computed with
-    the products, sums and sorts a lone trial would use, so a row's bits
-    do not depend on its batch."""
+    ``Phi`` or a network's input [X^T; 1], and the stable sort ``ys`` of
+    the data, is built once.  :meth:`rows` scores a batch of parameter
+    rows at once, and a call on one parameter vector is the batch of one.
+    Every row is computed with the products, sums and sorts a lone trial
+    would use, so a row's bits do not depend on its batch."""
 
     def __init__(self, family: Family, X: np.ndarray, y: np.ndarray):
-        self.family, self.X, self.y = family, X, y
-        self.Phi = (family.features(X) if isinstance(family, PolynomialFamily)
-                    else None)
+        self.family, self.y = family, y
+        poly = isinstance(family, PolynomialFamily)
+        self.Phi = family.features(X) if poly else None
+        self.inputs = None if poly else np.vstack([X.T, np.ones(len(X))])
         self.ys = np.sort(y, kind="stable")
 
     def predict(self, T: np.ndarray) -> np.ndarray:
@@ -583,7 +587,7 @@ class _Profile:
             # one matrix-vector product per row, the one Phi @ eta makes
             return np.matmul(self.Phi, T[:, :, None])[:, :, 0]
         # value_and_grad's forward pass, stacked: one product per row
-        return self.family._forward(T, self.X)[1]
+        return self.family._forward(T, self.inputs)[1]
 
     def rows(self, T: np.ndarray):
         """Objective, shift and infeasibility of each parameter row of
@@ -716,7 +720,7 @@ def _linear_head(profile: _Profile, eta: np.ndarray) -> np.ndarray:
     ones column for the readout bias."""
     if profile.Phi is not None:
         return profile.Phi
-    return profile.family._forward(eta, profile.X)[0][-1].T
+    return profile.family._forward(eta, profile.inputs)[0][-1].T
 
 
 def fsd_fit(family: Family, X, y, restarts: int = 2, epochs: int = 600,

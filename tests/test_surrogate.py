@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 from rarebound import surrogate
 from rarebound.bench import make_example1
 from rarebound.core import RandomStream
-from rarebound.special import NonConvergence
 from rarebound.surrogate import (
     FeedforwardFamily,
+    NonConvergence,
     PolynomialFamily,
     RegressionSurrogate,
     ShiftCertificate,
